@@ -68,7 +68,7 @@ class CertificateReport:
     excluded_fraction: float
     conditions: dict = field(default_factory=dict)
     passed: bool = False
-    strict_uniqueness_hint: bool | None = None
+    strict_uniqueness_hint: bool = False
     note: str = ""
 
     def residuals(self) -> dict:
@@ -181,7 +181,7 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         "b_div_equals_lambda_above": res_above <= tol,
         "c_div_equals_minus_lambda_below": res_below <= tol,
     }
-    report = CertificateReport(
+    return CertificateReport(
         wulff_violation=wulff_violation,
         div_inf_norm=div_inf,
         div_bound_residual=div_bound_residual,
@@ -194,13 +194,14 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         excluded_fraction=float(1.0 - stencil_ok.mean()),
         conditions=conditions,
         passed=all(conditions.values()),
+        # the strict divergence bound holds with margin, hence uniqueness
+        strict_uniqueness_hint=bool(div_inf < lam - tol),
         note=("cellwise check at resolution spacing; default tolerance "
               "3*spacing from the first-order divergence stencils; kink cells "
               "(one-sided stencils disagreeing by more than one spacing), a "
               "2-cell window frame and a 2-cell margin around level-set "
               "boundaries excluded; pairing gap compared to tol*max(1, TV)"),
     )
-    return report
 
 
 def build_circle_certificate(lam: float, width: int, height: int,
@@ -232,12 +233,8 @@ def certify_minimizer(f: GridImage, lam: float, g: Gauge,
                       tol: float | None = None
                       ) -> tuple[SolveResult, CertificateReport]:
     """Solves, then feeds the minimiser (thresholded when f is binary) and
-    the dual iterate into check_certificate; also flags whether the strict
-    divergence bound, hence uniqueness, holds with margin."""
+    the dual iterate into check_certificate."""
     result = solve(f, lam, g, cfg)
     is_binary = np.all((f.values == 0.0) | (f.values == 1.0))
     u0 = threshold_binary(result) if is_binary else result.u
-    report = check_certificate(u0, f, result.p, lam, g, tol=tol)
-    report.strict_uniqueness_hint = bool(
-        report.div_inf_norm < lam - report.tolerance)
-    return result, report
+    return result, check_certificate(u0, f, result.p, lam, g, tol=tol)

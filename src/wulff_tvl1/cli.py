@@ -2,8 +2,9 @@
 oracles and certificate checks, all with machine-readable JSON outputs and
 a manifest written alongside every artifact.
 
-Exit codes: 0 success, 1 I/O or configuration error, 2 solver did not
-converge (outputs are still written), 3 certificate check failed.
+Exit codes: 0 success, 1 I/O or configuration error (failed output writes
+included), 2 solver did not converge (outputs are still written), 3
+certificate check failed.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _read_image(path: str, spacing: float | None) -> GridImage:
     sidecar = Path(str(path) + ".json")
     if spacing is None and sidecar.exists():
         spacing = json.loads(sidecar.read_text()).get("spacing", 1.0)
-    return read_pgm(path, spacing=spacing if spacing else 1.0)
+    return read_pgm(path, spacing=1.0 if spacing is None else spacing)
 
 
 def _write_image(path, image: GridImage, maxval: int = 255) -> None:
@@ -89,20 +90,15 @@ def _write_image(path, image: GridImage, maxval: int = 255) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_denoise(args) -> int:
-    try:
-        gauge = _load_gauge(args.gauge)
-        if args.lam <= 0:
-            raise ValueError("--lambda must be positive")
-        f = _read_image(args.input, args.spacing)
-        if args.config:
-            cfg = SolverConfig.from_json(json.loads(args.config))
-        else:
-            cfg = SolverConfig(max_iterations=args.max_iterations,
-                               gap_tolerance=args.gap_tolerance)
-        cfg.steps_for(f.spacing)  # validate before the run
-    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    gauge = _load_gauge(args.gauge)
+    if args.lam <= 0:
+        raise ValueError("--lambda must be positive")
+    f = _read_image(args.input, args.spacing)
+    if args.config:
+        cfg = SolverConfig.from_json(json.loads(args.config))
+    else:
+        cfg = SolverConfig(max_iterations=args.max_iterations,
+                           gap_tolerance=args.gap_tolerance)
 
     result = solve(f, args.lam, gauge, cfg)
     is_binary = bool(np.all((f.values == 0.0) | (f.values == 1.0)))
@@ -130,10 +126,8 @@ def cmd_denoise(args) -> int:
     }
     if args.certify:
         u0 = threshold_binary(result) if is_binary else result.u
-        cert = check_certificate(u0, f, result.p, args.lam, gauge)
-        cert.strict_uniqueness_hint = bool(
-            cert.div_inf_norm < args.lam - cert.tolerance)
-        report["certificate"] = cert.to_json()
+        report["certificate"] = check_certificate(
+            u0, f, result.p, args.lam, gauge).to_json()
     _write_json(report_path, report)
 
     RunManifest(
@@ -147,30 +141,26 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        spacing = args.extent / args.size
-        rng = np.random.default_rng(args.seed)
-        if args.shape == "disk":
-            image = raster_disk(args.size, args.size, spacing,
-                                radius=args.radius, supersample=4, binary=True)
-        elif args.shape == "wulff":
-            gauge = _load_gauge(args.gauge)
-            verts = gauge.wulff().vertices * args.scale
-            image = raster_convex_polygon(verts, args.size, args.size, spacing,
-                                          supersample=4, binary=True)
-        elif args.shape == "barcode":
-            blocks = rng.integers(0, 2, size=(args.blocks, args.blocks)).astype(float)
-            idx = (np.arange(args.size) * args.blocks) // args.size
-            image = GridImage(blocks[np.ix_(idx, idx)], spacing)
-        else:
-            raise ValueError(f"unknown shape {args.shape!r}")
-        if args.noise > 0:
-            flip = rng.random(image.values.shape) < args.noise
-            image = GridImage(np.where(flip, 1.0 - image.values, image.values),
-                              spacing)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    spacing = args.extent / args.size
+    rng = np.random.default_rng(args.seed)
+    if args.shape == "disk":
+        image = raster_disk(args.size, args.size, spacing,
+                            radius=args.radius, supersample=4, binary=True)
+    elif args.shape == "wulff":
+        gauge = _load_gauge(args.gauge)
+        verts = gauge.wulff().vertices * args.scale
+        image = raster_convex_polygon(verts, args.size, args.size, spacing,
+                                      supersample=4, binary=True)
+    elif args.shape == "barcode":
+        blocks = rng.integers(0, 2, size=(args.blocks, args.blocks)).astype(float)
+        idx = (np.arange(args.size) * args.blocks) // args.size
+        image = GridImage(blocks[np.ix_(idx, idx)], spacing)
+    else:
+        raise ValueError(f"unknown shape {args.shape!r}")
+    if args.noise > 0:
+        flip = rng.random(image.values.shape) < args.noise
+        image = GridImage(np.where(flip, 1.0 - image.values, image.values),
+                          spacing)
 
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -185,25 +175,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        if args.oracle == "circle":
-            r = circle_example(args.lam)
-            payload = {"lambda": r.lam, "s": r.s, "h": r.h, "tv": r.tv,
-                       "area": r.area, "energy": r.energy, "valid": r.valid}
-        elif args.oracle == "threshold":
-            payload = {"R": args.R, "n": args.n,
-                       "lambda0": trivial_threshold(args.R, args.n)}
-        elif args.oracle == "wulff":
-            gauge = _load_gauge(args.gauge)
-            tv, area = wulff_tv_and_area(gauge)
-            payload = {"gauge": gauge.to_json(), "tv": tv, "area": area}
-        elif args.oracle == "critical-lambda":
-            payload = {"critical_lambda": circle_optimality_threshold()}
-        else:
-            raise ValueError(f"unknown oracle {args.oracle!r}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.oracle == "circle":
+        r = circle_example(args.lam)
+        payload = {"lambda": r.lam, "s": r.s, "h": r.h, "tv": r.tv,
+                   "area": r.area, "energy": r.energy, "valid": r.valid}
+    elif args.oracle == "threshold":
+        payload = {"R": args.R, "n": args.n,
+                   "lambda0": trivial_threshold(args.R, args.n)}
+    elif args.oracle == "wulff":
+        gauge = _load_gauge(args.gauge)
+        tv, area = wulff_tv_and_area(gauge)
+        payload = {"gauge": gauge.to_json(), "tv": tv, "area": area}
+    elif args.oracle == "critical-lambda":
+        payload = {"critical_lambda": circle_optimality_threshold()}
+    else:
+        raise ValueError(f"unknown oracle {args.oracle!r}")
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
     if args.output:
@@ -212,32 +198,28 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        gauge = _load_gauge(args.gauge)
-        if args.example_circle is not None:
-            lam = args.example_circle
-            ex = circle_example(lam)
-            spacing = args.extent / args.size
-            f = raster_disk(args.size, args.size, spacing, radius=1.0,
-                            supersample=4, binary=True)
-            square = np.array([[ex.h, ex.h], [-ex.h, ex.h],
-                               [-ex.h, -ex.h], [ex.h, -ex.h]])
-            clip = raster_convex_polygon(square, args.size, args.size, spacing,
-                                         supersample=4, binary=True)
-            u0 = GridImage(f.values * clip.values, spacing)
-            v = build_circle_certificate(lam, args.size, args.size, spacing)
-        else:
-            if not (args.u0 and args.f and args.v and args.lam):
-                raise ValueError("need --u0, --f, --v and --lambda "
-                                 "(or --example-circle)")
-            lam = args.lam
-            u0 = _read_image(args.u0, args.spacing)
-            f = _read_image(args.f, args.spacing)
-            v = read_field(args.v)
-        report = check_certificate(u0, f, v, lam, gauge, tol=args.tol)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    gauge = _load_gauge(args.gauge)
+    if args.example_circle is not None:
+        lam = args.example_circle
+        ex = circle_example(lam)
+        spacing = args.extent / args.size
+        f = raster_disk(args.size, args.size, spacing, radius=1.0,
+                        supersample=4, binary=True)
+        square = np.array([[ex.h, ex.h], [-ex.h, ex.h],
+                           [-ex.h, -ex.h], [ex.h, -ex.h]])
+        clip = raster_convex_polygon(square, args.size, args.size, spacing,
+                                     supersample=4, binary=True)
+        u0 = GridImage(f.values * clip.values, spacing)
+        v = build_circle_certificate(lam, args.size, args.size, spacing)
+    else:
+        if not (args.u0 and args.f and args.v and args.lam):
+            raise ValueError("need --u0, --f, --v and --lambda "
+                             "(or --example-circle)")
+        lam = args.lam
+        u0 = _read_image(args.u0, args.spacing)
+        f = _read_image(args.f, args.spacing)
+        v = read_field(args.v)
+    report = check_certificate(u0, f, v, lam, gauge, tol=args.tol)
 
     text = report.to_json_str()
     print(text)
@@ -322,16 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _thread_cap()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are configuration errors here
         return EXIT_CONFIG if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        _thread_cap()
+        return args.func(args)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -102,21 +102,6 @@ def _polygon_halfspaces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals, offsets
 
 
-def _project_l1_ball(x: np.ndarray, radius: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto { z : sum |z_i| <= radius }, vectorised
-    over leading axes."""
-    a = np.abs(x)
-    inside = a.sum(axis=-1) <= radius
-    s = np.sort(a, axis=-1)[..., ::-1]
-    cumsum = np.cumsum(s, axis=-1)
-    k = np.arange(1, x.shape[-1] + 1, dtype=float)
-    cond = s - (cumsum - radius) / k > 0
-    rho = np.maximum(cond.sum(axis=-1), 1)
-    tau = (np.take_along_axis(cumsum, rho[..., None] - 1, axis=-1)[..., 0] - radius) / rho
-    z = np.sign(x) * np.maximum(a - tau[..., None], 0.0)
-    return np.where(inside[..., None], x, z)
-
-
 @dataclass
 class WulffShape:
     """Polygonal representation of W (CCW vertices); exact for crystalline
@@ -341,14 +326,11 @@ class Gauge:
 
     def project_minus_wulff(self, x) -> np.ndarray:
         """Euclidean projection onto -W = {phi_dual <= 1}; closed form for
-        p in {1, 2, inf} and asymmetric kinds, Newton for weighted-2,
+        p in {1, 2, inf} and asymmetric kinds, bisection for weighted-2,
         polygon projection otherwise (2-D)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "asymmetric":
-            d = x - self.shift
-            norm = np.linalg.norm(d, axis=-1, keepdims=True)
-            scale = np.maximum(norm, 1.0)
-            return self.shift + d / scale
+        if self.kind == "asymmetric":  # -W is the unit disk centred at a
+            return self.shift + _project_unit_disk(x - self.shift)
         if self.kind in ("p-norm", "weighted"):
             p = self.p
             w = self.weights if self.kind == "weighted" else None
@@ -357,13 +339,10 @@ class Gauge:
                 return np.clip(x, -bound, bound)
             if p == 2.0:
                 if w is None:
-                    norm = np.linalg.norm(x, axis=-1, keepdims=True)
-                    return x / np.maximum(norm, 1.0)
+                    return _project_unit_disk(x)
                 return _project_ellipse(x, w)
-            if math.isinf(p):
-                if w is None:
-                    return _project_l1_ball(x)
-                return _project_weighted_l1_ball(x, 1.0 / w)
+            if math.isinf(p):  # -W is the ball sum |x_i| / w_i <= 1
+                return _project_l1_ball(x, 1.0 / w if w is not None else np.ones(2))
             return _project_convex_polygon(x, self._sampled_minus_wulff_polygon)
         return _project_convex_polygon(x, self._minus_wulff_polygon)
 
@@ -398,22 +377,30 @@ def _project_ellipse(x: np.ndarray, semi_axes: np.ndarray) -> np.ndarray:
     return np.where(inside[..., None], x, z)
 
 
-def _project_weighted_l1_ball(x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Projection onto { z : sum c_i |z_i| <= 1 } by bisection on the
-    soft-threshold level."""
-    inside = (coeff * np.abs(x)).sum(axis=-1) <= 1.0
-    lo = np.zeros(x.shape[:-1])
-    hi = np.max(np.abs(x) / coeff, axis=-1) + 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        z = np.maximum(np.abs(x) - mid[..., None] * coeff, 0.0)
-        val = (coeff * z).sum(axis=-1)
-        too_big = val > 1.0
-        lo = np.where(too_big, mid, lo)
-        hi = np.where(too_big, hi, mid)
-    mu = 0.5 * (lo + hi)
-    z = np.sign(x) * np.maximum(np.abs(x) - mu[..., None] * coeff, 0.0)
-    return np.where(inside[..., None], x, z)
+def _project_unit_disk(x: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.maximum(norm, 1.0)
+
+
+def _project_l1_ball(x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Projection onto { z : c_1 |z_1| + c_2 |z_2| <= 1 } (c > 0) in closed
+    form: z = sign(x) max(|x| - mu c, 0), with mu from the largest ratio
+    |x_i| / c_i alone or from both coordinates (Condat 2016, 2-D case)."""
+    if x.shape[-1] != 2 or len(coeff) != 2:
+        raise ValueError("the l1-ball projection is 2-D only")
+    a = np.abs(x)
+    c0, c1 = coeff
+    ca = (coeff * a).sum(axis=-1)
+    first = a[..., 0] / c0 >= a[..., 1] / c1
+    a_hi = np.where(first, a[..., 0], a[..., 1])
+    a_lo = np.where(first, a[..., 1], a[..., 0])
+    c_hi = np.where(first, c0, c1)
+    c_lo = np.where(first, c1, c0)
+    mu_both = (ca - 1.0) / (c0 * c0 + c1 * c1)
+    mu_one = (c_hi * a_hi - 1.0) / (c_hi * c_hi)
+    mu = np.where(a_lo - mu_both * c_lo > 0, mu_both, mu_one)
+    z = np.sign(x) * np.maximum(a - mu[..., None] * coeff, 0.0)
+    return np.where((ca <= 1.0)[..., None], x, z)
 
 
 def _project_convex_polygon(x: np.ndarray, vertices: np.ndarray) -> np.ndarray:

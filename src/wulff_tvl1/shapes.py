@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import Gauge, _polygon_halfspaces
+from .gauge import Gauge, _polygon_halfspaces, _project_convex_polygon
 
 __all__ = [
     "ConvexPolygon",
@@ -58,12 +58,6 @@ class ConvexPolygon:
 
     def scaled(self, factor: float) -> "ConvexPolygon":
         return ConvexPolygon(self.vertices * factor)
-
-    def contains(self, point, tol: float = 1e-12) -> bool:
-        if self.is_empty:
-            return False
-        normals, offsets = _polygon_halfspaces(self.vertices)
-        return bool(np.all(normals @ np.asarray(point, dtype=float) <= offsets + tol))
 
 
 def trivial_threshold(R: float, n: int) -> float:
@@ -279,34 +273,19 @@ def shape_energy_ratio(P: ConvexPolygon, g: Gauge) -> float:
     return polygon_tv_phi(P, g) / area
 
 
-def _point_polygon_distance(point: np.ndarray, P: ConvexPolygon) -> float:
-    if P.contains(point):
-        return 0.0
-    v = P.vertices
-    nxt = np.roll(v, -1, axis=0)
-    best = math.inf
-    for a, b in zip(v, nxt):
-        ab = b - a
-        t = float(np.clip((point - a) @ ab / (ab @ ab), 0.0, 1.0))
-        best = min(best, float(np.linalg.norm(point - (a + t * ab))))
-    return best
-
-
 def hausdorff_distance(P: ConvexPolygon, Q: ConvexPolygon,
                        samples_per_edge: int = 8) -> float:
     """Symmetric Hausdorff distance between convex polygons, sampling edge
     points so near-parallel faces are measured correctly."""
     if P.is_empty or Q.is_empty:
         raise ValueError("Hausdorff distance needs nonempty polygons")
+    ts = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)
 
     def directed(A: ConvexPolygon, B: ConvexPolygon) -> float:
         v = A.vertices
-        nxt = np.roll(v, -1, axis=0)
-        worst = 0.0
-        ts = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)
-        for a, b in zip(v, nxt):
-            for t in ts:
-                worst = max(worst, _point_polygon_distance(a + t * (b - a), B))
-        return worst
+        edges = np.roll(v, -1, axis=0) - v
+        pts = (v[:, None, :] + ts[None, :, None] * edges[:, None, :]).reshape(-1, 2)
+        gaps = pts - _project_convex_polygon(pts, B.vertices)
+        return float(np.max(np.linalg.norm(gaps, axis=-1)))
 
     return max(directed(P, Q), directed(Q, P))

@@ -5,7 +5,7 @@ is iterated with the classic first-order scheme
 
     p    <- project_{-W}(p + sigma * grad u_bar)
     u    <- f + shrink(u + tau * div p - f, tau * lam)
-    u_bar <- u + theta (u - u_prev)
+    u_bar <- u + (u - u_prev)
 
 whose dual iterate is exactly the certificate field of the optimality
 characterisation, so the checker can consume it without any extra
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gauge import Gauge
+# divergence, forward_gradient: unused here, kept for tracers that patch them by name
 from .grid import (DualField, GridImage, _div_adjoint_raw, _grad_backward_raw,
                    _grad_forward_raw, divergence, forward_gradient, level_set,
                    tv_phi)
@@ -37,6 +38,9 @@ __all__ = [
     "check_contrast_invariance",
 ]
 
+CHANGE_TOLERANCE = 1e-9  # fallback stop: relative change of u
+BURN_IN = 50             # iterations before the fallback may stop the run
+
 
 @dataclass
 class SolverConfig:
@@ -46,10 +50,11 @@ class SolverConfig:
     max_iterations: int = 20000
     tau: float | None = None
     sigma: float | None = None
-    theta: float = 1.0
     gap_tolerance: float = 1e-6       # on the normalized primal-dual gap
-    change_tolerance: float = 1e-9    # fallback: relative change of u
-    burn_in: int = 50
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
     def steps_for(self, spacing: float) -> tuple[float, float]:
         tau = self.tau if self.tau is not None else spacing / math.sqrt(8.0)
@@ -117,8 +122,8 @@ def solve(f: GridImage, lam: float, g: Gauge,
     best_energy = math.inf
     best_u = u.copy()
     best_p = p.copy()
+    best_gap = best_e_fwd = math.nan
     trace = np.empty(cfg.max_iterations)
-    gap = gap_norm = math.nan
     converged = False
     iterations = 0
 
@@ -133,17 +138,12 @@ def solve(f: GridImage, lam: float, g: Gauge,
         div_p = _div_adjoint_raw(p, spacing, out=div_buf)
         u_prev = u
         u = fv + _shrink(u + tau * div_p - fv, tau * lam)
-        u_bar = u + cfg.theta * (u - u_prev)
+        u_bar = u + (u - u_prev)
 
         fid = lam * float(np.abs(u - fv).sum()) * h2
         grad_fw = float(g(_grad_forward_raw(u, spacing, out=grad_buf)).sum())
         grad_bw = float(g(_grad_backward_raw(u, spacing, out=grad_buf)).sum())
         e_primal = 0.5 * (grad_fw + grad_bw) * h2 + fid
-        if e_primal < best_energy:
-            best_energy = e_primal
-            best_u = u.copy()
-            best_p = p.copy()
-        trace[k] = best_energy
 
         # dual value of the forward-stencil saddle objective at a scaled
         # (hence feasible: |div| <= lam) copy of p -- a true lower bound
@@ -154,29 +154,29 @@ def solve(f: GridImage, lam: float, g: Gauge,
         gap = e_fwd - dual_value
         gap_norm = gap / (1.0 + abs(e_fwd))
 
+        # the gap is kept with the best pair so it bounds *its* energy
+        if e_primal < best_energy:
+            best_energy = e_primal
+            best_u = u.copy()
+            best_p = p.copy()
+            best_gap = gap
+            best_e_fwd = e_fwd
+        trace[k] = best_energy
+
         change = float(np.abs(u - u_prev).max())
         scale_u = float(np.abs(u).max()) + 1e-30
         if gap_norm <= cfg.gap_tolerance or (
-                k > cfg.burn_in and change <= cfg.change_tolerance * scale_u):
+                k > BURN_IN and change <= CHANGE_TOLERANCE * scale_u):
             converged = True
             break
 
-    result_u = GridImage(best_u, f.spacing)
-    result_p = DualField(best_p, f.spacing)
-    # recompute the gap for the returned pair so it bounds *its* energy
-    div_p = divergence(result_p).values
-    dmax = float(np.max(np.abs(div_p)))
-    scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
-    dual_value = -float((fv * div_p).sum()) * scale * h2
-    e_fwd = (float(g(forward_gradient(result_u).values).sum()) * h2
-             + lam * float(np.abs(best_u - fv).sum()) * h2)
-    gap = max(e_fwd - dual_value, 0.0)
+    gap = max(best_gap, 0.0)
     return SolveResult(
-        u=result_u,
-        p=result_p,
+        u=GridImage(best_u, f.spacing),
+        p=DualField(best_p, f.spacing),
         energy_trace=trace[:iterations].copy(),
         final_gap=gap,
-        final_gap_normalized=gap / (1.0 + abs(e_fwd)),
+        final_gap_normalized=gap / (1.0 + abs(best_e_fwd)),
         iterations=iterations,
         converged=converged,
     )

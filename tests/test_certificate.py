@@ -31,6 +31,16 @@ def test_trivial_zero_certificate():
     assert all(r == 0.0 for r in rep.residuals().values())
 
 
+def test_check_certificate_sets_uniqueness_hint():
+    # hint = div_inf_norm < lam - tol: a zero field has margin, the circle
+    # field reaches |div v| = lam on the clipped disk
+    u0 = GridImage(np.zeros((16, 16)), 0.05)
+    v = DualField(np.zeros((16, 16, 2)), 0.05)
+    assert check_certificate(u0, u0, v, 1.0, L1).strict_uniqueness_hint is True
+    u0, f, v = circle_case(3.0, 128)
+    assert check_certificate(u0, f, v, 3.0, L1).strict_uniqueness_hint is False
+
+
 def test_circle_field_formula_points():
     # hand-evaluated samples of the clamp construction at lambda = 4
     s = 0.25

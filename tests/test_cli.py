@@ -160,6 +160,32 @@ def test_certify_file_inputs_pass(tmp_path):
                "--lambda", "2", "--spacing", "0.5") == 0
 
 
+def test_zero_spacing_is_a_configuration_error(tmp_path):
+    from wulff_tvl1.fileio import write_field
+    from wulff_tvl1.grid import DualField
+    u0 = tmp_path / "u0.pgm"
+    v = tmp_path / "v.raw"
+    write_pgm(u0, GridImage(np.zeros((16, 16)), 1.0))
+    write_field(v, DualField(np.zeros((16, 16, 2)), 1.0))
+    assert run("denoise", "--input", str(u0), "--lambda", "2", "--spacing", "0",
+               "--output-prefix", str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o_report.json").exists()
+    assert run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
+               "--lambda", "2", "--spacing", "0") == 1
+
+
+def test_unwritable_output_is_an_io_error(tmp_path):
+    disk = tmp_path / "disk.pgm"
+    run("synth", "disk", "--size", "16", "--output", str(disk))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert run("denoise", "--input", str(disk), "--lambda", "4",
+               "--max-iterations", "5",
+               "--output-prefix", str(blocker / "sub" / "o")) == 1
+    assert run("synth", "disk", "--size", "16",
+               "--output", str(blocker / "d.pgm")) == 1
+
+
 def test_denoise_nonconvergence_exit_code(tmp_path):
     disk = tmp_path / "disk.pgm"
     run("synth", "disk", "--size", "64", "--output", str(disk))

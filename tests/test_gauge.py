@@ -194,6 +194,25 @@ def test_projection_nonexpansive(any_gauge, rng):
     assert np.all(num <= den + 1e-12)
 
 
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="p = 3 projects onto the inscribed 720-gon"))
+    if name == "p3" else name for name in sorted(GAUGE_ZOO)])
+def test_projection_variational_inequality(name, rng):
+    # P(x) is the projection onto -W iff <x - P(x), z - P(x)> <= 0 for every
+    # z in -W; z = d / phi_dual(d) samples the boundary of -W exactly
+    g = GAUGE_ZOO[name]
+    x = rng.normal(size=(300, 2)) * 4
+    px = project_minus_wulff(g, x)
+    theta = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
+    d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    z = d / eval_dual(g, d)[:, None]
+    r = x - px
+    lhs = r @ z.T - np.einsum("ij,ij->i", r, px)[:, None]
+    bound = 1e-12 * (1.0 + np.linalg.norm(r, axis=-1))
+    assert np.all(lhs <= bound[:, None])
+
+
 def test_json_round_trip(any_gauge, rng):
     spec = json.dumps(any_gauge.to_json())
     g2 = Gauge.from_json(spec)

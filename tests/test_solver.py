@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from wulff_tvl1.gauge import Gauge
-from wulff_tvl1.grid import GridImage, raster_convex_polygon, raster_disk, tv_phi
+from wulff_tvl1.grid import (GridImage, divergence, forward_gradient,
+                             raster_convex_polygon, raster_disk, tv_phi)
 from wulff_tvl1.solver import (SolverConfig, check_contrast_invariance, energy,
                                solve, threshold_binary)
 
-from conftest import (brute_force_binary_optimum, gaussian_blur,
+from conftest import (GAUGE_ZOO, brute_force_binary_optimum, gaussian_blur,
                       symmetric_difference_area)
 
 L1 = Gauge.p_norm(1)
@@ -73,6 +74,8 @@ def test_solve_rejects_bad_config():
         solve(f, -1.0, L1)
     with pytest.raises(ValueError):
         solve(f, 1.0, L1, SolverConfig(tau=10.0, sigma=10.0))
+    with pytest.raises(ValueError):
+        SolverConfig(max_iterations=0)
 
 
 def test_solve_trivial_minimizer_small():
@@ -122,6 +125,28 @@ def test_gap_bounds_suboptimality(rng):
     opt = brute_force_binary_optimum(f, 2.0, L1)
     assert res.final_gap >= 0.0
     assert energy(res.u, f, 2.0, L1) - opt <= res.final_gap + 1e-9
+
+
+def reference_gap(res, f: GridImage, lam: float, g: Gauge) -> tuple[float, float]:
+    """Raw and normalised gap of the returned (u, p), computed from scratch
+    with the validated grid operators."""
+    h2 = f.spacing**2
+    div_p = divergence(res.p).values
+    dmax = float(np.max(np.abs(div_p)))
+    scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
+    dual_value = -float((f.values * div_p).sum()) * scale * h2
+    e_fwd = (float(g(forward_gradient(res.u).values).sum()) * h2
+             + lam * float(np.abs(res.u.values - f.values).sum()) * h2)
+    gap = max(e_fwd - dual_value, 0.0)
+    return gap, gap / (1.0 + abs(e_fwd))
+
+
+@pytest.mark.parametrize("name", ["l1", "asymmetric", "hexagon"])
+def test_final_gap_is_the_returned_pairs_gap(name):
+    g = GAUGE_ZOO[name]
+    f = raster_disk(32, 32, 3.0 / 32, radius=1.0, supersample=4, binary=True)
+    res = solve(f, 3.0, g, SolverConfig(max_iterations=300))
+    assert (res.final_gap, res.final_gap_normalized) == reference_gap(res, f, 3.0, g)
 
 
 # ----------------------------------------------------------------------
