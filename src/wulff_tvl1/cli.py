@@ -140,7 +140,15 @@ def cmd_denoise(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
+def _check_size(size: int) -> None:
+    if size < 2:
+        raise ValueError(f"--size must be >= 2, got {size}")
+
+
 def cmd_synth(args) -> int:
+    _check_size(args.size)
+    if args.blocks < 1:
+        raise ValueError(f"--blocks must be >= 1, got {args.blocks}")
     spacing = args.extent / args.size
     rng = np.random.default_rng(args.seed)
     if args.shape == "disk":
@@ -202,6 +210,7 @@ def cmd_certify(args) -> int:
     if args.example_circle is not None:
         lam = args.example_circle
         ex = circle_example(lam)
+        _check_size(args.size)
         spacing = args.extent / args.size
         f = raster_disk(args.size, args.size, spacing, radius=1.0,
                         supersample=4, binary=True)

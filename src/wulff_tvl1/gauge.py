@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -51,14 +51,18 @@ def _conjugate_exponent(p: float) -> float:
 
 
 def _pnorm(y: np.ndarray, p: float) -> np.ndarray:
-    a = np.abs(y)
-    if p == 1.0:
-        return a.sum(axis=-1)
+    """|y|_p over the last axis, combined one component plane at a time.
+    For two components this rounds exactly like a reduction over the axis
+    and is several times faster than reducing over a size-2 axis."""
+    planes = [y[..., i] for i in range(y.shape[-1])]
     if p == 2.0:
-        return np.sqrt((a * a).sum(axis=-1))
+        return np.sqrt(reduce(np.add, [c * c for c in planes]))
+    planes = [np.abs(c) for c in planes]
+    if p == 1.0:
+        return reduce(np.add, planes)
     if math.isinf(p):
-        return a.max(axis=-1)
-    return (a**p).sum(axis=-1) ** (1.0 / p)
+        return reduce(np.maximum, planes)
+    return reduce(np.add, [c**p for c in planes]) ** (1.0 / p)
 
 
 def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
@@ -212,7 +216,7 @@ class Gauge:
             # B is the polar of -W: one vertex n_e / b_e per edge of -W.
             normals, offsets = self._minus_wulff_halfspaces
             return normals / offsets[:, None]
-        if self.kind in ("p-norm", "weighted") and self.p == 1.0:
+        if self.separable:
             eye = np.eye(self.dim)
             verts = np.concatenate([eye, -eye], axis=0)
         elif self.kind in ("p-norm", "weighted") and math.isinf(self.p):
@@ -237,6 +241,12 @@ class Gauge:
         return -self.wulff(_SMOOTH_WULFF_VERTICES).vertices
 
     # -- evaluation -------------------------------------------------------
+
+    @property
+    def separable(self) -> bool:
+        """phi(y) = sum_i c_i |y_i|, so the forward- and backward-stencil
+        sums of the discrete TV agree."""
+        return self.kind in ("p-norm", "weighted") and self.p == 1.0
 
     def __call__(self, y) -> np.ndarray:
         """phi(y); y has shape (..., dim)."""

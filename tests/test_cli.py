@@ -186,6 +186,26 @@ def test_unwritable_output_is_an_io_error(tmp_path):
                "--output", str(blocker / "d.pgm")) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "disk", "--size", "0"],
+    ["synth", "disk", "--size", "1"],
+    ["synth", "barcode", "--blocks", "0"],
+    ["certify", "--example-circle", "4", "--size", "0"],
+], ids=["synth-size-0", "synth-size-1", "barcode-blocks-0", "certify-size-0"])
+def test_degenerate_grid_option_is_a_configuration_error(tmp_path, argv):
+    out = tmp_path / "x.pgm"
+    assert run(*argv, "--output", str(out)) == 1
+    assert not out.exists()
+
+
+def test_denoise_single_cell_input_is_a_configuration_error(tmp_path):
+    cell = tmp_path / "cell.pgm"
+    write_pgm(cell, GridImage(np.ones((1, 1)), 1.0))
+    assert run("denoise", "--input", str(cell), "--lambda", "2",
+               "--output-prefix", str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o_report.json").exists()
+
+
 def test_denoise_nonconvergence_exit_code(tmp_path):
     disk = tmp_path / "disk.pgm"
     run("synth", "disk", "--size", "64", "--output", str(disk))

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from wulff_tvl1.gauge import (Gauge, dual_extremal, eval_dual, eval_gauge,
-                              project_minus_wulff, wulff_shape)
+from wulff_tvl1.gauge import (Gauge, _conjugate_exponent, _pnorm, dual_extremal,
+                              eval_dual, eval_gauge, project_minus_wulff,
+                              wulff_shape)
 
 from conftest import GAUGE_ZOO, brute_force_dual
 
@@ -24,6 +25,41 @@ def test_asymmetric_is_not_even():
     g = Gauge.asymmetric([0.5, 0.0])
     assert eval_gauge(g, (1.0, 0.0)) == pytest.approx(1.5)
     assert eval_gauge(g, (-1.0, 0.0)) == pytest.approx(0.5)
+
+
+def reference_pnorm(y: np.ndarray, p: float) -> np.ndarray:
+    """|y|_p as a reduction over the last axis."""
+    a = np.abs(y)
+    if p == 1.0:
+        return a.sum(axis=-1)
+    if p == 2.0:
+        return np.sqrt((a * a).sum(axis=-1))
+    if math.isinf(p):
+        return a.max(axis=-1)
+    return (a**p).sum(axis=-1) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("shape", [(17, 13, 2), (2,)], ids=["field", "vector"])
+@pytest.mark.parametrize("name", sorted(n for n, g in GAUGE_ZOO.items()
+                                        if g.kind in ("p-norm", "weighted")))
+def test_pnorm_planes_match_axis_reduction(name, shape, rng):
+    g = GAUGE_ZOO[name]
+    y = 3.0 * rng.normal(size=shape)
+    y.reshape(-1)[:2] = (0.0, -0.0)
+    w = g.weights if g.kind == "weighted" else 1.0
+    assert np.array_equal(_pnorm(y, g.p), reference_pnorm(y, g.p))
+    assert np.array_equal(g(y), reference_pnorm(y * w, g.p))
+    assert np.array_equal(g.dual(y),
+                          reference_pnorm(y / w, _conjugate_exponent(g.p)))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_pnorm_other_dimensions(dim, p, rng):
+    y = rng.normal(size=(6, 7, dim))
+    np.testing.assert_allclose(_pnorm(y, p), reference_pnorm(y, p), rtol=1e-14)
+    np.testing.assert_allclose(Gauge.p_norm(p, dim=dim)(y[0, 0]),
+                               reference_pnorm(y[0, 0], p), rtol=1e-14)
 
 
 def test_positive_homogeneity(any_gauge, rng):

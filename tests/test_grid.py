@@ -94,6 +94,18 @@ def test_tv_homogeneity(any_gauge, rng):
         assert tv_phi(scaled, any_gauge) == pytest.approx(alpha * base, rel=1e-12)
 
 
+def test_separable_gauges_agree_on_both_stencils(rng):
+    # the solver's monitor evaluates only the forward stencil for these
+    separable = sorted(n for n, g in GAUGE_ZOO.items() if g.separable)
+    assert separable == ["l1", "weighted-l1"]
+    u = GridImage(rng.normal(size=(40, 31)), 0.3)
+    for name in separable:
+        g = GAUGE_ZOO[name]
+        fw = float(g(forward_gradient(u).values).sum())
+        bw = float(g(backward_gradient(u).values).sum())
+        assert fw == pytest.approx(bw, rel=1e-12, abs=0.0)
+
+
 def test_tv_unit_square_l1_exact():
     # axis-aligned unit square: 1-norm cost is exactly the perimeter 4
     n = 192

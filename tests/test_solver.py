@@ -76,6 +76,9 @@ def test_solve_rejects_bad_config():
         solve(f, 1.0, L1, SolverConfig(tau=10.0, sigma=10.0))
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    for shape in ((1, 1), (1, 8), (8, 1)):
+        with pytest.raises(ValueError, match="2x2"):
+            solve(GridImage(np.zeros(shape), 1.0), 1.0, L1)
 
 
 def test_solve_trivial_minimizer_small():
@@ -147,6 +150,20 @@ def test_final_gap_is_the_returned_pairs_gap(name):
     f = raster_disk(32, 32, 3.0 / 32, radius=1.0, supersample=4, binary=True)
     res = solve(f, 3.0, g, SolverConfig(max_iterations=300))
     assert (res.final_gap, res.final_gap_normalized) == reference_gap(res, f, 3.0, g)
+
+
+def test_gap_stop_returns_the_pair_that_met_the_tolerance():
+    f = raster_disk(64, 64, 3.0 / 64, radius=1.0, supersample=4, binary=True)
+    cfg = SolverConfig(max_iterations=1500)
+    res = solve(f, 3.0, L1, cfg)
+    # without the gap test the run goes on, so the gap test stopped it
+    no_gap = solve(f, 3.0, L1, SolverConfig(max_iterations=1500, gap_tolerance=0.0))
+    assert res.converged and res.iterations < no_gap.iterations
+    assert res.final_gap_normalized <= cfg.gap_tolerance
+    assert (res.final_gap,
+            res.final_gap_normalized) == reference_gap(res, f, 3.0, L1)
+    assert res.energy_trace[-1] == pytest.approx(energy(res.u, f, 3.0, L1),
+                                                 rel=1e-12)
 
 
 # ----------------------------------------------------------------------
