@@ -122,6 +122,7 @@ def cmd_denoise(args) -> int:
         "final_gap_normalized": result.final_gap_normalized,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "thresholded_output": thresholded,
     }
     if args.certify:

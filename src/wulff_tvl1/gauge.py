@@ -8,7 +8,15 @@ minus sign,
 
 and the dual gauge  phi_dual(x) = max { x.y : phi(y) <= 1 }  is the
 Minkowski functional of -W.  All evaluators below are vectorised over
-trailing component axes so they can run cellwise on grid fields.
+trailing component axes so they can run cellwise on grid fields; the 2-D
+kernels work on the two component planes x[..., 0] and x[..., 1].
+
+The Euclidean projection onto -W, the solver's dual step, is exact for
+every kind, with one routine per geometry: a clip onto the box (p = 1),
+closed forms for the disk (p = 2 and asymmetric) and the 2-D l1 ball
+(p = inf), safeguarded Newton on one boundary parameter per point for
+weighted q-norm balls (every other p, ellipses included), and the nearest
+point over all edges for polygons.
 
 Supported kinds:
 
@@ -40,6 +48,7 @@ __all__ = [
 ]
 
 _SMOOTH_WULFF_VERTICES = 720
+_Q_BALL_STEPS = 60  # ceiling on Newton/bisection steps; most points take 3-5
 
 
 def _conjugate_exponent(p: float) -> float:
@@ -231,15 +240,6 @@ class Gauge:
             verts = verts / self.weights
         return verts
 
-    @cached_property
-    def _sampled_minus_wulff_polygon(self) -> np.ndarray:
-        """720-gon inscribed in -W, used as projection fallback for smooth
-        non-analytic duals (2D only)."""
-        if self.dim != 2:
-            raise ValueError("sampled Wulff polygons are 2-D only")
-        # point reflection preserves orientation in 2-D, so -W stays CCW
-        return -self.wulff(_SMOOTH_WULFF_VERTICES).vertices
-
     # -- evaluation -------------------------------------------------------
 
     @property
@@ -258,7 +258,7 @@ class Gauge:
         if self.kind == "asymmetric":
             return _pnorm(y, 2.0) + y @ self.shift
         # support function of -W over the stored vertices
-        return np.max(y @ (-self.wulff_vertices).T, axis=-1)
+        return _max_linear(y, -self.wulff_vertices)
 
     def dual(self, x) -> np.ndarray:
         """phi_dual(x) = max { x.y : phi(y) <= 1 }, the Minkowski
@@ -274,8 +274,8 @@ class Gauge:
             ax = x @ a
             xx = (x * x).sum(axis=-1)
             return (-ax + np.sqrt(ax * ax + (1.0 - aa) * xx)) / (1.0 - aa)
-        normals, offsets = self._minus_wulff_halfspaces
-        return np.max((x @ normals.T) / offsets, axis=-1)
+        # support function of B = {phi <= 1} over its vertices
+        return _max_linear(x, self._unit_ball_vertices)
 
     def dual_extremal(self, x) -> np.ndarray:
         """eta with phi(eta) = 1 and x.eta = phi_dual(x); for vertex-type
@@ -335,26 +335,30 @@ class Gauge:
     # -- projection onto -W -----------------------------------------------
 
     def project_minus_wulff(self, x) -> np.ndarray:
-        """Euclidean projection onto -W = {phi_dual <= 1}; closed form for
-        p in {1, 2, inf} and asymmetric kinds, bisection for weighted-2,
-        polygon projection otherwise (2-D)."""
+        """Euclidean projection onto -W = {phi_dual <= 1}, exact for every
+        kind: a clip for p = 1, closed forms for the unit disk (p = 2, and
+        asymmetric kinds shifted by a) and the l1 ball (p = inf),
+        safeguarded Newton for the weighted q-norm ball of any other p, and
+        the nearest point over all edges for polygons.  Points in -W are
+        returned unchanged.  All but the clip and the disk are 2-D only."""
         x = np.asarray(x, dtype=float)
         if self.kind == "asymmetric":  # -W is the unit disk centred at a
             return self.shift + _project_unit_disk(x - self.shift)
-        if self.kind in ("p-norm", "weighted"):
-            p = self.p
-            w = self.weights if self.kind == "weighted" else None
-            if p == 1.0:  # -W is the box |x_i| <= w_i
-                bound = w if w is not None else 1.0
-                return np.clip(x, -bound, bound)
+        if self.kind == "polyhedral":
+            return _project_convex_polygon(x, self._minus_wulff_polygon)
+        p = self.p
+        w = self.weights if self.kind == "weighted" else None
+        if p == 1.0:  # -W is the box |x_i| <= w_i
+            bound = w if w is not None else 1.0
+            return np.clip(x, -bound, bound)
+        if w is None:
             if p == 2.0:
-                if w is None:
-                    return _project_unit_disk(x)
-                return _project_ellipse(x, w)
-            if math.isinf(p):  # -W is the ball sum |x_i| / w_i <= 1
-                return _project_l1_ball(x, 1.0 / w if w is not None else np.ones(2))
-            return _project_convex_polygon(x, self._sampled_minus_wulff_polygon)
-        return _project_convex_polygon(x, self._minus_wulff_polygon)
+                return _project_unit_disk(x)
+            w = np.ones(2)
+        if math.isinf(p):  # -W is the ball sum |x_i| / w_i <= 1
+            return _project_l1_ball(x, 1.0 / w)
+        # -W is the ball sum |x_i / w_i|^q <= 1 with 1/p + 1/q = 1
+        return _project_q_ball(x, _conjugate_exponent(p), w)
 
 
 def _parse_exponent(p) -> float:
@@ -369,71 +373,183 @@ def _encode_exponent(p: float):
     return "inf" if math.isinf(p) else p
 
 
-def _project_ellipse(x: np.ndarray, semi_axes: np.ndarray) -> np.ndarray:
-    """Projection onto { z : sum (z_i / w_i)^2 <= 1 } by bisection on the
-    KKT multiplier; exact to machine precision in ~100 steps."""
-    w2 = semi_axes * semi_axes
-    inside = ((x / semi_axes) ** 2).sum(axis=-1) <= 1.0
-    lo = np.zeros(x.shape[:-1])
-    hi = np.linalg.norm(x * semi_axes, axis=-1) + 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        val = ((semi_axes * x / (w2 + mid[..., None])) ** 2).sum(axis=-1)
-        too_big = val > 1.0
-        lo = np.where(too_big, mid, lo)
-        hi = np.where(too_big, hi, mid)
-    mu = 0.5 * (lo + hi)
-    z = w2 * x / (w2 + mu[..., None])
-    return np.where(inside[..., None], x, z)
+def _max_linear(y: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """max over the rows (c_1, c_2) of coeffs of c_1 y_1 + c_2 y_2, built
+    from the two component planes of y in three reused buffers."""
+    y0 = y[..., 0]
+    y1 = y[..., 1]
+    shape = y.shape[:-1]
+    out = np.full(shape, -np.inf)
+    form = np.empty(shape)
+    term = np.empty(shape)
+    for c0, c1 in coeffs:
+        np.multiply(y0, c0, out=form)
+        np.multiply(y1, c1, out=term)
+        form += term
+        np.maximum(out, form, out=out)
+    return out[()]
 
 
 def _project_unit_disk(x: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.maximum(norm, 1.0)
+    return x / np.maximum(_pnorm(x, 2.0), 1.0)[..., None]
 
 
 def _project_l1_ball(x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Projection onto { z : c_1 |z_1| + c_2 |z_2| <= 1 } (c > 0) in closed
-    form: z = sign(x) max(|x| - mu c, 0), with mu from the largest ratio
-    |x_i| / c_i alone or from both coordinates (Condat 2016, 2-D case)."""
+    form: z = sign(x) max(|x| - mu c, 0), where mu >= 0 solves
+    sum_i c_i max(|x_i| - mu c_i, 0) = 1 (Condat 2016, 2-D case).  That sum
+    is the largest of its linear pieces over the sets of active
+    coordinates, so mu is the largest of their roots."""
     if x.shape[-1] != 2 or len(coeff) != 2:
         raise ValueError("the l1-ball projection is 2-D only")
-    a = np.abs(x)
+    a0 = np.abs(x[..., 0])
+    a1 = np.abs(x[..., 1])
     c0, c1 = coeff
-    ca = (coeff * a).sum(axis=-1)
-    first = a[..., 0] / c0 >= a[..., 1] / c1
-    a_hi = np.where(first, a[..., 0], a[..., 1])
-    a_lo = np.where(first, a[..., 1], a[..., 0])
-    c_hi = np.where(first, c0, c1)
-    c_lo = np.where(first, c1, c0)
-    mu_both = (ca - 1.0) / (c0 * c0 + c1 * c1)
-    mu_one = (c_hi * a_hi - 1.0) / (c_hi * c_hi)
-    mu = np.where(a_lo - mu_both * c_lo > 0, mu_both, mu_one)
-    z = np.sign(x) * np.maximum(a - mu[..., None] * coeff, 0.0)
-    return np.where((ca <= 1.0)[..., None], x, z)
+    mu = np.maximum((c0 * a0 - 1.0) / (c0 * c0), (c1 * a1 - 1.0) / (c1 * c1))
+    np.maximum(mu, (c0 * a0 + c1 * a1 - 1.0) / (c0 * c0 + c1 * c1), out=mu)
+    np.maximum(mu, 0.0, out=mu)
+    return np.stack([np.copysign(np.maximum(a0 - mu * c0, 0.0), x[..., 0]),
+                     np.copysign(np.maximum(a1 - mu * c1, 0.0), x[..., 1])],
+                    axis=-1)
+
+
+def _q_ball_arc(tau: np.ndarray, q: float, p: float):
+    """(y_u, y_v, e^(tau/p), e^tau) for the point with y_u^q + y_v^q = 1 and
+    y_u^q / y_v^q = e^tau, 1/p + 1/q = 1; e^tau may underflow to 0."""
+    root_q = np.exp(tau / q)
+    root_p = np.exp(tau / p)
+    share = root_q * root_p
+    y_v = np.exp(-np.log1p(share) / q)
+    return root_q * y_v, y_v, root_p, share
+
+
+def _log_expm1(t: np.ndarray) -> np.ndarray:
+    """log(e^t - 1) for t > 0, and -inf for t <= 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(t > 0, t + np.log(-np.expm1(-t)), -np.inf)
+
+
+def _nearest_on_q_arc(a_u: np.ndarray, a_v: np.ndarray, w_u: float, w_v: float,
+                      q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest point (z_u, z_v) of the arc (z_u/w_u)^q + (z_v/w_v)^q = 1,
+    z >= 0, to points a >= 0 outside the ball whose nearest point has
+    (z_u/w_u)^q <= 1/2, by safeguarded Newton on one parameter per point.
+
+    a - z is a nonnegative multiple of the normal N_i = (z_i/w_i)^(q-1) / w_i.
+    The arc is parametrised by tau = log((z_u/w_u)^q / (z_v/w_v)^q) <= 0,
+    which keeps both coordinates at full relative precision near either
+    axis.  With N_u / N_v = r = (w_v / w_u) e^(tau/p), 1/p + 1/q = 1, the
+    condition reads  S(tau) = z_u + (a_v - z_v) r = a_u.  On the bracket
+    where z_u <= a_u and z_v <= a_v, which holds at the solution, S is
+    increasing, and log(S / a_u) is close to linear in tau even near the
+    axes.  Newton runs on that function inside a bisection bracket: a step
+    that would leave the bracket bisects instead.  A point stops when its
+    Newton step falls below 1e-14 (1 + |tau|) or below the rounding floor
+    of S, or after _Q_BALL_STEPS steps.
+    """
+    p = q / (q - 1.0)
+    tau = np.full(a_u.shape, -np.inf)  # a_u = 0: the end (0, w_v) of the arc
+    ids = np.flatnonzero(a_u > 0.0)
+    a_u = a_u[ids]
+    a_v = a_v[ids]
+    log_a_u = np.log(a_u)
+    # a_u <= (w_u + a_v w_v / w_u) e^(tau min(1/p, 1/q)), z_v <= a_v, z_u <= a_u
+    lo = (log_a_u - np.log(w_u + a_v * (w_v / w_u))) / min(1.0 / p, 1.0 / q)
+    lo = np.maximum(lo, _log_expm1(q * np.log(w_v / a_v)))
+    hi = np.minimum(0.0, -_log_expm1(q * (math.log(w_u) - log_a_u)))
+    # start from the radial projection a / phi_dual(a)
+    t = np.clip(q * (log_a_u - np.log(a_v * (w_u / w_v))), lo, hi)
+
+    for _ in range(_Q_BALL_STEPS):
+        if ids.size == 0:
+            break
+        y_u, y_v, root_p, share = _q_ball_arc(t, q, p)
+        z_u = w_u * y_u
+        z_v = w_v * y_v
+        r = (w_v / w_u) * root_p
+        gap_v = a_v - z_v
+        s = z_u + gap_v * r
+        e = share / (1.0 + share)
+        ds = (z_u * (1.0 - e) + z_v * e * r) / q + gap_v * r / p
+        # far out on the arc of a subnormal a_u, s and ds underflow to 0 and
+        # the step is not finite; such a step bisects below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = np.log(s / a_u)
+            step = phi * s / ds
+            # small enough: below 1e-14 (1 + |tau|), or below the rounding
+            # of a_v - z_v, which S carries multiplied by r
+            done = np.abs(step) <= 1e-14 * (1.0 + np.abs(t)) + 1e-15 * a_v * r / ds
+        done &= np.isfinite(step)
+        # the root lies below t where phi > 0 and above it elsewhere; above
+        # is 0 or 1, so the bracket moves without a per-point select
+        above = phi > 0.0
+        lo = np.maximum(lo, t - 1e300 * above)
+        hi = np.minimum(hi, t + 1e300 * ~above)
+        newton = t - step
+        t = np.clip(newton, lo, hi)
+        # the bracket ends carry rounding: a step that leaves the bracket by
+        # more than that, or is not finite, bisects it instead
+        bisect = np.flatnonzero(~(np.abs(t - newton) <= 1e-14 * (1.0 + np.abs(t))))
+        t[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+        if done.any():
+            finished = np.flatnonzero(done)
+            tau[ids[finished]] = t[finished]
+            going = np.flatnonzero(~done)
+            ids, t, lo, hi, a_u, a_v = (c[going] for c in (ids, t, lo, hi, a_u, a_v))
+    tau[ids] = t
+    y_u, y_v, _, _ = _q_ball_arc(tau, q, p)
+    return w_u * y_u, w_v * y_v
+
+
+def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
+    """Projection onto { z : |z_1 / w_1|^q + |z_2 / w_2|^q <= 1 }, 1 < q < inf.
+    Points in the ball are returned unchanged.  By symmetry a point outside
+    is projected as a = |x| onto the first-quadrant arc; the sign of the
+    optimality condition at the arc's midpoint tells which coordinate u has
+    (z_u / w_u)^q <= 1/2 at the solution."""
+    if x.shape[-1] != 2 or len(w) != 2:
+        raise ValueError("the q-norm ball projection is 2-D only")
+    out = np.array(x, dtype=float)  # a C-contiguous copy
+    flat = out.reshape(-1, 2)
+    a = np.abs(flat)
+    with np.errstate(over="ignore"):  # inf is outside too
+        outside = np.flatnonzero((a[:, 0] / w[0]) ** q + (a[:, 1] / w[1]) ** q > 1.0)
+    a = a[outside]
+    mid = 2.0 ** (-1.0 / q)
+    first = (w[0] * mid - a[:, 0]) + (a[:, 1] - w[1] * mid) * (w[1] / w[0]) >= 0.0
+    for u, group in ((0, np.flatnonzero(first)), (1, np.flatnonzero(~first))):
+        v = 1 - u
+        rows = outside[group]
+        z_u, z_v = _nearest_on_q_arc(a[group, u], a[group, v], w[u], w[v], q)
+        flat[rows, u] = np.copysign(z_u, flat[rows, u])
+        flat[rows, v] = np.copysign(z_v, flat[rows, v])
+    return out
 
 
 def _project_convex_polygon(x: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Projection onto a CCW convex polygon, vectorised over points with a
-    loop over edges."""
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    flat = x.reshape(-1, 2)
+    """Projection onto a CCW convex polygon.  Points outside it go to the
+    nearest point over all edges, found in one (edges x points) pass on
+    the component planes of the outside points."""
+    out = np.array(x, dtype=float)  # a C-contiguous copy
+    flat = out.reshape(-1, 2)
+    x0 = flat[:, 0]
+    x1 = flat[:, 1]
     normals, offsets = _polygon_halfspaces(vertices)
-    inside = np.all(flat @ normals.T <= offsets + 1e-12, axis=-1)
-    best = np.full(len(flat), np.inf)
-    proj = flat.copy()
-    nxt = np.roll(vertices, -1, axis=0)
-    for a, b in zip(vertices, nxt):
-        ab = b - a
-        t = np.clip(((flat - a) @ ab) / (ab @ ab), 0.0, 1.0)
-        cand = a + t[:, None] * ab
-        d2 = ((flat - cand) ** 2).sum(axis=-1)
-        better = d2 < best
-        best = np.where(better, d2, best)
-        proj[better] = cand[better]
-    out = np.where(inside[:, None], flat, proj)
-    return out.reshape(shape)
+    excess = normals[:, :1] * x0 + normals[:, 1:] * x1 - offsets[:, None]
+    outside = np.flatnonzero(excess.max(axis=0) > 1e-12)
+    x0 = x0[outside]
+    x1 = x1[outside]
+    a0, a1 = vertices[:, :1], vertices[:, 1:]
+    d0 = np.roll(a0, -1, axis=0) - a0
+    d1 = np.roll(a1, -1, axis=0) - a1
+    t = ((x0 - a0) * d0 + (x1 - a1) * d1) / (d0 * d0 + d1 * d1)
+    np.clip(t, 0.0, 1.0, out=t)
+    c0 = a0 + t * d0
+    c1 = a1 + t * d1
+    nearest = ((x0 - c0) ** 2 + (x1 - c1) ** 2).argmin(axis=0)[None]
+    flat[outside, 0] = np.take_along_axis(c0, nearest, axis=0)[0]
+    flat[outside, 1] = np.take_along_axis(c1, nearest, axis=0)[0]
+    return out
 
 
 # Module-level aliases with the operation names used throughout the package.

@@ -15,11 +15,13 @@ returned energy.
 
 The convergence monitor runs every iteration.  For separable gauges
 (p = 1, weighted or not) the forward- and backward-stencil TV sums agree,
-so it evaluates the gauge on the forward stencil only.  A run that meets
-the gap tolerance returns the pair that met it; a run stopped by the
-relative-change fallback or the iteration cap returns the best-energy
-pair seen.  The energy trace records the best energy so far and ends at
-the energy of the returned pair.
+so it evaluates the gauge on the forward stencil only.  Every run reports
+why it stopped: ``gap`` (the normalised gap met the tolerance; the run
+returns the pair that met it), ``stalled`` (the relative-change fallback
+fired first) or ``cap`` (the iteration cap).  Only ``gap`` counts as
+converged; a stalled or capped run returns the best-energy pair seen.
+The energy trace records the best energy so far and ends at the energy of
+the returned pair.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ class SolveResult:
     final_gap: float = math.nan            # raw primal-dual gap
     final_gap_normalized: float = math.nan
     iterations: int = 0
-    converged: bool = False
+    converged: bool = False                # the gap met the tolerance
+    stop_reason: str = "cap"               # "gap", "stalled" or "cap"
 
 
 def energy(u: GridImage, f: GridImage, lam: float, g: Gauge) -> float:
@@ -137,7 +140,7 @@ def solve(f: GridImage, lam: float, g: Gauge,
     best_p = p.copy()
     best_gap = best_e_fwd = math.nan
     trace = np.empty(cfg.max_iterations)
-    converged = False
+    stop_reason = "cap"
     iterations = 0
 
     for k in range(cfg.max_iterations):
@@ -192,9 +195,11 @@ def solve(f: GridImage, lam: float, g: Gauge,
             best_e_fwd = e_fwd
         trace[k] = best_energy
 
-        scale_u = _abs_max(u) + 1e-30
-        if gap_met or (k > BURN_IN and change <= CHANGE_TOLERANCE * scale_u):
-            converged = True
+        if gap_met:
+            stop_reason = "gap"
+            break
+        if k > BURN_IN and change <= CHANGE_TOLERANCE * (_abs_max(u) + 1e-30):
+            stop_reason = "stalled"
             break
 
     gap = max(best_gap, 0.0)
@@ -205,7 +210,8 @@ def solve(f: GridImage, lam: float, g: Gauge,
         final_gap=gap,
         final_gap_normalized=gap / (1.0 + abs(best_e_fwd)),
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "gap",
+        stop_reason=stop_reason,
     )
 
 

@@ -84,7 +84,7 @@ def test_denoise_circle_example(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "out_report.json").read_text())
     assert report["energy"] == pytest.approx(7.915867428480675, rel=0.01)
-    assert report["converged"]
+    assert report["converged"] and report["stop_reason"] == "gap"
     assert report["certificate"]["passed"]
     assert (tmp_path / "out.pgm").exists()
     assert (tmp_path / "out_dual.raw").exists()
@@ -215,8 +215,22 @@ def test_denoise_nonconvergence_exit_code(tmp_path):
     assert code == 2
     # outputs are still written, flagged as unconverged
     report = json.loads((tmp_path / "nc_report.json").read_text())
-    assert not report["converged"]
+    assert not report["converged"] and report["stop_reason"] == "cap"
     assert (tmp_path / "nc.pgm").exists()
+
+
+def test_denoise_stall_exit_code(tmp_path):
+    # tiny steps stall the run far from the gap tolerance: exit 2, not 0
+    disk = tmp_path / "disk.pgm"
+    run("synth", "disk", "--size", "64", "--output", str(disk))
+    prefix = tmp_path / "st"
+    code = run("denoise", "--input", str(disk), "--lambda", "3",
+               "--output-prefix", str(prefix),
+               "--config", '{"tau": 1e-7, "sigma": 1e-7}')
+    assert code == 2
+    report = json.loads((tmp_path / "st_report.json").read_text())
+    assert not report["converged"] and report["stop_reason"] == "stalled"
+    assert report["final_gap_normalized"] > 1e-6
 
 
 def test_denoise_config_json(tmp_path):

@@ -230,16 +230,9 @@ def test_projection_nonexpansive(any_gauge, rng):
     assert np.all(num <= den + 1e-12)
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="p = 3 projects onto the inscribed 720-gon"))
-    if name == "p3" else name for name in sorted(GAUGE_ZOO)])
-def test_projection_variational_inequality(name, rng):
+def assert_variational_inequality(g: Gauge, x: np.ndarray, px: np.ndarray):
     # P(x) is the projection onto -W iff <x - P(x), z - P(x)> <= 0 for every
     # z in -W; z = d / phi_dual(d) samples the boundary of -W exactly
-    g = GAUGE_ZOO[name]
-    x = rng.normal(size=(300, 2)) * 4
-    px = project_minus_wulff(g, x)
     theta = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
     d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     z = d / eval_dual(g, d)[:, None]
@@ -247,6 +240,43 @@ def test_projection_variational_inequality(name, rng):
     lhs = r @ z.T - np.einsum("ij,ij->i", r, px)[:, None]
     bound = 1e-12 * (1.0 + np.linalg.norm(r, axis=-1))
     assert np.all(lhs <= bound[:, None])
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_ZOO))
+def test_projection_variational_inequality(name, rng):
+    g = GAUGE_ZOO[name]
+    x = rng.normal(size=(300, 2)) * 4
+    assert_variational_inequality(g, x, project_minus_wulff(g, x))
+
+
+@pytest.mark.parametrize("g", [Gauge.weighted(3, [1.0, 50.0]), Gauge.p_norm(1.1),
+                               Gauge.p_norm(10)], ids=["weighted-p3", "p1.1", "p10"])
+def test_projection_hard_inputs(g, rng):
+    # q-norm balls that are very flat, nearly square or nearly a diamond:
+    # points on and next to the axes (down to subnormal offsets), the
+    # origin, far points, points within 1e-12 of the boundary and interior
+    # points
+    theta = rng.uniform(0.0, 2.0 * math.pi, 200)
+    d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    boundary = d / eval_dual(g, d)[:, None]
+    jitter = rng.normal(size=(200, 2))
+    jitter *= 1e-12 / np.linalg.norm(jitter, axis=-1, keepdims=True)
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    off_axes = axes[:, ::-1] * np.array([[5e-324], [-1e-300], [1e-150], [-1e-12]])
+    outside = np.concatenate([
+        axes * 3.0, axes * 1e6, axes * 3.0 + off_axes, axes * 1e6 + off_axes, 1e6 * d,
+        boundary + jitter, boundary * rng.uniform(1.0, 4.0, size=(200, 1))])
+    interior = np.concatenate([boundary * rng.uniform(0.0, 0.999, size=(200, 1)),
+                               axes * 1e-3, [[0.0, 0.0]]])
+    x = np.concatenate([outside, interior])
+    px = project_minus_wulff(g, x)
+    assert_variational_inequality(g, x, px)
+    assert float(np.max(eval_dual(g, px))) <= 1.0 + 1e-12
+    assert np.array_equal(px[len(outside):], interior)
+    with pytest.raises(ValueError):
+        project_minus_wulff(g, np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        project_minus_wulff(Gauge.weighted(g.p, [1.0, 2.0, 3.0]), np.ones((4, 3)))
 
 
 def test_json_round_trip(any_gauge, rng):

@@ -159,11 +159,22 @@ def test_gap_stop_returns_the_pair_that_met_the_tolerance():
     # without the gap test the run goes on, so the gap test stopped it
     no_gap = solve(f, 3.0, L1, SolverConfig(max_iterations=1500, gap_tolerance=0.0))
     assert res.converged and res.iterations < no_gap.iterations
+    assert res.stop_reason == "gap"
     assert res.final_gap_normalized <= cfg.gap_tolerance
     assert (res.final_gap,
             res.final_gap_normalized) == reference_gap(res, f, 3.0, L1)
     assert res.energy_trace[-1] == pytest.approx(energy(res.u, f, 3.0, L1),
                                                  rel=1e-12)
+
+
+def test_stalled_run_is_not_converged():
+    # steps this small trip the relative-change fallback long before the gap
+    # closes; such a run must not report convergence
+    f = raster_disk(64, 64, 3.0 / 64, radius=1.0, supersample=4, binary=True)
+    res = solve(f, 3.0, L1, SolverConfig(tau=1e-7, sigma=1e-7))
+    assert res.stop_reason == "stalled" and not res.converged
+    assert res.iterations < SolverConfig().max_iterations
+    assert res.final_gap_normalized > SolverConfig().gap_tolerance
 
 
 # ----------------------------------------------------------------------
