@@ -100,17 +100,16 @@ class CertificateReport:
 
 
 def _dilate(mask: np.ndarray, margin: int) -> np.ndarray:
+    """Dilation by the (2 margin + 1)^2 square window: the window is
+    separable, so dilate along the rows, then along the columns."""
     out = mask.copy()
-    for di in range(-margin, margin + 1):
-        for dj in range(-margin, margin + 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = np.zeros_like(mask)
-            src = mask[max(-di, 0): mask.shape[0] - max(di, 0),
-                       max(-dj, 0): mask.shape[1] - max(dj, 0)]
-            shifted[max(di, 0): mask.shape[0] - max(-di, 0),
-                    max(dj, 0): mask.shape[1] - max(-dj, 0)] = src
-            out |= shifted
+    for d in range(1, margin + 1):
+        out[d:] |= mask[:-d]
+        out[:-d] |= mask[d:]
+    rows = out.copy()
+    for d in range(1, margin + 1):
+        out[:, d:] |= rows[:, :-d]
+        out[:, :-d] |= rows[:, d:]
     return out
 
 
@@ -140,8 +139,8 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         raise ValueError("u0, f and v must live on the same grid")
     if u0.spacing != f.spacing or u0.spacing != v.spacing:
         raise ValueError("grid spacings do not match")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     spacing = u0.spacing
     if tol is None:
         tol = 3.0 * spacing

@@ -91,8 +91,6 @@ def _write_image(path, image: GridImage, maxval: int = 255) -> None:
 
 def cmd_denoise(args) -> int:
     gauge = _load_gauge(args.gauge)
-    if args.lam <= 0:
-        raise ValueError("--lambda must be positive")
     f = _read_image(args.input, args.spacing)
     if args.config:
         cfg = SolverConfig.from_json(json.loads(args.config))

@@ -19,6 +19,7 @@ the rasterisers):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ class GridImage:
             raise ValueError("GridImage values must be 2-D")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("GridImage values must be finite")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
 
     @property
     def height(self) -> int:
@@ -70,10 +71,6 @@ class GridImage:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    @classmethod
-    def zeros(cls, width: int, height: int, spacing: float = 1.0) -> "GridImage":
-        return cls(np.zeros((height, width)), spacing)
 
     def copy(self) -> "GridImage":
         return GridImage(self.values.copy(), self.spacing)
@@ -95,8 +92,8 @@ class DualField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 3 or self.values.shape[-1] != 2:
             raise ValueError("DualField values must have shape (H, W, 2)")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
 
     @property
     def height(self) -> int:

@@ -124,8 +124,8 @@ class CircleExampleResult:
 def circle_example(lam: float) -> CircleExampleResult:
     """Evaluates tv = 8h, the clipped-disk area and the energy of chi_U;
     valid only while h = sqrt(1 - 1/lam^2) stays in [1/sqrt(2), 1]."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     s = 1.0 / lam
     hsq = 1.0 - s * s
     h = math.sqrt(hsq) if hsq > 0 else 0.0

@@ -13,15 +13,17 @@ construction.  The reported duality gap uses the scaled-feasible dual
 point, hence it is a true upper bound on the suboptimality of the
 returned energy.
 
-The convergence monitor runs every iteration.  For separable gauges
-(p = 1, weighted or not) the forward- and backward-stencil TV sums agree,
-so it evaluates the gauge on the forward stencil only.  Every run reports
-why it stopped: ``gap`` (the normalised gap met the tolerance; the run
-returns the pair that met it), ``stalled`` (the relative-change fallback
-fired first) or ``cap`` (the iteration cap).  Only ``gap`` counts as
-converged; a stalled or capped run returns the best-energy pair seen.
-The energy trace records the best energy so far and ends at the energy of
-the returned pair.
+The convergence monitor runs every iteration and tracks one objective:
+the forward-stencil energy  sum phi(grad+ u) h^2 + lam |u - f|_1,  the
+primal of the saddle-point form above and the quantity the gap bounds.
+It selects the returned pair, fills ``energy_trace`` and normalises
+``final_gap``; the two-stencil ``energy`` below is what reports quote.
+Every run reports why it stopped: ``gap`` (the normalised gap met the
+tolerance; the run returns the pair that met it), ``stalled`` (the
+relative-change fallback fired first) or ``cap`` (the iteration cap).
+Only ``gap`` counts as converged; a stalled or capped run returns the
+pair of lowest forward-stencil energy seen.  The energy trace records
+that lowest energy so far and ends at the energy of the returned pair.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gauge import Gauge
-# divergence, forward_gradient: unused here, kept for tracers that patch them by name
+# _grad_backward_raw, divergence, forward_gradient: unused here, kept for
+# tracers that patch them by name
 from .grid import (DualField, GridImage, _div_adjoint_raw, _grad_backward_raw,
                    _grad_forward_raw, divergence, forward_gradient, level_set,
                    tv_phi)
@@ -64,6 +67,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if not self.gap_tolerance >= 0:
+            raise ValueError("gap_tolerance must be >= 0")
 
     def steps_for(self, spacing: float) -> tuple[float, float]:
         tau = self.tau if self.tau is not None else spacing / math.sqrt(8.0)
@@ -101,8 +106,8 @@ def energy(u: GridImage, f: GridImage, lam: float, g: Gauge) -> float:
     """E(u) = TV_phi(u) + lam * |u - f|_L1 (Riemann sums)."""
     if u.values.shape != f.values.shape or u.spacing != f.spacing:
         raise ValueError("u and f must live on the same grid")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     fidelity = float(np.abs(u.values - f.values).sum()) * u.spacing**2
     return tv_phi(u, g) + lam * fidelity
 
@@ -116,8 +121,8 @@ def solve(f: GridImage, lam: float, g: Gauge,
           cfg: SolverConfig | None = None) -> SolveResult:
     """Minimises E(.; f, lam); returns the minimiser together with the dual
     field that witnesses it."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     if f.height < 2 or f.width < 2:
         raise ValueError("grid must be at least 2x2")
     cfg = cfg or SolverConfig()
@@ -138,7 +143,7 @@ def solve(f: GridImage, lam: float, g: Gauge,
     best_energy = math.inf
     best_u = u.copy()
     best_p = p.copy()
-    best_gap = best_e_fwd = math.nan
+    best_gap = math.nan
     trace = np.empty(cfg.max_iterations)
     stop_reason = "cap"
     iterations = 0
@@ -171,11 +176,6 @@ def solve(f: GridImage, lam: float, g: Gauge,
         fid = lam * float(np.abs(scratch, out=scratch).sum()) * h2
         grad_fw = float(g(_grad_forward_raw(u, spacing, out=grad_buf)).sum())
         e_fwd = grad_fw * h2 + fid
-        if g.separable:
-            e_primal = e_fwd
-        else:
-            grad_bw = float(g(_grad_backward_raw(u, spacing, out=grad_buf)).sum())
-            e_primal = 0.5 * (grad_fw + grad_bw) * h2 + fid
 
         # dual value of the forward-stencil saddle objective at a scaled
         # (hence feasible: |div| <= lam) copy of p -- a true lower bound
@@ -186,13 +186,12 @@ def solve(f: GridImage, lam: float, g: Gauge,
         gap_met = gap / (1.0 + abs(e_fwd)) <= cfg.gap_tolerance
 
         # the gap is kept with the returned pair so it bounds *its* energy;
-        # that pair is the best-energy one, or on a gap stop the one that met it
-        if gap_met or e_primal < best_energy:
-            best_energy = e_primal
+        # that pair is the lowest-e_fwd one, or on a gap stop the one that met it
+        if gap_met or e_fwd < best_energy:
+            best_energy = e_fwd
             best_u = u.copy()
             best_p = p.copy()
             best_gap = gap
-            best_e_fwd = e_fwd
         trace[k] = best_energy
 
         if gap_met:
@@ -208,7 +207,7 @@ def solve(f: GridImage, lam: float, g: Gauge,
         p=DualField(best_p, f.spacing),
         energy_trace=trace[:iterations].copy(),
         final_gap=gap,
-        final_gap_normalized=gap / (1.0 + abs(best_e_fwd)),
+        final_gap_normalized=gap / (1.0 + abs(best_energy)),
         iterations=iterations,
         converged=stop_reason == "gap",
         stop_reason=stop_reason,

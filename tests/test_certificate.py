@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wulff_tvl1.certificate import (build_circle_certificate,
+from wulff_tvl1.certificate import (_dilate, build_circle_certificate,
                                     certify_minimizer, check_certificate)
 from wulff_tvl1.gauge import Gauge
 from wulff_tvl1.grid import (DualField, GridImage, cell_centers, raster_disk,
@@ -119,8 +119,21 @@ def test_check_certificate_validates_grids():
     v = DualField(np.zeros((8, 8, 2)), 1.0)
     with pytest.raises(ValueError):
         check_certificate(u0, GridImage(np.zeros((9, 9)), 1.0), v, 1.0, L1)
-    with pytest.raises(ValueError):
-        check_certificate(u0, u0, v, -1.0, L1)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            check_certificate(u0, u0, v, lam, L1)
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2])
+def test_dilate_matches_the_square_window(rng, margin):
+    for _ in range(10):
+        mask = rng.random((9, 13)) < 0.08
+        mask[0, rng.integers(13)] = mask[rng.integers(9), -1] = True
+        expected = np.zeros_like(mask)
+        for i, j in np.ndindex(mask.shape):
+            expected[i, j] = mask[max(i - margin, 0): i + margin + 1,
+                                  max(j - margin, 0): j + margin + 1].any()
+        assert np.array_equal(_dilate(mask, margin), expected)
 
 
 def test_certified_shape_beats_perturbations(rng):

@@ -66,6 +66,7 @@ def test_oracle_circle(capsys):
     assert payload["tv"] == pytest.approx(7.745966692414834, abs=1e-9)
     assert payload["area"] == pytest.approx(3.099117469573333, abs=1e-9)
     assert payload["energy"] == pytest.approx(7.915867428480675, abs=1e-9)
+    assert run("oracle", "circle", "--lambda", "nan") == 1
 
 
 def test_oracle_wulff(capsys):
@@ -95,8 +96,10 @@ def test_denoise_circle_example(tmp_path, capsys):
 def test_denoise_rejects_bad_lambda(tmp_path):
     disk = tmp_path / "d.pgm"
     run("synth", "disk", "--size", "32", "--output", str(disk))
-    assert run("denoise", "--input", str(disk), "--lambda", "0",
-               "--output-prefix", str(tmp_path / "o")) == 1
+    for lam in ("0", "nan", "inf"):
+        assert run("denoise", "--input", str(disk), "--lambda", lam,
+                   "--output-prefix", str(tmp_path / "o")) == 1
+        assert not (tmp_path / "o_report.json").exists()
 
 
 def test_denoise_missing_input(tmp_path):
@@ -167,11 +170,13 @@ def test_zero_spacing_is_a_configuration_error(tmp_path):
     v = tmp_path / "v.raw"
     write_pgm(u0, GridImage(np.zeros((16, 16)), 1.0))
     write_field(v, DualField(np.zeros((16, 16, 2)), 1.0))
-    assert run("denoise", "--input", str(u0), "--lambda", "2", "--spacing", "0",
-               "--output-prefix", str(tmp_path / "o")) == 1
-    assert not (tmp_path / "o_report.json").exists()
-    assert run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
-               "--lambda", "2", "--spacing", "0") == 1
+    for spacing in ("0", "inf"):
+        assert run("denoise", "--input", str(u0), "--lambda", "2",
+                   "--spacing", spacing,
+                   "--output-prefix", str(tmp_path / "o")) == 1
+        assert not (tmp_path / "o_report.json").exists()
+        assert run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
+                   "--lambda", "2", "--spacing", spacing) == 1
 
 
 def test_unwritable_output_is_an_io_error(tmp_path):

@@ -113,8 +113,9 @@ def test_circle_example_validity_boundary():
     assert r.h == pytest.approx(1.0 / math.sqrt(2.0))
     assert r.valid
     assert not circle_example(1.2).valid
-    with pytest.raises(ValueError):
-        circle_example(0.0)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            circle_example(lam)
 
 
 def test_circle_example_energy_identity():

@@ -53,8 +53,9 @@ def test_energy_validates_inputs(rng):
     f = GridImage(rng.random((8, 8)), 1.0)
     with pytest.raises(ValueError):
         energy(GridImage(np.zeros((4, 4)), 1.0), f, 1.0, L1)
-    with pytest.raises(ValueError):
-        energy(f, f, 0.0, L1)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            energy(f, f, lam, L1)
 
 
 # ----------------------------------------------------------------------
@@ -70,12 +71,16 @@ def test_solve_zero_input():
 
 def test_solve_rejects_bad_config():
     f = GridImage(np.zeros((8, 8)), 1.0)
-    with pytest.raises(ValueError):
-        solve(f, -1.0, L1)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve(f, lam, L1)
     with pytest.raises(ValueError):
         solve(f, 1.0, L1, SolverConfig(tau=10.0, sigma=10.0))
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    for tol in (math.nan, -1.0):
+        with pytest.raises(ValueError):
+            SolverConfig(gap_tolerance=tol)
     for shape in ((1, 1), (1, 8), (8, 1)):
         with pytest.raises(ValueError, match="2x2"):
             solve(GridImage(np.zeros(shape), 1.0), 1.0, L1)
@@ -144,7 +149,7 @@ def reference_gap(res, f: GridImage, lam: float, g: Gauge) -> tuple[float, float
     return gap, gap / (1.0 + abs(e_fwd))
 
 
-@pytest.mark.parametrize("name", ["l1", "asymmetric", "hexagon"])
+@pytest.mark.parametrize("name", ["l1", "l2", "asymmetric", "hexagon"])
 def test_final_gap_is_the_returned_pairs_gap(name):
     g = GAUGE_ZOO[name]
     f = raster_disk(32, 32, 3.0 / 32, radius=1.0, supersample=4, binary=True)
@@ -165,6 +170,23 @@ def test_gap_stop_returns_the_pair_that_met_the_tolerance():
             res.final_gap_normalized) == reference_gap(res, f, 3.0, L1)
     assert res.energy_trace[-1] == pytest.approx(energy(res.u, f, 3.0, L1),
                                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["l2", "p3"])
+def test_capped_run_returns_its_lowest_forward_energy_pair(name):
+    # smooth gauges: the forward-stencil energy the gap bounds keeps falling
+    # long after the two-stencil mean stops, so selecting by it keeps the gap
+    # of a capped run fresh
+    g = GAUGE_ZOO[name]
+    f = raster_disk(64, 64, 3.0 / 64, radius=1.0, supersample=4, binary=True)
+    res = solve(f, 3.0, g, SolverConfig(max_iterations=1500))
+    assert res.final_gap_normalized <= 1e-3
+    assert (res.final_gap,
+            res.final_gap_normalized) == reference_gap(res, f, 3.0, g)
+    h2 = f.spacing**2
+    e_fwd = (float(g(forward_gradient(res.u).values).sum()) * h2
+             + 3.0 * float(np.abs(res.u.values - f.values).sum()) * h2)
+    assert res.energy_trace[-1] == pytest.approx(e_fwd, rel=1e-12)
 
 
 def test_stalled_run_is_not_converged():
