@@ -12,7 +12,7 @@ A pair (u0, v) certifies minimality of u0 for E(.; f, lam) when
 All almost-everywhere statements become cellwise residuals with three
 exclusion rules, each reported:
 
-* a band |u0 - f| <= band keeps ties out of the {u0 >< f} sets;
+* a band |u0 - f| <= TIE_BAND keeps ties out of the {u0 >< f} sets;
 * cells within a 2-cell margin of the discrete level-set boundaries of u0
   and f are dropped from (b)/(c) -- one-sided stencils carry O(1) error
   across jumps of u0;
@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .gauge import Gauge
-from .grid import (DualField, GridImage, cell_centers, divergence,
-                   dual_pairing, forward_divergence, tv_phi)
+from .grid import (FEASIBILITY_TOL, DualField, GridImage, cell_centers,
+                   divergence, dual_pairing, forward_divergence, tv_phi)
 from .solver import SolveResult, SolverConfig, solve, threshold_binary
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "certify_minimizer",
 ]
 
-FEASIBILITY_TOL = 1e-9
+TIE_BAND = 1e-6      # |u0 - f| <= TIE_BAND counts as a tie
 BOUNDARY_MARGIN = 2  # cells
 
 
@@ -81,19 +81,7 @@ class CertificateReport:
         }
 
     def to_json(self) -> dict:
-        out = {
-            "div_inf_norm": self.div_inf_norm,
-            "tv_value": self.tv_value,
-            "tolerance": self.tolerance,
-            "band": self.band,
-            "excluded_fraction": self.excluded_fraction,
-            "conditions": self.conditions,
-            "passed": self.passed,
-            "strict_uniqueness_hint": self.strict_uniqueness_hint,
-            "note": self.note,
-        }
-        out.update(self.residuals())
-        return out
+        return asdict(self)
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
@@ -127,8 +115,7 @@ def _jump_cells(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
-                      g: Gauge, tol: float | None = None,
-                      band: float = 1e-6) -> CertificateReport:
+                      g: Gauge, tol: float | None = None) -> CertificateReport:
     """Evaluates conditions (i)-(iii), (a)-(c) cellwise and reports every
     residual with the tolerance it was compared against.
 
@@ -144,6 +131,8 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
     spacing = u0.spacing
     if tol is None:
         tol = 3.0 * spacing
+    if not 0 <= tol < math.inf:
+        raise ValueError("tolerance must be finite and >= 0")
 
     wulff_violation = max(0.0, v.max_dual_value(g) - 1.0)
 
@@ -163,8 +152,8 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
 
     boundary = _dilate(_jump_cells(u0.values) | _jump_cells(f.values),
                        BOUNDARY_MARGIN)
-    above = (u0.values - f.values > band) & ~boundary & stencil_ok
-    below = (f.values - u0.values > band) & ~boundary & stencil_ok
+    above = (u0.values - f.values > TIE_BAND) & ~boundary & stencil_ok
+    below = (f.values - u0.values > TIE_BAND) & ~boundary & stencil_ok
     res_above = float(np.max(np.abs(div_b[above] - lam))) if above.any() else 0.0
     res_below = float(np.max(np.abs(div_b[below] + lam))) if below.any() else 0.0
 
@@ -189,7 +178,7 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         tv_pairing_gap=pairing_gap,
         tv_value=tv,
         tolerance=tol,
-        band=band,
+        band=TIE_BAND,
         excluded_fraction=float(1.0 - stencil_ok.mean()),
         conditions=conditions,
         passed=all(conditions.values()),
@@ -213,8 +202,8 @@ def build_circle_certificate(lam: float, width: int, height: int,
     v = (-w(x1, x2), -w(x2, x1)); the clamps keep it inside [-1, 1]^2, the
     minus-Wulff body of the 1-norm.
     """
-    if lam < math.sqrt(2.0):
-        raise ValueError("the construction needs lambda >= sqrt(2)")
+    if not math.sqrt(2.0) <= lam < math.inf:
+        raise ValueError("the construction needs finite lambda >= sqrt(2)")
     s = 1.0 / lam
     X, Y = cell_centers(width, height, spacing)
 

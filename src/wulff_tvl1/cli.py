@@ -67,10 +67,6 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _load_gauge(spec: str) -> Gauge:
-    return Gauge.from_json(json.loads(spec))
-
-
 def _read_image(path: str, spacing: float | None) -> GridImage:
     sidecar = Path(str(path) + ".json")
     if spacing is None and sidecar.exists():
@@ -90,13 +86,12 @@ def _write_image(path, image: GridImage, maxval: int = 255) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_denoise(args) -> int:
-    gauge = _load_gauge(args.gauge)
+    gauge = Gauge.from_json(args.gauge)
     f = _read_image(args.input, args.spacing)
-    if args.config:
-        cfg = SolverConfig.from_json(json.loads(args.config))
-    else:
-        cfg = SolverConfig(max_iterations=args.max_iterations,
-                           gap_tolerance=args.gap_tolerance)
+    # the flags set the config; --config overrides only the keys it names
+    cfg = SolverConfig.from_json({"max_iterations": args.max_iterations,
+                                  "gap_tolerance": args.gap_tolerance,
+                                  **json.loads(args.config or "{}")})
 
     result = solve(f, args.lam, gauge, cfg)
     is_binary = bool(np.all((f.values == 0.0) | (f.values == 1.0)))
@@ -148,22 +143,22 @@ def cmd_synth(args) -> int:
     _check_size(args.size)
     if args.blocks < 1:
         raise ValueError(f"--blocks must be >= 1, got {args.blocks}")
+    if not 0 <= args.noise <= 1:
+        raise ValueError(f"--noise must be in [0, 1], got {args.noise}")
     spacing = args.extent / args.size
     rng = np.random.default_rng(args.seed)
     if args.shape == "disk":
         image = raster_disk(args.size, args.size, spacing,
                             radius=args.radius, supersample=4, binary=True)
     elif args.shape == "wulff":
-        gauge = _load_gauge(args.gauge)
+        gauge = Gauge.from_json(args.gauge)
         verts = gauge.wulff().vertices * args.scale
         image = raster_convex_polygon(verts, args.size, args.size, spacing,
                                       supersample=4, binary=True)
-    elif args.shape == "barcode":
+    else:  # barcode; argparse choices admit no other shape
         blocks = rng.integers(0, 2, size=(args.blocks, args.blocks)).astype(float)
         idx = (np.arange(args.size) * args.blocks) // args.size
         image = GridImage(blocks[np.ix_(idx, idx)], spacing)
-    else:
-        raise ValueError(f"unknown shape {args.shape!r}")
     if args.noise > 0:
         flip = rng.random(image.values.shape) < args.noise
         image = GridImage(np.where(flip, 1.0 - image.values, image.values),
@@ -190,13 +185,11 @@ def cmd_oracle(args) -> int:
         payload = {"R": args.R, "n": args.n,
                    "lambda0": trivial_threshold(args.R, args.n)}
     elif args.oracle == "wulff":
-        gauge = _load_gauge(args.gauge)
+        gauge = Gauge.from_json(args.gauge)
         tv, area = wulff_tv_and_area(gauge)
         payload = {"gauge": gauge.to_json(), "tv": tv, "area": area}
-    elif args.oracle == "critical-lambda":
+    else:  # critical-lambda; argparse choices admit no other oracle
         payload = {"critical_lambda": circle_optimality_threshold()}
-    else:
-        raise ValueError(f"unknown oracle {args.oracle!r}")
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
     if args.output:
@@ -205,7 +198,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    gauge = _load_gauge(args.gauge)
+    gauge = Gauge.from_json(args.gauge)
     if args.example_circle is not None:
         lam = args.example_circle
         ex = circle_example(lam)
@@ -261,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--output-prefix", default="denoised")
     d.add_argument("--max-iterations", type=int, default=20000)
     d.add_argument("--config", default=None,
-                   help="solver config as JSON (overrides the step flags)")
+                   help="solver config as JSON; its keys override the flags")
     d.add_argument("--gap-tolerance", type=float, default=1e-6)
     d.add_argument("--certify", action="store_true")
     d.add_argument("--threshold", action="store_true",

@@ -104,7 +104,7 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
 
 def _polygon_halfspaces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit normals n_e and offsets b_e (n_e.x <= b_e) of a CCW
-    polygon; requires 0 strictly inside, so every b_e > 0."""
+    polygon; every b_e > 0 exactly when 0 lies strictly inside."""
     edges = np.roll(vertices, -1, axis=0) - vertices
     normals = np.stack([edges[:, 1], -edges[:, 0]], axis=-1)
     lengths = np.linalg.norm(normals, axis=-1)
@@ -185,6 +185,8 @@ class Gauge:
         """Build from a JSON object or string, e.g. {"kind":"p-norm","p":1}."""
         if isinstance(spec, str):
             spec = json.loads(spec)
+        if not isinstance(spec, dict):
+            raise ValueError(f"a gauge spec is a JSON object, got {spec!r}")
         kind = spec.get("kind")
         if kind == "p-norm":
             return cls.p_norm(_parse_exponent(spec["p"]), dim=int(spec.get("dim", 2)))

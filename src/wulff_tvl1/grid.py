@@ -10,11 +10,15 @@ the rasterisers):
 * forward_gradient uses forward differences with a one-sided zero at the
   right/top boundary; divergence is its exact negative adjoint (backward
   differences), so <Du, p> = -<u, div p> holds to machine precision;
+* point reflection of the grid swaps the forward and the backward stencil,
+  so backward_gradient and forward_divergence are not written out: each
+  runs the matching forward-stencil kernel (forward_gradient, divergence)
+  on the reflected input, reads the result back through the reflection
+  and negates it.  There is one stencil and its adjoint;
 * the discrete anisotropic TV averages the gauge over the forward and the
   backward gradient stencils.  The two sums coincide for separable gauges
   (e.g. the 1-norm); the average is what makes the reflection identity
-  TV(-u) = TV(u(-.)) exact for non-even gauges, because point reflection
-  of the grid swaps the two stencils.
+  TV(-u) = TV(u(-.)) exact for non-even gauges.
 """
 
 from __future__ import annotations
@@ -120,6 +124,9 @@ class LevelSet:
     threshold: float
 
 
+FEASIBILITY_TOL = 1e-9  # slack on phi_dual(p) <= 1 for membership in -W
+
+
 def _check_same_grid(a, b):
     if a.values.shape[:2] != b.values.shape[:2] or a.spacing != b.spacing:
         raise ValueError("grid shapes/spacings do not match")
@@ -141,16 +148,13 @@ def _grad_forward_raw(v: np.ndarray, spacing: float,
     return out
 
 
-def _grad_backward_raw(v: np.ndarray, spacing: float,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    if out is None:
-        out = np.zeros(v.shape + (2,))
-    np.subtract(v[:, 1:], v[:, :-1], out=out[:, 1:, 0])
-    out[:, 0, 0] = 0.0
-    np.subtract(v[1:, :], v[:-1, :], out=out[1:, :, 1])
-    out[0, :, 1] = 0.0
-    out /= spacing
-    return out
+def _grad_backward_raw(v: np.ndarray, spacing: float) -> np.ndarray:
+    """Backward differences, zero in the first column/row: the forward
+    kernel on the reflected field, negated.  0 - x rather than -x keeps
+    zero differences +0.0, as a direct backward difference gives them."""
+    out = np.empty(v.shape + (2,))
+    _grad_forward_raw(v[::-1, ::-1], spacing, out=out[::-1, ::-1])
+    return np.subtract(0.0, out, out=out)
 
 
 def _div_adjoint_raw(p: np.ndarray, spacing: float,
@@ -175,45 +179,41 @@ def _div_adjoint_raw(p: np.ndarray, spacing: float,
 
 def _div_forward_raw(p: np.ndarray, spacing: float) -> np.ndarray:
     """Forward-difference divergence, the exact negative adjoint of
-    _grad_backward_raw (ignores the first component column/row)."""
-    px = p[..., 0]
-    py = p[..., 1]
-    out = np.zeros(p.shape[:2])
-    out[:, :-2] += px[:, 1:-1]
-    out[:, 1:-1] -= px[:, 1:-1]
-    out[:, -2] += px[:, -1]
-    out[:, -1] -= px[:, -1]
-    out[:-2, :] += py[1:-1, :]
-    out[1:-1, :] -= py[1:-1, :]
-    out[-2, :] += py[-1, :]
-    out[-1, :] -= py[-1, :]
-    out /= spacing
-    return out
+    _grad_backward_raw (ignores the first component column/row): the
+    backward-difference kernel on the reflected field, negated."""
+    out = np.empty(p.shape[:2])
+    _div_adjoint_raw(p[::-1, ::-1], spacing, out=out[::-1, ::-1])
+    return np.subtract(0.0, out, out=out)
+
+
+def _check_stencil_grid(field) -> None:
+    if field.height < 2 or field.width < 2:
+        raise ValueError("grid must be at least 2x2")
 
 
 def forward_gradient(u: GridImage) -> DualField:
     """Forward differences / spacing, zero at the right/top boundary."""
-    if u.height < 2 or u.width < 2:
-        raise ValueError("grid must be at least 2x2")
+    _check_stencil_grid(u)
     return DualField(_grad_forward_raw(u.values, u.spacing), u.spacing)
 
 
 def backward_gradient(u: GridImage) -> DualField:
     """Backward differences / spacing, zero at the left/bottom boundary."""
-    if u.height < 2 or u.width < 2:
-        raise ValueError("grid must be at least 2x2")
+    _check_stencil_grid(u)
     return DualField(_grad_backward_raw(u.values, u.spacing), u.spacing)
 
 
 def divergence(p: DualField) -> GridImage:
     """Exact negative adjoint of forward_gradient:
     <forward_gradient(u), p> + <u, divergence(p)> = 0 for all u, p."""
+    _check_stencil_grid(p)
     return GridImage(_div_adjoint_raw(p.values, p.spacing), p.spacing)
 
 
 def forward_divergence(p: DualField) -> GridImage:
     """Exact negative adjoint of backward_gradient (forward differences of
     the components)."""
+    _check_stencil_grid(p)
     return GridImage(_div_forward_raw(p.values, p.spacing), p.spacing)
 
 
@@ -238,12 +238,11 @@ def dual_pairing(u: GridImage, p: DualField) -> float:
     return float(0.5 * (fw + bw) * u.spacing**2)
 
 
-def tv_phi_dual_gap(u: GridImage, p: DualField, g: Gauge,
-                    feasibility_tol: float = 1e-9) -> float:
+def tv_phi_dual_gap(u: GridImage, p: DualField, g: Gauge) -> float:
     """tv_phi(u) minus the dual pairing; nonnegative (up to rounding) for
     feasible p, ~0 exactly when p is an optimal certificate field for u."""
     violation = p.max_dual_value(g) - 1.0
-    if violation > feasibility_tol:
+    if violation > FEASIBILITY_TOL:
         raise ValueError(f"dual field violates the -W constraint by {violation:.3e}")
     return tv_phi(u, g) - dual_pairing(u, p)
 
@@ -359,6 +358,8 @@ def raster_disk(width: int, height: int, spacing: float, radius: float = 1.0,
 
 def raster_convex_polygon(vertices, width: int, height: int, spacing: float,
                           supersample: int = 4, binary: bool = False) -> GridImage:
+    # normals of edge length keep the test exact for integer vertices
+    # (x + y <= 1 on the l1 diamond); unit normals round it differently
     verts = np.asarray(vertices, dtype=float)
     nxt = np.roll(verts, -1, axis=0)
     normals = np.stack([(nxt - verts)[:, 1], -(nxt - verts)[:, 0]], axis=-1)

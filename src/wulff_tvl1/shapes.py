@@ -30,6 +30,8 @@ __all__ = [
     "hausdorff_distance",
 ]
 
+_HAUSDORFF_SAMPLES_PER_EDGE = 8
+
 
 @dataclass
 class ConvexPolygon:
@@ -62,8 +64,8 @@ class ConvexPolygon:
 
 def trivial_threshold(R: float, n: int) -> float:
     """Below n / R every input supported in R * W denoises to zero."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not 0 < R < math.inf:
+        raise ValueError("R must be positive and finite")
     if n < 1:
         raise ValueError("n must be a positive integer")
     return n / R
@@ -75,18 +77,15 @@ def polygon_tv_phi(P: ConvexPolygon, g: Gauge) -> float:
     if P.is_empty:
         return 0.0
     v = P.vertices
-    edges = np.roll(v, -1, axis=0) - v
-    lengths = np.linalg.norm(edges, axis=-1)
-    if np.any(lengths < 1e-14):
-        raise ValueError("degenerate polygon edge")
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=-1) / lengths[:, None]
+    normals, _ = _polygon_halfspaces(v)
+    lengths = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=-1)
     return float(np.sum(lengths * g(-normals)))
 
 
-def wulff_tv_and_area(g: Gauge, vertex_count: int = 720) -> tuple[float, float]:
+def wulff_tv_and_area(g: Gauge) -> tuple[float, float]:
     """(tv, area) of the Wulff shape, asserting the identity tv = n * area
     (exact for polyhedral gauges, 1e-4 for sampled smooth ones)."""
-    shape = g.wulff(vertex_count)
+    shape = g.wulff()
     poly = ConvexPolygon(shape.vertices)
     area = poly.area()
     if area <= 0:
@@ -230,15 +229,14 @@ def _angle_key(theta: float) -> float:
     return theta % twopi
 
 
-def erode_by_wulff(C: ConvexPolygon, s: float, g: Gauge,
-                   vertex_count: int = 720) -> ConvexPolygon:
+def erode_by_wulff(C: ConvexPolygon, s: float, g: Gauge) -> ConvexPolygon:
     """C shrunk so that x + s*W fits inside: each face offset inward by
     s * (support of W at its normal)."""
     if C.is_empty or s < 0:
         raise ValueError("need a nonempty polygon and s >= 0")
     if s == 0:
         return ConvexPolygon(C.vertices.copy())
-    wulff = g.wulff(vertex_count).vertices
+    wulff = g.wulff().vertices
     normals, offsets = _polygon_halfspaces(C.vertices)
     verts = C.vertices.copy()
     for nvec, b in zip(normals, offsets):
@@ -249,18 +247,17 @@ def erode_by_wulff(C: ConvexPolygon, s: float, g: Gauge,
     return ConvexPolygon(verts)
 
 
-def opening_by_wulff(C: ConvexPolygon, s: float, g: Gauge,
-                     vertex_count: int = 720) -> ConvexPolygon:
+def opening_by_wulff(C: ConvexPolygon, s: float, g: Gauge) -> ConvexPolygon:
     """Morphological opening of C by s * W: erosion then Minkowski dilation.
     May return the empty polygon."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     if s == 0 or C.is_empty:
         return ConvexPolygon(C.vertices.copy())
-    eroded = erode_by_wulff(C, s, g, vertex_count)
+    eroded = erode_by_wulff(C, s, g)
     if eroded.is_empty:
         return eroded
-    wulff = ConvexPolygon(g.wulff(vertex_count).vertices).scaled(s)
+    wulff = ConvexPolygon(g.wulff().vertices).scaled(s)
     return minkowski_sum(eroded, wulff)
 
 
@@ -273,13 +270,12 @@ def shape_energy_ratio(P: ConvexPolygon, g: Gauge) -> float:
     return polygon_tv_phi(P, g) / area
 
 
-def hausdorff_distance(P: ConvexPolygon, Q: ConvexPolygon,
-                       samples_per_edge: int = 8) -> float:
+def hausdorff_distance(P: ConvexPolygon, Q: ConvexPolygon) -> float:
     """Symmetric Hausdorff distance between convex polygons, sampling edge
     points so near-parallel faces are measured correctly."""
     if P.is_empty or Q.is_empty:
         raise ValueError("Hausdorff distance needs nonempty polygons")
-    ts = np.linspace(0.0, 1.0, samples_per_edge, endpoint=False)
+    ts = np.linspace(0.0, 1.0, _HAUSDORFF_SAMPLES_PER_EDGE, endpoint=False)
 
     def directed(A: ConvexPolygon, B: ConvexPolygon) -> float:
         v = A.vertices

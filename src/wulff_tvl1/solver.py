@@ -36,9 +36,9 @@ import numpy as np
 from .gauge import Gauge
 # _grad_backward_raw, divergence, forward_gradient: unused here, kept for
 # tracers that patch them by name
-from .grid import (DualField, GridImage, _div_adjoint_raw, _grad_backward_raw,
-                   _grad_forward_raw, divergence, forward_gradient, level_set,
-                   tv_phi)
+from .grid import (DualField, GridImage, _check_stencil_grid, _div_adjoint_raw,
+                   _grad_backward_raw, _grad_forward_raw, divergence,
+                   forward_gradient, level_set, tv_phi)
 
 __all__ = [
     "SolverConfig",
@@ -123,8 +123,7 @@ def solve(f: GridImage, lam: float, g: Gauge,
     field that witnesses it."""
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
-    if f.height < 2 or f.width < 2:
-        raise ValueError("grid must be at least 2x2")
+    _check_stencil_grid(f)
     cfg = cfg or SolverConfig()
     tau, sigma = cfg.steps_for(f.spacing)
     h2 = f.spacing**2

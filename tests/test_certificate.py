@@ -71,6 +71,9 @@ def test_circle_field_is_feasible():
 def test_circle_field_rejects_small_lambda():
     with pytest.raises(ValueError):
         build_circle_certificate(1.2, 32, 32, 0.1)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            build_circle_certificate(lam, 32, 32, 0.1)
 
 
 def test_circle_certificate_passes_above_critical():

@@ -196,11 +196,35 @@ def test_unwritable_output_is_an_io_error(tmp_path):
     ["synth", "disk", "--size", "1"],
     ["synth", "barcode", "--blocks", "0"],
     ["certify", "--example-circle", "4", "--size", "0"],
-], ids=["synth-size-0", "synth-size-1", "barcode-blocks-0", "certify-size-0"])
+    ["certify", "--example-circle", "4", "--size", "16", "--tol", "nan"],
+    ["certify", "--example-circle", "4", "--size", "16", "--tol", "-1"],
+    ["oracle", "threshold", "--R", "nan"],
+    ["oracle", "threshold", "--R", "inf"],
+    ["synth", "disk", "--size", "16", "--noise", "nan"],
+    ["synth", "disk", "--size", "16", "--noise", "1.5"],
+    ["synth", "disk", "--size", "16", "--noise", "-0.1"],
+    ["oracle", "wulff", "--gauge", "[1, 2]"],
+], ids=["synth-size-0", "synth-size-1", "barcode-blocks-0", "certify-size-0",
+        "certify-tol-nan", "certify-tol-negative", "threshold-R-nan",
+        "threshold-R-inf", "synth-noise-nan", "synth-noise-above-1",
+        "synth-noise-negative", "gauge-not-an-object"])
 def test_degenerate_grid_option_is_a_configuration_error(tmp_path, argv):
     out = tmp_path / "x.pgm"
     assert run(*argv, "--output", str(out)) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)],
+                         ids=["1x8", "8x1", "1x1"])
+def test_certify_degenerate_grid_is_a_configuration_error(tmp_path, shape):
+    from wulff_tvl1.fileio import write_field
+    from wulff_tvl1.grid import DualField
+    u0 = tmp_path / "u0.pgm"
+    v = tmp_path / "v.raw"
+    write_pgm(u0, GridImage(np.zeros(shape), 1.0))
+    write_field(v, DualField(np.zeros(shape + (2,)), 1.0))
+    assert run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
+               "--lambda", "2", "--spacing", "1.0") == 1
 
 
 def test_denoise_single_cell_input_is_a_configuration_error(tmp_path):
@@ -251,6 +275,18 @@ def test_denoise_config_json(tmp_path):
     assert run("denoise", "--input", str(disk), "--lambda", "4",
                "--output-prefix", str(prefix),
                "--config", '{"bogus": 1}') == 1
+    # the flags still hold for the keys the JSON does not name
+    run("denoise", "--input", str(disk), "--lambda", "4",
+        "--output-prefix", str(prefix), "--max-iterations", "100",
+        "--config", '{"tau": 0.01, "sigma": 0.01}')
+    report = json.loads((tmp_path / "cfg_report.json").read_text())
+    assert report["iterations"] <= 100
+    # and the JSON wins for the keys it names
+    run("denoise", "--input", str(disk), "--lambda", "4",
+        "--output-prefix", str(prefix), "--max-iterations", "7",
+        "--config", '{"max_iterations": 5}')
+    report = json.loads((tmp_path / "cfg_report.json").read_text())
+    assert report["iterations"] == 5
 
 
 def test_thread_cap_env(tmp_path, monkeypatch):

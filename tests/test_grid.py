@@ -43,6 +43,34 @@ def test_gradient_2x2_instance():
 def test_gradient_rejects_degenerate_grid():
     with pytest.raises(ValueError):
         forward_gradient(GridImage(np.zeros((1, 5)), 1.0))
+    for shape in ((1, 5), (5, 1), (1, 1)):
+        with pytest.raises(ValueError):
+            backward_gradient(GridImage(np.zeros(shape), 1.0))
+        with pytest.raises(ValueError):
+            divergence(DualField(np.zeros(shape + (2,)), 1.0))
+        with pytest.raises(ValueError):
+            forward_divergence(DualField(np.zeros(shape + (2,)), 1.0))
+
+
+def test_backward_stencils_3x4_instance():
+    # hand-computed at spacing 0.5: backward differences times 2, zero in
+    # the first column (x) and the first row (y)
+    u = GridImage(np.array([[0.0, 1.0, 3.0, 6.0],
+                            [2.0, 2.0, 5.0, 5.0],
+                            [1.0, 4.0, 4.0, 0.0]]), 0.5)
+    g = backward_gradient(u).values
+    assert np.array_equal(g[..., 0], [[0, 2, 4, 6], [0, 0, 6, 0], [0, 6, 0, -8]])
+    assert np.array_equal(g[..., 1], [[0, 0, 0, 0], [4, 2, 4, -2], [-2, 4, -2, -10]])
+    # forward differences of the components times 2, the first component
+    # column (x) and row (y) ignored, the outside counted as zero
+    px = np.array([[1.0, 2.0, 0.0, -1.0], [3.0, -1.0, 2.0, 1.0], [0.0, 1.0, 1.0, 2.0]])
+    py = np.array([[5.0, 1.0, -2.0, 0.0], [1.0, 0.0, 2.0, -1.0], [-1.0, 3.0, 0.0, 2.0]])
+    p = np.stack([px, py], axis=-1)
+    expected = [[6, -4, 2, 0], [-6, 12, -6, 4], [4, -6, 2, -8]]
+    assert np.array_equal(forward_divergence(DualField(p, 0.5)).values, expected)
+    p[:, 0, 0] = 7.0
+    p[0, :, 1] = -7.0
+    assert np.array_equal(forward_divergence(DualField(p, 0.5)).values, expected)
 
 
 def test_divergence_of_zero_field():
