@@ -189,9 +189,9 @@ class Gauge:
             raise ValueError(f"a gauge spec is a JSON object, got {spec!r}")
         kind = spec.get("kind")
         if kind == "p-norm":
-            return cls.p_norm(_parse_exponent(spec["p"]), dim=int(spec.get("dim", 2)))
+            return cls.p_norm(spec["p"], dim=int(spec.get("dim", 2)))
         if kind == "weighted":
-            return cls.weighted(_parse_exponent(spec["p"]), spec["weights"])
+            return cls.weighted(spec["p"], spec["weights"])
         if kind == "polyhedral":
             return cls.polyhedral(spec["wulff_vertices"])
         if kind == "asymmetric":
@@ -216,16 +216,12 @@ class Gauge:
         return _convex_hull_ccw(-self.wulff_vertices)
 
     @cached_property
-    def _minus_wulff_halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
-        return _polygon_halfspaces(self._minus_wulff_polygon)
-
-    @cached_property
     def _unit_ball_vertices(self) -> np.ndarray:
         """Vertices of B = {phi <= 1}; the canonical argmax list for
         dual_extremal tie-breaking."""
         if self.kind == "polyhedral":
             # B is the polar of -W: one vertex n_e / b_e per edge of -W.
-            normals, offsets = self._minus_wulff_halfspaces
+            normals, offsets = _polygon_halfspaces(self._minus_wulff_polygon)
             return normals / offsets[:, None]
         if self.separable:
             eye = np.eye(self.dim)
@@ -258,7 +254,8 @@ class Gauge:
         if self.kind == "weighted":
             return _pnorm(y * self.weights, self.p)
         if self.kind == "asymmetric":
-            return _pnorm(y, 2.0) + y @ self.shift
+            ay = reduce(np.add, [y[..., i] * c for i, c in enumerate(self.shift)])
+            return _pnorm(y, 2.0) + ay
         # support function of -W over the stored vertices
         return _max_linear(y, -self.wulff_vertices)
 
@@ -271,11 +268,10 @@ class Gauge:
         if self.kind == "weighted":
             return _pnorm(x / self.weights, _conjugate_exponent(self.p))
         if self.kind == "asymmetric":
-            a = self.shift
-            aa = float(a @ a)
-            ax = x @ a
-            xx = (x * x).sum(axis=-1)
-            return (-ax + np.sqrt(ax * ax + (1.0 - aa) * xx)) / (1.0 - aa)
+            aa = float(self.shift @ self.shift)
+            ax = reduce(np.add, [x[..., i] * c for i, c in enumerate(self.shift)])
+            xx = reduce(np.add, [x[..., i] * x[..., i] for i in range(self.dim)])
+            return (np.sqrt(ax * ax + (1.0 - aa) * xx) - ax) / (1.0 - aa)
         # support function of B = {phi <= 1} over its vertices
         return _max_linear(x, self._unit_ball_vertices)
 
@@ -341,8 +337,9 @@ class Gauge:
         kind: a clip for p = 1, closed forms for the unit disk (p = 2, and
         asymmetric kinds shifted by a) and the l1 ball (p = inf),
         safeguarded Newton for the weighted q-norm ball of any other p, and
-        the nearest point over all edges for polygons.  Points in -W are
-        returned unchanged.  All but the clip and the disk are 2-D only."""
+        the nearest point over all edges for polygons.  The result has x's
+        memory layout; points in -W come back unchanged.  All but the clip
+        and the disk are 2-D only."""
         x = np.asarray(x, dtype=float)
         if self.kind == "asymmetric":  # -W is the unit disk centred at a
             return self.shift + _project_unit_disk(x - self.shift)
@@ -361,14 +358,6 @@ class Gauge:
             return _project_l1_ball(x, 1.0 / w)
         # -W is the ball sum |x_i / w_i|^q <= 1 with 1/p + 1/q = 1
         return _project_q_ball(x, _conjugate_exponent(p), w)
-
-
-def _parse_exponent(p) -> float:
-    if isinstance(p, str):
-        if p.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(p)
-    return float(p)
 
 
 def _encode_exponent(p: float):
@@ -393,7 +382,8 @@ def _max_linear(y: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _project_unit_disk(x: np.ndarray) -> np.ndarray:
-    return x / np.maximum(_pnorm(x, 2.0), 1.0)[..., None]
+    scale = np.maximum(_pnorm(x, 2.0), 1.0)[..., None]
+    return np.divide(x, scale, out=np.empty_like(x))
 
 
 def _project_l1_ball(x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -410,9 +400,10 @@ def _project_l1_ball(x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     mu = np.maximum((c0 * a0 - 1.0) / (c0 * c0), (c1 * a1 - 1.0) / (c1 * c1))
     np.maximum(mu, (c0 * a0 + c1 * a1 - 1.0) / (c0 * c0 + c1 * c1), out=mu)
     np.maximum(mu, 0.0, out=mu)
-    return np.stack([np.copysign(np.maximum(a0 - mu * c0, 0.0), x[..., 0]),
-                     np.copysign(np.maximum(a1 - mu * c1, 0.0), x[..., 1])],
-                    axis=-1)
+    out = np.empty_like(x)  # in x's memory order
+    np.copysign(np.maximum(a0 - mu * c0, 0.0), x[..., 0], out=out[..., 0])
+    np.copysign(np.maximum(a1 - mu * c1, 0.0), x[..., 1], out=out[..., 1])
+    return out
 
 
 def _q_ball_arc(tau: np.ndarray, q: float, p: float):
@@ -503,6 +494,18 @@ def _nearest_on_q_arc(a_u: np.ndarray, a_v: np.ndarray, w_u: float, w_v: float,
     return w_u * y_u, w_v * y_v
 
 
+def _copy_with_planes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of x in x's memory order (in C order if no plane has a flat
+    view in x's) and its two component planes as writable 1-D views."""
+    out = np.array(x, dtype=float)
+    for order in "CF":
+        planes = np.moveaxis(out, -1, 0).reshape(2, -1, order=order)
+        if np.may_share_memory(planes, out):
+            return out, planes
+    out = np.ascontiguousarray(out)  # also any empty x: it shares no memory
+    return out, np.moveaxis(out, -1, 0).reshape(2, -1)
+
+
 def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
     """Projection onto { z : |z_1 / w_1|^q + |z_2 / w_2|^q <= 1 }, 1 < q < inf.
     Points in the ball are returned unchanged.  By symmetry a point outside
@@ -511,20 +514,19 @@ def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
     (z_u / w_u)^q <= 1/2 at the solution."""
     if x.shape[-1] != 2 or len(w) != 2:
         raise ValueError("the q-norm ball projection is 2-D only")
-    out = np.array(x, dtype=float)  # a C-contiguous copy
-    flat = out.reshape(-1, 2)
-    a = np.abs(flat)
+    out, planes = _copy_with_planes(x)
+    a = np.abs(planes)
     with np.errstate(over="ignore"):  # inf is outside too
-        outside = np.flatnonzero((a[:, 0] / w[0]) ** q + (a[:, 1] / w[1]) ** q > 1.0)
-    a = a[outside]
+        outside = np.flatnonzero((a[0] / w[0]) ** q + (a[1] / w[1]) ** q > 1.0)
+    a = a[:, outside]
     mid = 2.0 ** (-1.0 / q)
-    first = (w[0] * mid - a[:, 0]) + (a[:, 1] - w[1] * mid) * (w[1] / w[0]) >= 0.0
+    first = (w[0] * mid - a[0]) + (a[1] - w[1] * mid) * (w[1] / w[0]) >= 0.0
     for u, group in ((0, np.flatnonzero(first)), (1, np.flatnonzero(~first))):
         v = 1 - u
-        rows = outside[group]
-        z_u, z_v = _nearest_on_q_arc(a[group, u], a[group, v], w[u], w[v], q)
-        flat[rows, u] = np.copysign(z_u, flat[rows, u])
-        flat[rows, v] = np.copysign(z_v, flat[rows, v])
+        cells = outside[group]
+        z_u, z_v = _nearest_on_q_arc(a[u, group], a[v, group], w[u], w[v], q)
+        planes[u, cells] = np.copysign(z_u, planes[u, cells])
+        planes[v, cells] = np.copysign(z_v, planes[v, cells])
     return out
 
 
@@ -532,10 +534,8 @@ def _project_convex_polygon(x: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Projection onto a CCW convex polygon.  Points outside it go to the
     nearest point over all edges, found in one (edges x points) pass on
     the component planes of the outside points."""
-    out = np.array(x, dtype=float)  # a C-contiguous copy
-    flat = out.reshape(-1, 2)
-    x0 = flat[:, 0]
-    x1 = flat[:, 1]
+    out, planes = _copy_with_planes(x)
+    x0, x1 = planes
     normals, offsets = _polygon_halfspaces(vertices)
     excess = normals[:, :1] * x0 + normals[:, 1:] * x1 - offsets[:, None]
     outside = np.flatnonzero(excess.max(axis=0) > 1e-12)
@@ -549,8 +549,8 @@ def _project_convex_polygon(x: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     c0 = a0 + t * d0
     c1 = a1 + t * d1
     nearest = ((x0 - c0) ** 2 + (x1 - c1) ** 2).argmin(axis=0)[None]
-    flat[outside, 0] = np.take_along_axis(c0, nearest, axis=0)[0]
-    flat[outside, 1] = np.take_along_axis(c1, nearest, axis=0)[0]
+    planes[0, outside] = np.take_along_axis(c0, nearest, axis=0)[0]
+    planes[1, outside] = np.take_along_axis(c1, nearest, axis=0)[0]
     return out
 
 

@@ -76,9 +76,6 @@ class GridImage:
     def width(self) -> int:
         return self.values.shape[1]
 
-    def copy(self) -> "GridImage":
-        return GridImage(self.values.copy(), self.spacing)
-
     def l1_norm(self) -> float:
         """Riemann sum of |u|."""
         return float(np.abs(self.values).sum() * self.spacing**2)
@@ -106,10 +103,6 @@ class DualField:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    @classmethod
-    def zeros_like(cls, u: GridImage) -> "DualField":
-        return cls(np.zeros((u.height, u.width, 2)), u.spacing)
 
     def max_dual_value(self, g: Gauge) -> float:
         """max over cells of phi_dual(p); <= 1 means pointwise in -W."""

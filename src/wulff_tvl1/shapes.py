@@ -207,26 +207,19 @@ def minkowski_sum(P: ConvexPolygon, Q: ConvexPolygon) -> ConvexPolygon:
 
     p0, pe = edge_list(P)
     q0, qe = edge_list(Q)
-    angles_p = np.arctan2(pe[:, 1], pe[:, 0])
-    angles_q = np.arctan2(qe[:, 1], qe[:, 0])
-    # starting at the bottom-most vertex makes the angle sequence monotone
-    # in [-pi, pi) after unwrapping the first edge to >= angle of (1, 0)
+    # edge angles CCW from the +x axis; starting at the bottom-most vertex
+    # makes them increase along each polygon
+    angles_p = np.arctan2(pe[:, 1], pe[:, 0]) % (2.0 * math.pi)
+    angles_q = np.arctan2(qe[:, 1], qe[:, 0]) % (2.0 * math.pi)
     i = j = 0
     edges = []
     while i < len(pe) or j < len(qe):
-        if j >= len(qe) or (i < len(pe) and _angle_key(angles_p[i]) <= _angle_key(angles_q[j])):
+        if j >= len(qe) or (i < len(pe) and angles_p[i] <= angles_q[j]):
             edges.append(pe[i]); i += 1
         else:
             edges.append(qe[j]); j += 1
     verts = np.cumsum(np.vstack([[p0 + q0], edges[:-1]]), axis=0)
     return ConvexPolygon(_dedupe(verts))
-
-
-def _angle_key(theta: float) -> float:
-    """Edge angle measured CCW from the +x axis starting at the bottom-most
-    vertex (first edge angle lies in [0, pi) modulo direction)."""
-    twopi = 2.0 * math.pi
-    return theta % twopi
 
 
 def erode_by_wulff(C: ConvexPolygon, s: float, g: Gauge) -> ConvexPolygon:

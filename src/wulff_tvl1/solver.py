@@ -13,17 +13,20 @@ construction.  The reported duality gap uses the scaled-feasible dual
 point, hence it is a true upper bound on the suboptimality of the
 returned energy.
 
-The convergence monitor runs every iteration and tracks one objective:
-the forward-stencil energy  sum phi(grad+ u) h^2 + lam |u - f|_1,  the
-primal of the saddle-point form above and the quantity the gap bounds.
-It selects the returned pair, fills ``energy_trace`` and normalises
+The convergence monitor tracks one objective: the forward-stencil energy
+sum phi(grad+ u) h^2 + lam |u - f|_1,  the primal of the saddle-point
+form above and the quantity the gap bounds.  It selects the returned
+pair, fills ``energy_trace`` (one entry per check) and normalises
 ``final_gap``; the two-stencil ``energy`` below is what reports quote.
-Every run reports why it stopped: ``gap`` (the normalised gap met the
-tolerance; the run returns the pair that met it), ``stalled`` (the
-relative-change fallback fired first) or ``cap`` (the iteration cap).
-Only ``gap`` counts as converged; a stalled or capped run returns the
-pair of lowest forward-stencil energy seen.  The energy trace records
-that lowest energy so far and ends at the energy of the returned pair.
+It checks every MONITOR_EVERY iterations, where the relative-change
+fallback (tested every iteration) fires, and on the last iteration, so
+a gap stop lands on a check iteration.  Every run reports why it
+stopped: ``gap`` (the normalised gap met the tolerance; the run returns
+the pair that met it), ``stalled`` (the relative-change fallback fired
+first) or ``cap`` (the iteration cap).  Only ``gap`` counts as
+converged; a stalled or capped run returns the checked pair of lowest
+forward-stencil energy.  The energy trace records that lowest energy so
+far and ends at the energy of the returned pair.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
 
 CHANGE_TOLERANCE = 1e-9  # fallback stop: relative change of u
 BURN_IN = 50             # iterations before the fallback may stop the run
+MONITOR_EVERY = 10       # iterations between convergence checks
 
 
 @dataclass
@@ -133,19 +137,20 @@ def solve(f: GridImage, lam: float, g: Gauge,
     u = fv.copy()
     u_prev = np.empty_like(fv)
     u_bar = fv.copy()
-    p = np.zeros((f.height, f.width, 2))
-    grad_buf = np.zeros_like(p)
+    # (H, W, 2) views of two contiguous component planes, C order at return
+    planes = (2, f.height, f.width)
+    p = np.zeros(planes).transpose(1, 2, 0)
+    grad_buf = np.zeros(planes).transpose(1, 2, 0)
     div_buf = np.empty_like(fv)
     step = np.empty_like(fv)
     scratch = np.empty_like(fv)
 
     best_energy = math.inf
     best_u = u.copy()
-    best_p = p.copy()
+    best_p = np.zeros(planes).transpose(1, 2, 0)
     best_gap = math.nan
-    trace = np.empty(cfg.max_iterations)
+    trace = []
     stop_reason = "cap"
-    iterations = 0
 
     for k in range(cfg.max_iterations):
         iterations = k + 1
@@ -160,16 +165,17 @@ def solve(f: GridImage, lam: float, g: Gauge,
         np.multiply(div_p, tau, out=step)
         step += u
         step -= fv
-        np.abs(step, out=scratch)
-        scratch -= tau * lam
-        np.maximum(scratch, 0.0, out=scratch)
-        np.sign(step, out=step)
-        step *= scratch
+        step -= np.clip(step, -tau * lam, tau * lam, out=scratch)
         u, u_prev = u_prev, u
         np.add(fv, step, out=u)
         np.subtract(u, u_prev, out=u_bar)
         change = _abs_max(u_bar)
         u_bar += u
+
+        stalled = k > BURN_IN and change <= CHANGE_TOLERANCE * (_abs_max(u) + 1e-30)
+        last = iterations == cfg.max_iterations
+        if not (stalled or last or iterations % MONITOR_EVERY == 0):
+            continue
 
         np.subtract(u, fv, out=scratch)
         fid = lam * float(np.abs(scratch, out=scratch).sum()) * h2
@@ -188,23 +194,20 @@ def solve(f: GridImage, lam: float, g: Gauge,
         # that pair is the lowest-e_fwd one, or on a gap stop the one that met it
         if gap_met or e_fwd < best_energy:
             best_energy = e_fwd
-            best_u = u.copy()
-            best_p = p.copy()
+            best_u[...] = u
+            best_p[...] = p
             best_gap = gap
-        trace[k] = best_energy
+        trace.append(best_energy)
 
-        if gap_met:
-            stop_reason = "gap"
-            break
-        if k > BURN_IN and change <= CHANGE_TOLERANCE * (_abs_max(u) + 1e-30):
-            stop_reason = "stalled"
+        if gap_met or stalled:
+            stop_reason = "gap" if gap_met else "stalled"
             break
 
     gap = max(best_gap, 0.0)
     return SolveResult(
         u=GridImage(best_u, f.spacing),
-        p=DualField(best_p, f.spacing),
-        energy_trace=trace[:iterations].copy(),
+        p=DualField(np.ascontiguousarray(best_p), f.spacing),
+        energy_trace=np.array(trace),
         final_gap=gap,
         final_gap_normalized=gap / (1.0 + abs(best_energy)),
         iterations=iterations,

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from wulff_tvl1 import certificate, grid
 from wulff_tvl1.certificate import (_dilate, build_circle_certificate,
                                     certify_minimizer, check_certificate)
 from wulff_tvl1.gauge import Gauge
-from wulff_tvl1.grid import (DualField, GridImage, cell_centers, raster_disk,
-                             raster_convex_polygon)
+from wulff_tvl1.grid import (DualField, GridImage, cell_centers, dual_pairing,
+                             raster_disk, raster_convex_polygon, tv_phi)
 from wulff_tvl1.solver import SolverConfig, energy
 
-from conftest import clipped_disk_raster, gaussian_blur
+from conftest import GAUGE_ZOO, clipped_disk_raster, gaussian_blur
 
 L1 = Gauge.p_norm(1)
 
@@ -115,6 +116,28 @@ def test_pairing_gap_first_order_in_spacing():
         gaps[size] = abs(rep.tv_pairing_gap)
         assert gaps[size] <= 3.0 * h
     assert gaps[768] <= gaps[192] + 1e-9
+
+
+@pytest.mark.parametrize("name", ["l1", "hexagon", "asymmetric"])
+def test_check_certificate_takes_each_gradient_once(name, monkeypatch):
+    g = GAUGE_ZOO[name]
+    u0, f, _ = circle_case(3.0, 96)
+    u0 = GridImage(gaussian_blur(u0.values, 1.5), u0.spacing)
+    v = DualField(g.project_minus_wulff(
+        np.random.default_rng(2).normal(size=(96, 96, 2))), u0.spacing)
+    calls = []
+    for op in ("forward_gradient", "backward_gradient"):
+        def counted(u, _fn=getattr(grid, op), _op=op):
+            calls.append(_op)
+            return _fn(u)
+        monkeypatch.setattr(grid, op, counted)
+        monkeypatch.setattr(certificate, op, counted)
+    rep = check_certificate(u0, f, v, 3.0, g)
+    assert sorted(calls) == ["backward_gradient", "forward_gradient"]
+    monkeypatch.undo()
+    # the same sums as the two separate calls, bit for bit
+    assert rep.tv_value == tv_phi(u0, g)
+    assert rep.tv_pairing_gap == tv_phi(u0, g) - dual_pairing(u0, v)
 
 
 def test_check_certificate_validates_grids():

@@ -53,6 +53,22 @@ def test_pnorm_planes_match_axis_reduction(name, shape, rng):
                           reference_pnorm(y / w, _conjugate_exponent(g.p)))
 
 
+@pytest.mark.parametrize("name", ["asymmetric", "asymmetric-skew"])
+def test_asymmetric_planes_match_the_axis_formulas(name, rng):
+    # y @ a may fuse its multiply-add, so the planes agree to about an ulp
+    g = GAUGE_ZOO[name]
+    a = g.shift
+    y = 3.0 * rng.normal(size=(40, 30, 2))
+    norm = np.sqrt((y * y).sum(axis=-1))
+    np.testing.assert_allclose(g(y), norm + y @ a, rtol=1e-15, atol=1e-15)
+    aa = float(a @ a)
+    ay = y @ a
+    dual = (-ay + np.sqrt(ay * ay + (1.0 - aa) * norm**2)) / (1.0 - aa)
+    np.testing.assert_allclose(g.dual(y), dual, rtol=1e-14)
+    assert g.dual(np.array([3.0, -4.0])) == pytest.approx(
+        float(dual_extremal(g, np.array([3.0, -4.0])) @ [3.0, -4.0]), rel=1e-14)
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
 def test_pnorm_other_dimensions(dim, p, rng):
@@ -277,6 +293,45 @@ def test_projection_hard_inputs(g, rng):
         project_minus_wulff(g, np.ones((4, 3)))
     with pytest.raises(ValueError):
         project_minus_wulff(Gauge.weighted(g.p, [1.0, 2.0, 3.0]), np.ones((4, 3)))
+
+
+def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "planar":  # (2, H, W) storage viewed as (H, W, 2)
+        return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+    if layout == "rows":  # (H, 2, W) storage: no flat view of a plane
+        return np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return x.copy()
+
+
+def _has_layout(x: np.ndarray, layout: str) -> bool:
+    if layout == "fortran":
+        return x.flags.f_contiguous
+    if layout == "planar":
+        return x.transpose(2, 0, 1).flags.c_contiguous
+    if layout == "rows":  # kept, or C-contiguous where a plane has no flat view
+        return x.transpose(0, 2, 1).flags.c_contiguous or x.flags.c_contiguous
+    return x.flags.c_contiguous
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "planar", "rows"])
+def test_kernels_ignore_the_memory_layout(any_gauge, layout, rng):
+    # the solver keeps its fields as component planes; a projection that
+    # wrote through a reshape of a non-C input used to return it unprojected
+    x = rng.normal(scale=1.5, size=(16, 12, 2))
+    ref = project_minus_wulff(any_gauge, x)
+    xl = _in_layout(x, layout)
+    px = project_minus_wulff(any_gauge, xl)
+    assert px.tobytes() == ref.tobytes()
+    assert _has_layout(px, layout)
+    assert np.array_equal(xl, x)
+    assert float(np.max(eval_dual(any_gauge, px))) <= 1.0 + 1e-12
+    assert any_gauge(xl).tobytes() == any_gauge(x).tobytes()
+    assert any_gauge.dual(xl).tobytes() == any_gauge.dual(x).tobytes()
+    for empty in (np.zeros((0, 2)), _in_layout(np.zeros((3, 0, 2)), layout)):
+        assert project_minus_wulff(any_gauge, empty).shape == empty.shape
+        assert any_gauge(empty).shape == any_gauge.dual(empty).shape == empty.shape[:-1]
 
 
 def test_json_round_trip(any_gauge, rng):

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from wulff_tvl1 import solver
 from wulff_tvl1.gauge import Gauge
-from wulff_tvl1.grid import (GridImage, divergence, forward_gradient,
+from wulff_tvl1.grid import (GridImage, _div_adjoint_raw, _grad_forward_raw,
+                             divergence, forward_gradient,
                              raster_convex_polygon, raster_disk, tv_phi)
-from wulff_tvl1.solver import (SolverConfig, check_contrast_invariance, energy,
-                               solve, threshold_binary)
+from wulff_tvl1.solver import (BURN_IN, CHANGE_TOLERANCE, SolverConfig,
+                               check_contrast_invariance, energy, solve,
+                               threshold_binary)
 
 from conftest import (GAUGE_ZOO, brute_force_binary_optimum, gaussian_blur,
                       symmetric_difference_area)
@@ -121,7 +124,9 @@ def test_returned_dual_is_feasible(rng):
 def test_energy_trace_monotone_after_burn_in():
     f = unit_square(n=64)
     res = solve(f, 2.5, L1, SolverConfig(max_iterations=2000))
-    trace = res.energy_trace[50:]
+    # one trace entry per check: skip the checks inside the burn-in
+    trace = res.energy_trace[BURN_IN // solver.MONITOR_EVERY:]
+    assert len(trace) > 1
     diffs = np.diff(trace)
     assert np.all(diffs <= 1e-9 * (1.0 + np.abs(trace[:-1])))
     assert res.energy_trace[-1] == pytest.approx(energy(res.u, f, 2.5, L1))
@@ -189,13 +194,114 @@ def test_capped_run_returns_its_lowest_forward_energy_pair(name):
     assert res.energy_trace[-1] == pytest.approx(e_fwd, rel=1e-12)
 
 
-def test_stalled_run_is_not_converged():
+def reference_loop(f: GridImage, lam: float, g: Gauge, cfg: SolverConfig):
+    """The step loop with interleaved (H, W, 2) fields, the shrink written
+    as sign(s) max(|s| - tau lam, 0), fresh copies on each improvement and
+    the monitor on every iteration; returns (u, p, trace, gap, iterations)."""
+    tau, sigma = cfg.steps_for(f.spacing)
+    h2 = f.spacing**2
+    fv = f.values
+    u = fv.copy()
+    u_bar = fv.copy()
+    p = np.zeros((f.height, f.width, 2))
+    best_energy, best_u, best_p, best_gap = math.inf, u.copy(), p.copy(), math.nan
+    trace = []
+    for k in range(cfg.max_iterations):
+        iterations = k + 1
+        grad = _grad_forward_raw(u_bar, f.spacing) * sigma + p
+        p = g.project_minus_wulff(grad)
+        div_p = _div_adjoint_raw(p, f.spacing)
+        step = div_p * tau + u - fv
+        step = np.sign(step) * np.maximum(np.abs(step) - tau * lam, 0.0)
+        u_prev, u = u, fv + step
+        u_bar = u - u_prev
+        change = max(float(u_bar.max()), -float(u_bar.min()))
+        u_bar += u
+        fid = lam * float(np.abs(u - fv).sum()) * h2
+        e_fwd = float(g(_grad_forward_raw(u, f.spacing)).sum()) * h2 + fid
+        dmax = max(float(div_p.max()), -float(div_p.min()))
+        scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
+        gap = e_fwd - (-float((fv * div_p).sum()) * scale * h2)
+        gap_met = gap / (1.0 + abs(e_fwd)) <= cfg.gap_tolerance
+        if gap_met or e_fwd < best_energy:
+            best_energy, best_u, best_p, best_gap = e_fwd, u.copy(), p.copy(), gap
+        trace.append(best_energy)
+        if gap_met or (k > BURN_IN and change <= CHANGE_TOLERANCE
+                       * (max(float(u.max()), -float(u.min())) + 1e-30)):
+            break
+    return best_u, best_p, np.array(trace), max(best_gap, 0.0), iterations
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_ZOO))
+def test_planar_loop_matches_the_interleaved_reference(name, monkeypatch):
+    # with the monitor on every iteration the planar loop must reproduce the
+    # interleaved one bit for bit
+    monkeypatch.setattr(solver, "MONITOR_EVERY", 1)
+    g = GAUGE_ZOO[name]
+    f = raster_disk(12, 16, 0.2, radius=1.0, supersample=4)
+    noise = np.random.default_rng(7).normal(scale=0.2, size=f.values.shape)
+    f = GridImage(f.values + noise, f.spacing)
+    cfg = SolverConfig(max_iterations=60, gap_tolerance=0.0)
+    res = solve(f, 2.0, g, cfg)
+    u, p, trace, gap, iterations = reference_loop(f, 2.0, g, cfg)
+    assert res.iterations == iterations == 60
+    assert res.u.values.tobytes() == u.tobytes()
+    assert res.p.values.tobytes() == p.tobytes()
+    assert res.energy_trace.tobytes() == trace.tobytes()
+    assert res.final_gap == gap
+
+
+def forward_energy(u: GridImage, f: GridImage, lam: float, g: Gauge) -> float:
+    h2 = f.spacing**2
+    return (float(g(forward_gradient(u).values).sum()) * h2
+            + lam * float(np.abs(u.values - f.values).sum()) * h2)
+
+
+def test_monitor_cadence(monkeypatch):
+    every = solver.MONITOR_EVERY
+    assert every > 1
+    f = raster_disk(64, 64, 3.0 / 64, radius=1.0, supersample=4, binary=True)
+    shape = (64, 64, 2)
+
+    # a gap stop lands on a check iteration
+    res = solve(f, 3.0, L1, SolverConfig(max_iterations=1500))
+    assert res.stop_reason == "gap" and res.iterations % every == 0
+    assert len(res.energy_trace) == res.iterations // every
+    assert res.p.values.shape == shape and res.p.values.flags.c_contiguous
+
+    # a capped run checks its last iteration and returns the checked pair of
+    # lowest forward energy; a cadence above the cap checks only the last
+    # iteration, which gives each checked iterate on its own
+    noisy = GridImage(f.values + np.random.default_rng(3).normal(
+        scale=0.2, size=f.values.shape), f.spacing)
+    res = solve(noisy, 3.0, L1, SolverConfig(max_iterations=37))
+    assert res.stop_reason == "cap" and res.iterations == 37
+    assert len(res.energy_trace) == 4  # iterations 10, 20, 30 and 37
+    assert res.energy_trace[-1] == forward_energy(res.u, noisy, 3.0, L1)
+    assert res.p.values.shape == shape and res.p.values.flags.c_contiguous
+    monkeypatch.setattr(solver, "MONITOR_EVERY", 1000)
+    alone = [solve(noisy, 3.0, L1, SolverConfig(max_iterations=n))
+             for n in (10, 20, 30, 37)]
+    energies = [a.energy_trace[0] for a in alone]
+    assert np.array_equal(res.energy_trace, np.minimum.accumulate(energies))
+    assert energies[-1] == min(energies)  # so iteration 37's pair is returned
+    assert res.u.values.tobytes() == alone[-1].u.values.tobytes()
+    assert res.p.values.tobytes() == alone[-1].p.values.tobytes()
+
+
+def test_stalled_run_is_not_converged(monkeypatch):
     # steps this small trip the relative-change fallback long before the gap
     # closes; such a run must not report convergence
     f = raster_disk(64, 64, 3.0 / 64, radius=1.0, supersample=4, binary=True)
-    res = solve(f, 3.0, L1, SolverConfig(tau=1e-7, sigma=1e-7))
+    cfg = SolverConfig(tau=1e-7, sigma=1e-7)
+    res = solve(f, 3.0, L1, cfg)
     assert res.stop_reason == "stalled" and not res.converged
     assert res.iterations < SolverConfig().max_iterations
+    # the fallback is tested every iteration and its iteration is checked
+    assert len(res.energy_trace) == math.ceil(res.iterations / solver.MONITOR_EVERY)
+    assert res.energy_trace[-1] == forward_energy(res.u, f, 3.0, L1)
+    monkeypatch.setattr(solver, "MONITOR_EVERY", 1)
+    assert solve(f, 3.0, L1, cfg).iterations == res.iterations
     assert res.final_gap_normalized > SolverConfig().gap_tolerance
 
 
