@@ -82,5 +82,7 @@ def read_field(path) -> DualField:
     path = Path(path)
     meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     w, h, comps = meta["width"], meta["height"], meta["components"]
-    data = np.frombuffer(path.read_bytes(), dtype="<f8")
-    return DualField(data.reshape(h, w, comps).copy(), float(meta["spacing"]))
+    if path.stat().st_size != 8 * h * w * comps:
+        raise ValueError(f"{path} does not hold {h}x{w}x{comps} float64 values")
+    data = np.fromfile(path, dtype="<f8")
+    return DualField(data.reshape(h, w, comps), float(meta["spacing"]))

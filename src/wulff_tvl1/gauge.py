@@ -397,7 +397,8 @@ def _project_l1_ball(x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     a0 = np.abs(x[..., 0])
     a1 = np.abs(x[..., 1])
     c0, c1 = coeff
-    mu = np.maximum((c0 * a0 - 1.0) / (c0 * c0), (c1 * a1 - 1.0) / (c1 * c1))
+    mu = np.maximum((c0 * a0 - 1.0) / (c0 * c0), (c1 * a1 - 1.0) / (c1 * c1),
+                    out=np.empty(x.shape[:-1]))  # an array even for one vector
     np.maximum(mu, (c0 * a0 + c1 * a1 - 1.0) / (c0 * c0 + c1 * c1), out=mu)
     np.maximum(mu, 0.0, out=mu)
     out = np.empty_like(x)  # in x's memory order

@@ -10,6 +10,10 @@ the rasterisers):
 * forward_gradient uses forward differences with a one-sided zero at the
   right/top boundary; divergence is its exact negative adjoint (backward
   differences), so <Du, p> = -<u, div p> holds to machine precision;
+* the raw kernels take the x-differences in one pass over the flattened
+  plane whenever its strides allow (the row-wrap entries fall in a
+  boundary column that is overwritten), and skip the division at unit
+  spacing, which is exact; the bytes equal the 2-D slice formulas;
 * point reflection of the grid swaps the forward and the backward stencil,
   so backward_gradient and forward_divergence are not written out: each
   runs the matching forward-stencil kernel (forward_gradient, divergence)
@@ -129,15 +133,27 @@ def _check_same_grid(a, b):
 # difference operators (raw kernels + validated wrappers)
 # ----------------------------------------------------------------------
 
+def _flat(a: np.ndarray) -> np.ndarray | None:
+    """a (2-D) as a 1-D view in row-major order, or None when its strides
+    allow none (Fortran order, say); reshape then never copies."""
+    rows, cols = a.strides
+    return a.reshape(-1) if rows == a.shape[1] * cols else None
+
+
 def _grad_forward_raw(v: np.ndarray, spacing: float,
                       out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.zeros(v.shape + (2,))
-    np.subtract(v[:, 1:], v[:, :-1], out=out[:, :-1, 0])
+    vf, xf = _flat(v), _flat(out[..., 0])
+    if vf is None or xf is None:
+        np.subtract(v[:, 1:], v[:, :-1], out=out[:, :-1, 0])
+    else:  # one pass; the row-wrap differences land in the last column
+        np.subtract(vf[1:], vf[:-1], out=xf[:-1])
     out[:, -1, 0] = 0.0
     np.subtract(v[1:, :], v[:-1, :], out=out[:-1, :, 1])
     out[-1, :, 1] = 0.0
-    out /= spacing
+    if spacing != 1.0:
+        out /= spacing
     return out
 
 
@@ -159,14 +175,19 @@ def _div_adjoint_raw(p: np.ndarray, spacing: float,
     py = p[..., 1]
     if out is None:
         out = np.empty(p.shape[:2])
+    pf, of = _flat(px), _flat(out)
+    if pf is None or of is None:
+        np.subtract(px[:, 1:-1], px[:, :-2], out=out[:, 1:-1])
+    else:  # one pass; the first and last columns are set next
+        np.subtract(pf[1:-1], pf[:-2], out=of[1:-1])
     out[:, 0] = px[:, 0]
-    np.subtract(px[:, 1:-1], px[:, :-2], out=out[:, 1:-1])
     out[:, -1] = -px[:, -2]
     out[0, :] += py[0, :]
     out[1:-1, :] += py[1:-1, :]
     out[1:-1, :] -= py[:-2, :]
     out[-1, :] -= py[-2, :]
-    out /= spacing
+    if spacing != 1.0:
+        out /= spacing
     return out
 
 

@@ -13,20 +13,27 @@ construction.  The reported duality gap uses the scaled-feasible dual
 point, hence it is a true upper bound on the suboptimality of the
 returned energy.
 
+The step loop takes its differences at unit spacing and lets the steps
+carry the 1/h (sigma/h on the gradient, tau/h on the divergence), the
+same method with iterates that differ only by rounding.  The monitor's
+arithmetic is unchanged: it divides by h exactly as the public kernels
+do, so the gap of a given (u, p) pair is the same to the bit.
+
 The convergence monitor tracks one objective: the forward-stencil energy
 sum phi(grad+ u) h^2 + lam |u - f|_1,  the primal of the saddle-point
 form above and the quantity the gap bounds.  It selects the returned
 pair, fills ``energy_trace`` (one entry per check) and normalises
 ``final_gap``; the two-stencil ``energy`` below is what reports quote.
 It checks every MONITOR_EVERY iterations, where the relative-change
-fallback (tested every iteration) fires, and on the last iteration, so
-a gap stop lands on a check iteration.  Every run reports why it
-stopped: ``gap`` (the normalised gap met the tolerance; the run returns
-the pair that met it), ``stalled`` (the relative-change fallback fired
-first) or ``cap`` (the iteration cap).  Only ``gap`` counts as
-converged; a stalled or capped run returns the checked pair of lowest
-forward-stencil energy.  The energy trace records that lowest energy so
-far and ends at the energy of the returned pair.
+fallback (tested every iteration against a running bound on max|u|,
+made exact only when the bound cannot rule a stall out) fires, and on
+the last iteration, so a gap stop lands on a check iteration.  Every
+run reports why it stopped: ``gap`` (the normalised gap met the
+tolerance; the run returns the pair that met it), ``stalled`` (the
+relative-change fallback fired first) or ``cap`` (the iteration cap).
+Only ``gap`` counts as converged; a stalled or capped run returns the
+checked pair of lowest forward-stencil energy.  The energy trace records
+that lowest energy so far and ends at the energy of the returned pair.
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ __all__ = [
 CHANGE_TOLERANCE = 1e-9  # fallback stop: relative change of u
 BURN_IN = 50             # iterations before the fallback may stop the run
 MONITOR_EVERY = 10       # iterations between convergence checks
+# slack on the running bound of max|u|, far above the rounding of its sums
+STALL_BOUND_PAD = 1.0 + 1e-12
 
 
 @dataclass
@@ -144,6 +153,7 @@ def solve(f: GridImage, lam: float, g: Gauge,
     div_buf = np.empty_like(fv)
     step = np.empty_like(fv)
     scratch = np.empty_like(fv)
+    u_bound = _abs_max(u)
 
     best_energy = math.inf
     best_u = u.copy()
@@ -155,14 +165,14 @@ def solve(f: GridImage, lam: float, g: Gauge,
     for k in range(cfg.max_iterations):
         iterations = k + 1
 
-        _grad_forward_raw(u_bar, spacing, out=grad_buf)
-        grad_buf *= sigma
+        _grad_forward_raw(u_bar, 1.0, out=grad_buf)
+        grad_buf *= sigma / spacing
         grad_buf += p
         p = g.project_minus_wulff(grad_buf)
 
         # u <- f + shrink(u + tau * div p - f, tau * lam), in the buffers
-        div_p = _div_adjoint_raw(p, spacing, out=div_buf)
-        np.multiply(div_p, tau, out=step)
+        _div_adjoint_raw(p, 1.0, out=div_buf)
+        np.multiply(div_buf, tau / spacing, out=step)
         step += u
         step -= fv
         step -= np.clip(step, -tau * lam, tau * lam, out=scratch)
@@ -172,7 +182,13 @@ def solve(f: GridImage, lam: float, g: Gauge,
         change = _abs_max(u_bar)
         u_bar += u
 
-        stalled = k > BURN_IN and change <= CHANGE_TOLERANCE * (_abs_max(u) + 1e-30)
+        # |u| <= |u_prev| + |u - u_prev| keeps u_bound >= max|u|; the exact
+        # max is taken only when the bound cannot rule a stall out
+        u_bound = (u_bound + change) * STALL_BOUND_PAD
+        stalled = False
+        if k > BURN_IN and change <= CHANGE_TOLERANCE * (u_bound + 1e-30):
+            u_bound = _abs_max(u)
+            stalled = change <= CHANGE_TOLERANCE * (u_bound + 1e-30)
         last = iterations == cfg.max_iterations
         if not (stalled or last or iterations % MONITOR_EVERY == 0):
             continue
@@ -184,6 +200,7 @@ def solve(f: GridImage, lam: float, g: Gauge,
 
         # dual value of the forward-stencil saddle objective at a scaled
         # (hence feasible: |div| <= lam) copy of p -- a true lower bound
+        div_p = np.divide(div_buf, spacing, out=div_buf)  # the kernel's bits
         dmax = _abs_max(div_p)
         scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
         dual_value = -float(np.multiply(fv, div_p, out=scratch).sum()) * scale * h2

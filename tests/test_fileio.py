@@ -49,5 +49,16 @@ def test_field_round_trip(tmp_path, rng):
     write_field(path, p)
     back = read_field(path)
     assert back.spacing == 0.125
-    assert np.array_equal(back.values, p.values)
+    assert back.values.tobytes() == p.values.tobytes()
+    assert back.values.flags.c_contiguous and back.values.flags.writeable
     assert (tmp_path / "v.raw.json").exists()
+
+
+def test_field_rejects_short_and_long_files(tmp_path, rng):
+    path = tmp_path / "v.raw"
+    write_field(path, DualField(rng.normal(size=(4, 3, 2)), spacing=0.5))
+    raw = path.read_bytes()
+    for bad in (raw[:-8], raw[:-3], raw + bytes(8), raw + bytes(3), b""):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError):
+            read_field(path)

@@ -228,6 +228,17 @@ def test_projection_fixes_members(any_gauge, rng):
     assert np.allclose(proj[inside], x[inside])
 
 
+def test_projection_of_a_single_vector(any_gauge, rng):
+    # a lone 2-vector projects to the bytes it gets inside a field
+    field = rng.normal(size=(3, 5, 2)) * 3
+    field[0, 0] = 0.0
+    proj = any_gauge.project_minus_wulff(field)
+    for i, j in np.ndindex(3, 5):
+        single = any_gauge.project_minus_wulff(field[i, j].copy())
+        assert single.shape == (2,)
+        assert single.tobytes() == proj[i, j].tobytes()
+
+
 def test_projection_idempotent_and_feasible(any_gauge, rng):
     x = rng.normal(size=(500, 2)) * 4
     p1 = project_minus_wulff(any_gauge, x)

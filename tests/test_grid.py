@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from wulff_tvl1.gauge import Gauge, _polygon_halfspaces
-from wulff_tvl1.grid import (DualField, GridImage, backward_gradient,
-                             cell_centers, coarea_check, divergence,
+from wulff_tvl1.grid import (DualField, GridImage, _div_adjoint_raw,
+                             _div_forward_raw, _grad_backward_raw,
+                             _grad_forward_raw, backward_gradient, cell_centers, coarea_check, divergence,
                              energy_decompose, forward_divergence,
                              forward_gradient, level_set, raster_convex_polygon,
                              raster_disk, reflect, tv_phi, tv_phi_dual_gap)
@@ -38,6 +39,76 @@ def test_gradient_2x2_instance():
     g = forward_gradient(u).values
     assert g[0, 0, 0] == 1.0 and g[1, 0, 0] == 1.0
     assert not np.any(g[:, 1, 0])
+    # the flat x-difference writes v[1, 0] - v[0, 1] = -1 into the last
+    # column before zeroing it, in every layout
+    for v in _layouts(u.values):
+        for out in _layouts(np.empty((2, 2, 2))):
+            g = _grad_forward_raw(v, 1.0, out=out)
+            assert np.array_equal(g, [[[1, 0], [0, 0]], [[1, 0], [0, 0]]])
+            assert np.signbit(g).sum() == 0
+
+
+# the stencils as 2-D slice formulas: the kernels' flat passes and their
+# unit-spacing shortcut must give these bytes
+
+def _grad_by_slices(v: np.ndarray, spacing: float) -> np.ndarray:
+    out = np.zeros(v.shape + (2,))
+    np.subtract(v[:, 1:], v[:, :-1], out=out[:, :-1, 0])
+    np.subtract(v[1:, :], v[:-1, :], out=out[:-1, :, 1])
+    out /= spacing
+    return out
+
+
+def _div_by_slices(p: np.ndarray, spacing: float) -> np.ndarray:
+    px, py = p[..., 0], p[..., 1]
+    out = np.empty(p.shape[:2])
+    out[:, 0] = px[:, 0]
+    np.subtract(px[:, 1:-1], px[:, :-2], out=out[:, 1:-1])
+    out[:, -1] = -px[:, -2]
+    out[0, :] += py[0, :]
+    out[1:-1, :] += py[1:-1, :]
+    out[1:-1, :] -= py[:-2, :]
+    out[-1, :] -= py[-2, :]
+    out /= spacing
+    return out
+
+
+def _layouts(a: np.ndarray) -> list:
+    """a in C and Fortran order, reflected, and (for fields) as planar
+    (2, H, W) storage and as a plane of a wider field; equal values."""
+    out = [a.copy(), np.asfortranarray(a), a[::-1, ::-1].copy()[::-1, ::-1]]
+    if a.ndim == 3:
+        planar = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+        out += [np.moveaxis(planar, 0, -1),
+                np.moveaxis(planar[:, ::-1, ::-1].copy(), 0, -1)[::-1, ::-1]]
+    else:
+        wide = np.stack([a, -a], axis=-1)
+        out += [wide[..., 0], wide[::-1, ::-1].copy()[::-1, ::-1, 0]]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 7), (7, 2), (5, 9)])
+def test_kernels_match_the_slice_formulas_in_every_layout(shape, rng):
+    v = rng.normal(size=shape)
+    p = rng.normal(size=shape + (2,))
+    for spacing in (1.0, 3.0 / shape[1]):
+        grad = _grad_by_slices(v, spacing).tobytes()
+        div = _div_by_slices(p, spacing).tobytes()
+        # the reflected kernels: 0 - (forward kernel on the reflected views)
+        grad_bw = (0.0 - _grad_by_slices(v[::-1, ::-1], spacing)[::-1, ::-1]).tobytes()
+        div_fw = (0.0 - _div_by_slices(p[::-1, ::-1], spacing)[::-1, ::-1]).tobytes()
+        for a in _layouts(v):
+            assert _grad_forward_raw(a, spacing).tobytes() == grad
+            assert _grad_backward_raw(a, spacing).tobytes() == grad_bw
+            for out in _layouts(np.empty(shape + (2,))):
+                res = _grad_forward_raw(a, spacing, out=out)
+                assert res is out and np.ascontiguousarray(out).tobytes() == grad
+        for a in _layouts(p):
+            assert _div_adjoint_raw(a, spacing).tobytes() == div
+            assert _div_forward_raw(a, spacing).tobytes() == div_fw
+            for out in _layouts(np.empty(shape)):
+                res = _div_adjoint_raw(a, spacing, out=out)
+                assert res is out and np.ascontiguousarray(out).tobytes() == div
 
 
 def test_gradient_rejects_degenerate_grid():
@@ -85,6 +156,16 @@ def test_adjoint_identity(rng):
         lhs = float(np.einsum("ijk,ijk->", forward_gradient(u).values, p.values))
         rhs = float((u.values * divergence(p).values).sum())
         assert abs(lhs + rhs) <= 1e-12 * max(1.0, abs(lhs))
+    # integer fields at unit spacing: every product and sum is exact, so
+    # both stencil pairs are adjoint exactly, in every layout
+    for shape in ((2, 2), (2, 7), (7, 2), (5, 9)):
+        v = rng.integers(-9, 10, size=shape).astype(float)
+        q = rng.integers(-9, 10, size=shape + (2,)).astype(float)
+        for a, b in zip(_layouts(v), _layouts(q)):
+            assert (np.sum(_grad_forward_raw(a, 1.0) * b)
+                    + np.sum(a * _div_adjoint_raw(b, 1.0))) == 0.0
+            assert (np.sum(_grad_backward_raw(a, 1.0) * b)
+                    + np.sum(a * _div_forward_raw(b, 1.0))) == 0.0
 
 
 def test_forward_divergence_is_adjoint_of_backward_gradient(rng):

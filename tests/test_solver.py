@@ -195,9 +195,10 @@ def test_capped_run_returns_its_lowest_forward_energy_pair(name):
 
 
 def reference_loop(f: GridImage, lam: float, g: Gauge, cfg: SolverConfig):
-    """The step loop with interleaved (H, W, 2) fields, the shrink written
-    as sign(s) max(|s| - tau lam, 0), fresh copies on each improvement and
-    the monitor on every iteration; returns (u, p, trace, gap, iterations)."""
+    """The step loop with interleaved (H, W, 2) fields, the 1/h folded into
+    the steps, the shrink written as sign(s) max(|s| - tau lam, 0), fresh
+    copies on each improvement and the monitor on every iteration; returns
+    (u, p, trace, gap, iterations)."""
     tau, sigma = cfg.steps_for(f.spacing)
     h2 = f.spacing**2
     fv = f.values
@@ -208,10 +209,9 @@ def reference_loop(f: GridImage, lam: float, g: Gauge, cfg: SolverConfig):
     trace = []
     for k in range(cfg.max_iterations):
         iterations = k + 1
-        grad = _grad_forward_raw(u_bar, f.spacing) * sigma + p
+        grad = _grad_forward_raw(u_bar, 1.0) * (sigma / f.spacing) + p
         p = g.project_minus_wulff(grad)
-        div_p = _div_adjoint_raw(p, f.spacing)
-        step = div_p * tau + u - fv
+        step = _div_adjoint_raw(p, 1.0) * (tau / f.spacing) + u - fv
         step = np.sign(step) * np.maximum(np.abs(step) - tau * lam, 0.0)
         u_prev, u = u, fv + step
         u_bar = u - u_prev
@@ -219,6 +219,7 @@ def reference_loop(f: GridImage, lam: float, g: Gauge, cfg: SolverConfig):
         u_bar += u
         fid = lam * float(np.abs(u - fv).sum()) * h2
         e_fwd = float(g(_grad_forward_raw(u, f.spacing)).sum()) * h2 + fid
+        div_p = _div_adjoint_raw(p, f.spacing)
         dmax = max(float(div_p.max()), -float(div_p.min()))
         scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
         gap = e_fwd - (-float((fv * div_p).sum()) * scale * h2)
@@ -296,13 +297,29 @@ def test_stalled_run_is_not_converged(monkeypatch):
     cfg = SolverConfig(tau=1e-7, sigma=1e-7)
     res = solve(f, 3.0, L1, cfg)
     assert res.stop_reason == "stalled" and not res.converged
-    assert res.iterations < SolverConfig().max_iterations
+    assert res.iterations == BURN_IN + 2  # the first iteration it may stop
     # the fallback is tested every iteration and its iteration is checked
     assert len(res.energy_trace) == math.ceil(res.iterations / solver.MONITOR_EVERY)
     assert res.energy_trace[-1] == forward_energy(res.u, f, 3.0, L1)
+    assert res.final_gap_normalized > SolverConfig().gap_tolerance
+
+    # max|u| is taken only when a running upper bound cannot rule a stall
+    # out; an infinite pad takes it on every iteration, as the rule reads.
+    # The 8x8 integer run (gap test off) stalls long after the burn-in
+    ints = GridImage(np.random.default_rng(1).integers(0, 3, size=(8, 8))
+                     .astype(float), 1.0)
+    late = solve(ints, 1.0, L1, SolverConfig(gap_tolerance=0.0))
+    assert late.stop_reason == "stalled" and late.iterations == 933
+    monkeypatch.setattr(solver, "STALL_BOUND_PAD", math.inf)
+    for lazy, exact in ((res, solve(f, 3.0, L1, cfg)),
+                        (late, solve(ints, 1.0, L1, SolverConfig(gap_tolerance=0.0)))):
+        assert (exact.stop_reason, exact.iterations) == (lazy.stop_reason, lazy.iterations)
+        assert exact.u.values.tobytes() == lazy.u.values.tobytes()
+        assert exact.p.values.tobytes() == lazy.p.values.tobytes()
+        assert exact.final_gap == lazy.final_gap
+
     monkeypatch.setattr(solver, "MONITOR_EVERY", 1)
     assert solve(f, 3.0, L1, cfg).iterations == res.iterations
-    assert res.final_gap_normalized > SolverConfig().gap_tolerance
 
 
 # ----------------------------------------------------------------------
