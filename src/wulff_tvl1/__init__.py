@@ -1,9 +1,9 @@
 """Anisotropic TV-L1 denoising with Wulff-shape gauges.
 
-Library layout: gauges and duals (`gauge`), grid operators (`grid`),
-image/field files (`fileio`), exact polygon oracles (`shapes`), the
-primal-dual solver (`solver`), the optimality certificate checker
-(`certificate`) and the CLI (`cli`).
+Library layout: gauges and duals (`gauge`), projections onto -W
+(`projection`), grid operators (`grid`), image/field files (`fileio`),
+exact polygon oracles (`shapes`), the primal-dual solver (`solver`), the
+optimality certificate checker (`certificate`) and the CLI (`cli`).
 """
 
 __version__ = "0.1.0"

@@ -12,11 +12,8 @@ trailing component axes so they can run cellwise on grid fields; the 2-D
 kernels work on the two component planes x[..., 0] and x[..., 1].
 
 The Euclidean projection onto -W, the solver's dual step, is exact for
-every kind, with one routine per geometry: a clip onto the box (p = 1),
-closed forms for the disk (p = 2 and asymmetric) and the 2-D l1 ball
-(p = inf), safeguarded Newton on one boundary parameter per point for
-weighted q-norm balls (every other p, ellipses included), and the nearest
-point over all edges for polygons.
+every kind: a clip onto the box (p = 1), and otherwise the routine of the
+`projection` module for the geometry of -W.
 
 Supported kinds:
 
@@ -37,6 +34,10 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from .projection import (_pnorm, _polygon_halfspaces, _project_convex_polygon,
+                         _project_l1_ball, _project_q_ball,
+                         _project_shifted_disk, _project_unit_disk)
+
 __all__ = [
     "Gauge",
     "WulffShape",
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 _SMOOTH_WULFF_VERTICES = 720
-_Q_BALL_STEPS = 60  # ceiling on Newton/bisection steps; most points take 3-5
 
 
 def _conjugate_exponent(p: float) -> float:
@@ -57,21 +57,6 @@ def _conjugate_exponent(p: float) -> float:
     if math.isinf(p):
         return 1.0
     return p / (p - 1.0)
-
-
-def _pnorm(y: np.ndarray, p: float) -> np.ndarray:
-    """|y|_p over the last axis, combined one component plane at a time.
-    For two components this rounds exactly like a reduction over the axis
-    and is several times faster than reducing over a size-2 axis."""
-    planes = [y[..., i] for i in range(y.shape[-1])]
-    if p == 2.0:
-        return np.sqrt(reduce(np.add, [c * c for c in planes]))
-    planes = [np.abs(c) for c in planes]
-    if p == 1.0:
-        return reduce(np.add, planes)
-    if math.isinf(p):
-        return reduce(np.maximum, planes)
-    return reduce(np.add, [c**p for c in planes]) ** (1.0 / p)
 
 
 def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
@@ -100,19 +85,6 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     if len(hull) < 3:
         raise ValueError("polyhedral gauge vertices are collinear")
     return hull
-
-
-def _polygon_halfspaces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit normals n_e and offsets b_e (n_e.x <= b_e) of a CCW
-    polygon; every b_e > 0 exactly when 0 lies strictly inside."""
-    edges = np.roll(vertices, -1, axis=0) - vertices
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=-1)
-    lengths = np.linalg.norm(normals, axis=-1)
-    if np.any(lengths < 1e-14):
-        raise ValueError("degenerate polygon edge")
-    normals = normals / lengths[:, None]
-    offsets = np.einsum("ij,ij->i", normals, vertices)
-    return normals, offsets
 
 
 @dataclass
@@ -335,14 +307,15 @@ class Gauge:
     def project_minus_wulff(self, x) -> np.ndarray:
         """Euclidean projection onto -W = {phi_dual <= 1}, exact for every
         kind: a clip for p = 1, closed forms for the unit disk (p = 2, and
-        asymmetric kinds shifted by a) and the l1 ball (p = inf),
-        safeguarded Newton for the weighted q-norm ball of any other p, and
-        the nearest point over all edges for polygons.  The result has x's
+        asymmetric kinds shifted by a) and the l1 ball (p = inf; a box in
+        rotated coordinates when both weights are equal), safeguarded
+        Newton for the weighted q-norm ball of any other p, and the nearest
+        point of the most-violated edge for polygons.  The result has x's
         memory layout; points in -W come back unchanged.  All but the clip
         and the disk are 2-D only."""
         x = np.asarray(x, dtype=float)
         if self.kind == "asymmetric":  # -W is the unit disk centred at a
-            return self.shift + _project_unit_disk(x - self.shift)
+            return _project_shifted_disk(x, self.shift)
         if self.kind == "polyhedral":
             return _project_convex_polygon(x, self._minus_wulff_polygon)
         p = self.p
@@ -355,7 +328,7 @@ class Gauge:
                 return _project_unit_disk(x)
             w = np.ones(2)
         if math.isinf(p):  # -W is the ball sum |x_i| / w_i <= 1
-            return _project_l1_ball(x, 1.0 / w)
+            return _project_l1_ball(x, w)
         # -W is the ball sum |x_i / w_i|^q <= 1 with 1/p + 1/q = 1
         return _project_q_ball(x, _conjugate_exponent(p), w)
 
@@ -379,180 +352,6 @@ def _max_linear(y: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         form += term
         np.maximum(out, form, out=out)
     return out[()]
-
-
-def _project_unit_disk(x: np.ndarray) -> np.ndarray:
-    scale = np.maximum(_pnorm(x, 2.0), 1.0)[..., None]
-    return np.divide(x, scale, out=np.empty_like(x))
-
-
-def _project_l1_ball(x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Projection onto { z : c_1 |z_1| + c_2 |z_2| <= 1 } (c > 0) in closed
-    form: z = sign(x) max(|x| - mu c, 0), where mu >= 0 solves
-    sum_i c_i max(|x_i| - mu c_i, 0) = 1 (Condat 2016, 2-D case).  That sum
-    is the largest of its linear pieces over the sets of active
-    coordinates, so mu is the largest of their roots."""
-    if x.shape[-1] != 2 or len(coeff) != 2:
-        raise ValueError("the l1-ball projection is 2-D only")
-    a0 = np.abs(x[..., 0])
-    a1 = np.abs(x[..., 1])
-    c0, c1 = coeff
-    mu = np.maximum((c0 * a0 - 1.0) / (c0 * c0), (c1 * a1 - 1.0) / (c1 * c1),
-                    out=np.empty(x.shape[:-1]))  # an array even for one vector
-    np.maximum(mu, (c0 * a0 + c1 * a1 - 1.0) / (c0 * c0 + c1 * c1), out=mu)
-    np.maximum(mu, 0.0, out=mu)
-    out = np.empty_like(x)  # in x's memory order
-    np.copysign(np.maximum(a0 - mu * c0, 0.0), x[..., 0], out=out[..., 0])
-    np.copysign(np.maximum(a1 - mu * c1, 0.0), x[..., 1], out=out[..., 1])
-    return out
-
-
-def _q_ball_arc(tau: np.ndarray, q: float, p: float):
-    """(y_u, y_v, e^(tau/p), e^tau) for the point with y_u^q + y_v^q = 1 and
-    y_u^q / y_v^q = e^tau, 1/p + 1/q = 1; e^tau may underflow to 0."""
-    root_q = np.exp(tau / q)
-    root_p = np.exp(tau / p)
-    share = root_q * root_p
-    y_v = np.exp(-np.log1p(share) / q)
-    return root_q * y_v, y_v, root_p, share
-
-
-def _log_expm1(t: np.ndarray) -> np.ndarray:
-    """log(e^t - 1) for t > 0, and -inf for t <= 0."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(t > 0, t + np.log(-np.expm1(-t)), -np.inf)
-
-
-def _nearest_on_q_arc(a_u: np.ndarray, a_v: np.ndarray, w_u: float, w_v: float,
-                      q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest point (z_u, z_v) of the arc (z_u/w_u)^q + (z_v/w_v)^q = 1,
-    z >= 0, to points a >= 0 outside the ball whose nearest point has
-    (z_u/w_u)^q <= 1/2, by safeguarded Newton on one parameter per point.
-
-    a - z is a nonnegative multiple of the normal N_i = (z_i/w_i)^(q-1) / w_i.
-    The arc is parametrised by tau = log((z_u/w_u)^q / (z_v/w_v)^q) <= 0,
-    which keeps both coordinates at full relative precision near either
-    axis.  With N_u / N_v = r = (w_v / w_u) e^(tau/p), 1/p + 1/q = 1, the
-    condition reads  S(tau) = z_u + (a_v - z_v) r = a_u.  On the bracket
-    where z_u <= a_u and z_v <= a_v, which holds at the solution, S is
-    increasing, and log(S / a_u) is close to linear in tau even near the
-    axes.  Newton runs on that function inside a bisection bracket: a step
-    that would leave the bracket bisects instead.  A point stops when its
-    Newton step falls below 1e-14 (1 + |tau|) or below the rounding floor
-    of S, or after _Q_BALL_STEPS steps.
-    """
-    p = q / (q - 1.0)
-    tau = np.full(a_u.shape, -np.inf)  # a_u = 0: the end (0, w_v) of the arc
-    ids = np.flatnonzero(a_u > 0.0)
-    a_u = a_u[ids]
-    a_v = a_v[ids]
-    log_a_u = np.log(a_u)
-    # a_u <= (w_u + a_v w_v / w_u) e^(tau min(1/p, 1/q)), z_v <= a_v, z_u <= a_u
-    lo = (log_a_u - np.log(w_u + a_v * (w_v / w_u))) / min(1.0 / p, 1.0 / q)
-    lo = np.maximum(lo, _log_expm1(q * np.log(w_v / a_v)))
-    hi = np.minimum(0.0, -_log_expm1(q * (math.log(w_u) - log_a_u)))
-    # start from the radial projection a / phi_dual(a)
-    t = np.clip(q * (log_a_u - np.log(a_v * (w_u / w_v))), lo, hi)
-
-    for _ in range(_Q_BALL_STEPS):
-        if ids.size == 0:
-            break
-        y_u, y_v, root_p, share = _q_ball_arc(t, q, p)
-        z_u = w_u * y_u
-        z_v = w_v * y_v
-        r = (w_v / w_u) * root_p
-        gap_v = a_v - z_v
-        s = z_u + gap_v * r
-        e = share / (1.0 + share)
-        ds = (z_u * (1.0 - e) + z_v * e * r) / q + gap_v * r / p
-        # far out on the arc of a subnormal a_u, s and ds underflow to 0 and
-        # the step is not finite; such a step bisects below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.log(s / a_u)
-            step = phi * s / ds
-            # small enough: below 1e-14 (1 + |tau|), or below the rounding
-            # of a_v - z_v, which S carries multiplied by r
-            done = np.abs(step) <= 1e-14 * (1.0 + np.abs(t)) + 1e-15 * a_v * r / ds
-        done &= np.isfinite(step)
-        # the root lies below t where phi > 0 and above it elsewhere; above
-        # is 0 or 1, so the bracket moves without a per-point select
-        above = phi > 0.0
-        lo = np.maximum(lo, t - 1e300 * above)
-        hi = np.minimum(hi, t + 1e300 * ~above)
-        newton = t - step
-        t = np.clip(newton, lo, hi)
-        # the bracket ends carry rounding: a step that leaves the bracket by
-        # more than that, or is not finite, bisects it instead
-        bisect = np.flatnonzero(~(np.abs(t - newton) <= 1e-14 * (1.0 + np.abs(t))))
-        t[bisect] = 0.5 * (lo[bisect] + hi[bisect])
-        if done.any():
-            finished = np.flatnonzero(done)
-            tau[ids[finished]] = t[finished]
-            going = np.flatnonzero(~done)
-            ids, t, lo, hi, a_u, a_v = (c[going] for c in (ids, t, lo, hi, a_u, a_v))
-    tau[ids] = t
-    y_u, y_v, _, _ = _q_ball_arc(tau, q, p)
-    return w_u * y_u, w_v * y_v
-
-
-def _copy_with_planes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A copy of x in x's memory order (in C order if no plane has a flat
-    view in x's) and its two component planes as writable 1-D views."""
-    out = np.array(x, dtype=float)
-    for order in "CF":
-        planes = np.moveaxis(out, -1, 0).reshape(2, -1, order=order)
-        if np.may_share_memory(planes, out):
-            return out, planes
-    out = np.ascontiguousarray(out)  # also any empty x: it shares no memory
-    return out, np.moveaxis(out, -1, 0).reshape(2, -1)
-
-
-def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
-    """Projection onto { z : |z_1 / w_1|^q + |z_2 / w_2|^q <= 1 }, 1 < q < inf.
-    Points in the ball are returned unchanged.  By symmetry a point outside
-    is projected as a = |x| onto the first-quadrant arc; the sign of the
-    optimality condition at the arc's midpoint tells which coordinate u has
-    (z_u / w_u)^q <= 1/2 at the solution."""
-    if x.shape[-1] != 2 or len(w) != 2:
-        raise ValueError("the q-norm ball projection is 2-D only")
-    out, planes = _copy_with_planes(x)
-    a = np.abs(planes)
-    with np.errstate(over="ignore"):  # inf is outside too
-        outside = np.flatnonzero((a[0] / w[0]) ** q + (a[1] / w[1]) ** q > 1.0)
-    a = a[:, outside]
-    mid = 2.0 ** (-1.0 / q)
-    first = (w[0] * mid - a[0]) + (a[1] - w[1] * mid) * (w[1] / w[0]) >= 0.0
-    for u, group in ((0, np.flatnonzero(first)), (1, np.flatnonzero(~first))):
-        v = 1 - u
-        cells = outside[group]
-        z_u, z_v = _nearest_on_q_arc(a[u, group], a[v, group], w[u], w[v], q)
-        planes[u, cells] = np.copysign(z_u, planes[u, cells])
-        planes[v, cells] = np.copysign(z_v, planes[v, cells])
-    return out
-
-
-def _project_convex_polygon(x: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Projection onto a CCW convex polygon.  Points outside it go to the
-    nearest point over all edges, found in one (edges x points) pass on
-    the component planes of the outside points."""
-    out, planes = _copy_with_planes(x)
-    x0, x1 = planes
-    normals, offsets = _polygon_halfspaces(vertices)
-    excess = normals[:, :1] * x0 + normals[:, 1:] * x1 - offsets[:, None]
-    outside = np.flatnonzero(excess.max(axis=0) > 1e-12)
-    x0 = x0[outside]
-    x1 = x1[outside]
-    a0, a1 = vertices[:, :1], vertices[:, 1:]
-    d0 = np.roll(a0, -1, axis=0) - a0
-    d1 = np.roll(a1, -1, axis=0) - a1
-    t = ((x0 - a0) * d0 + (x1 - a1) * d1) / (d0 * d0 + d1 * d1)
-    np.clip(t, 0.0, 1.0, out=t)
-    c0 = a0 + t * d0
-    c1 = a1 + t * d1
-    nearest = ((x0 - c0) ** 2 + (x1 - c1) ** 2).argmin(axis=0)[None]
-    planes[0, outside] = np.take_along_axis(c0, nearest, axis=0)[0]
-    planes[1, outside] = np.take_along_axis(c1, nearest, axis=0)[0]
-    return out
 
 
 # Module-level aliases with the operation names used throughout the package.

@@ -345,13 +345,19 @@ def rasterize(indicator, width: int, height: int, spacing: float,
     covered fraction stored; binary=True thresholds the coverage at 0.5,
     which recovers a clean set with sub-cell-centred boundary placement.
     """
-    X, Y = cell_centers(width, height, spacing)
     ss = int(supersample)
-    offs = ((np.arange(ss) + 0.5) / ss - 0.5) * spacing
+    # sample i of cell j sits at (2 ss j + 2 i + 1 - ss n) h / (2 ss): an
+    # integer times one step, so mirrored samples are exact negatives and a
+    # mirror-symmetric set gives a mirror-symmetric raster
+    unit = spacing / (2 * ss)
+
+    def samples(n, i):
+        return (2 * ss * np.arange(n) + (2 * i + 1 - ss * n)) * unit
+
     acc = np.zeros((height, width))
-    for dy in offs:
-        for dx in offs:
-            acc += indicator(X + dx, Y + dy)
+    for i in range(ss):
+        for j in range(ss):
+            acc += indicator(*np.meshgrid(samples(width, j), samples(height, i)))
     values = acc / (ss * ss)
     if binary:
         values = (values > 0.5).astype(float)

@@ -1,0 +1,284 @@
+"""Euclidean projections onto the convex sets that -W can be, for 2-D
+fields worked one component plane at a time.
+
+There is one routine per geometry: closed forms for the disk (p = 2, and
+centred at a for the asymmetric kinds) and the 2-D l1 ball (p = inf; with
+equal weights a square turned 45 degrees, clipped as a box in the rotated
+coordinates x_1 + x_2 and x_1 - x_2), safeguarded Newton on one boundary
+parameter per point for weighted q-norm balls (every other p, ellipses
+included), and the nearest point of the most-violated edge for convex
+polygons.  The box of p = 1 is a clip.  Each routine returns a new array
+in its input's memory layout and leaves points of the set unchanged.  The
+plane-wise p-norm and the polygon half-spaces, which the gauge evaluators
+share, live here too.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import reduce
+
+import numpy as np
+
+_Q_BALL_STEPS = 60  # ceiling on Newton/bisection steps; most points take 3-5
+
+
+def _pnorm(y: np.ndarray, p: float) -> np.ndarray:
+    """|y|_p over the last axis, combined one component plane at a time.
+    For two components this rounds exactly like a reduction over the axis
+    and is several times faster than reducing over a size-2 axis."""
+    planes = [y[..., i] for i in range(y.shape[-1])]
+    if p == 2.0:
+        return np.sqrt(reduce(np.add, [c * c for c in planes]))
+    planes = [np.abs(c) for c in planes]
+    if p == 1.0:
+        return reduce(np.add, planes)
+    if math.isinf(p):
+        return reduce(np.maximum, planes)
+    return reduce(np.add, [c**p for c in planes]) ** (1.0 / p)
+
+
+def _polygon_halfspaces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outward unit normals n_e and offsets b_e (n_e.x <= b_e) of a CCW
+    polygon; every b_e > 0 exactly when 0 lies strictly inside."""
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=-1)
+    lengths = np.linalg.norm(normals, axis=-1)
+    if np.any(lengths < 1e-14):
+        raise ValueError("degenerate polygon edge")
+    normals = normals / lengths[:, None]
+    offsets = np.einsum("ij,ij->i", normals, vertices)
+    return normals, offsets
+
+
+def _project_unit_disk(x: np.ndarray) -> np.ndarray:
+    scale = np.maximum(_pnorm(x, 2.0), 1.0)[..., None]
+    return np.divide(x, scale, out=np.empty_like(x))
+
+
+def _project_shifted_disk(x: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """Projection onto the unit disk centred at `centre`, one component
+    plane at a time in x's memory layout: the same arithmetic as
+    centre + _project_unit_disk(x - centre), without its broadcast passes."""
+    out = np.empty_like(x)
+    planes = [out[..., i] for i in range(x.shape[-1])]
+    for i, (plane, c) in enumerate(zip(planes, centre)):
+        np.subtract(x[..., i], c, out=plane)
+    scale = np.maximum(_pnorm(out, 2.0), 1.0)
+    for plane, c in zip(planes, centre):
+        plane /= scale
+        plane += c
+    return out
+
+
+def _project_l1_ball(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Projection onto { z : |z_1| / w_1 + |z_2| / w_2 <= 1 } (w > 0).
+
+    With w_1 = w_2 = r the ball is the box |s|, |d| <= r in the rotated
+    coordinates s = x_1 + x_2, d = x_1 - x_2.  Its projection clips s and d
+    and moves x back by the clipped-off parts e_s and e_d:
+    z_1 = x_1 - (e_s + e_d) / 2, z_2 = x_2 - (e_s - e_d) / 2, so points in
+    the ball (e = 0) come back unchanged to the bit.
+
+    Otherwise, with c = 1 / w, the closed form z = sign(x) max(|x| - mu c,
+    0), where mu >= 0 solves sum_i c_i max(|x_i| - mu c_i, 0) = 1 (Condat
+    2016, 2-D case).  That sum is the largest of its linear pieces over the
+    sets of active coordinates, so mu is the largest of their roots."""
+    if x.shape[-1] != 2 or len(w) != 2:
+        raise ValueError("the l1-ball projection is 2-D only")
+    x0 = x[..., 0]
+    x1 = x[..., 1]
+    out = np.empty_like(x)  # in x's memory order
+    z0 = out[..., 0]  # 0-d arrays for one vector, so every out= works
+    z1 = out[..., 1]
+    if w[0] == w[1]:
+        r = w[0]
+        e = np.empty((2,) + x.shape[:-1])
+        e_s, e_d = e[0, ...], e[1, ...]
+        for part, combine in ((e_s, np.add), (e_d, np.subtract)):
+            combine(x0, x1, out=part)
+            part -= np.clip(part, -r, r, out=z0)
+        np.add(e_s, e_d, out=z0)
+        z0 *= 0.5
+        np.subtract(x0, z0, out=z0)
+        e_s -= e_d
+        e_s *= 0.5
+        np.subtract(x1, e_s, out=z1)
+        return out
+    a0 = np.abs(x0)
+    a1 = np.abs(x1)
+    c0, c1 = 1.0 / w
+    mu = np.maximum((c0 * a0 - 1.0) / (c0 * c0), (c1 * a1 - 1.0) / (c1 * c1),
+                    out=np.empty(x.shape[:-1]))  # an array even for one vector
+    np.maximum(mu, (c0 * a0 + c1 * a1 - 1.0) / (c0 * c0 + c1 * c1), out=mu)
+    np.maximum(mu, 0.0, out=mu)
+    np.copysign(np.maximum(a0 - mu * c0, 0.0), x0, out=z0)
+    np.copysign(np.maximum(a1 - mu * c1, 0.0), x1, out=z1)
+    return out
+
+
+def _q_ball_arc(tau: np.ndarray, q: float, p: float):
+    """(y_u, y_v, e^(tau/p), e^tau) for the point with y_u^q + y_v^q = 1 and
+    y_u^q / y_v^q = e^tau, 1/p + 1/q = 1; e^tau may underflow to 0."""
+    root_q = np.exp(tau / q)
+    root_p = np.exp(tau / p)
+    share = root_q * root_p
+    y_v = np.exp(-np.log1p(share) / q)
+    return root_q * y_v, y_v, root_p, share
+
+
+def _log_expm1(t: np.ndarray) -> np.ndarray:
+    """log(e^t - 1) for t > 0, and -inf for t <= 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(t > 0, t + np.log(-np.expm1(-t)), -np.inf)
+
+
+def _nearest_on_q_arc(a_u: np.ndarray, a_v: np.ndarray, w_u: float, w_v: float,
+                      q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest point (z_u, z_v) of the arc (z_u/w_u)^q + (z_v/w_v)^q = 1,
+    z >= 0, to points a >= 0 outside the ball whose nearest point has
+    (z_u/w_u)^q <= 1/2, by safeguarded Newton on one parameter per point.
+
+    a - z is a nonnegative multiple of the normal N_i = (z_i/w_i)^(q-1) / w_i.
+    The arc is parametrised by tau = log((z_u/w_u)^q / (z_v/w_v)^q) <= 0,
+    which keeps both coordinates at full relative precision near either
+    axis.  With N_u / N_v = r = (w_v / w_u) e^(tau/p), 1/p + 1/q = 1, the
+    condition reads  S(tau) = z_u + (a_v - z_v) r = a_u.  On the bracket
+    where z_u <= a_u and z_v <= a_v, which holds at the solution, S is
+    increasing, and log(S / a_u) is close to linear in tau even near the
+    axes.  Newton runs on that function inside a bisection bracket: a step
+    that would leave the bracket bisects instead.  A point stops when its
+    Newton step falls below 1e-14 (1 + |tau|) or below the rounding floor
+    of S, or after _Q_BALL_STEPS steps.
+    """
+    p = q / (q - 1.0)
+    tau = np.full(a_u.shape, -np.inf)  # a_u = 0: the end (0, w_v) of the arc
+    ids = np.flatnonzero(a_u > 0.0)
+    a_u = a_u[ids]
+    a_v = a_v[ids]
+    log_a_u = np.log(a_u)
+    # a_u <= (w_u + a_v w_v / w_u) e^(tau min(1/p, 1/q)), z_v <= a_v, z_u <= a_u
+    lo = (log_a_u - np.log(w_u + a_v * (w_v / w_u))) / min(1.0 / p, 1.0 / q)
+    lo = np.maximum(lo, _log_expm1(q * np.log(w_v / a_v)))
+    hi = np.minimum(0.0, -_log_expm1(q * (math.log(w_u) - log_a_u)))
+    # start from the radial projection a / phi_dual(a)
+    t = np.clip(q * (log_a_u - np.log(a_v * (w_u / w_v))), lo, hi)
+
+    for _ in range(_Q_BALL_STEPS):
+        if ids.size == 0:
+            break
+        y_u, y_v, root_p, share = _q_ball_arc(t, q, p)
+        z_u = w_u * y_u
+        z_v = w_v * y_v
+        r = (w_v / w_u) * root_p
+        gap_v = a_v - z_v
+        s = z_u + gap_v * r
+        e = share / (1.0 + share)
+        ds = (z_u * (1.0 - e) + z_v * e * r) / q + gap_v * r / p
+        # far out on the arc of a subnormal a_u, s and ds underflow to 0 and
+        # the step is not finite; such a step bisects below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = np.log(s / a_u)
+            step = phi * s / ds
+            # small enough: below 1e-14 (1 + |tau|), or below the rounding
+            # of a_v - z_v, which S carries multiplied by r
+            done = np.abs(step) <= 1e-14 * (1.0 + np.abs(t)) + 1e-15 * a_v * r / ds
+        done &= np.isfinite(step)
+        # the root lies below t where phi > 0 and above it elsewhere; above
+        # is 0 or 1, so the bracket moves without a per-point select
+        above = phi > 0.0
+        lo = np.maximum(lo, t - 1e300 * above)
+        hi = np.minimum(hi, t + 1e300 * ~above)
+        newton = t - step
+        t = np.clip(newton, lo, hi)
+        # the bracket ends carry rounding: a step that leaves the bracket by
+        # more than that, or is not finite, bisects it instead
+        bisect = np.flatnonzero(~(np.abs(t - newton) <= 1e-14 * (1.0 + np.abs(t))))
+        t[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+        if done.any():
+            finished = np.flatnonzero(done)
+            tau[ids[finished]] = t[finished]
+            going = np.flatnonzero(~done)
+            ids, t, lo, hi, a_u, a_v = (c[going] for c in (ids, t, lo, hi, a_u, a_v))
+    tau[ids] = t
+    y_u, y_v, _, _ = _q_ball_arc(tau, q, p)
+    return w_u * y_u, w_v * y_v
+
+
+def _copy_with_planes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of x in x's memory order (in C order if no plane has a flat
+    view in x's) and its two component planes as writable 1-D views."""
+    out = np.array(x, dtype=float)
+    for order in "CF":
+        planes = np.moveaxis(out, -1, 0).reshape(2, -1, order=order)
+        if np.may_share_memory(planes, out):
+            return out, planes
+    out = np.ascontiguousarray(out)  # also any empty x: it shares no memory
+    return out, np.moveaxis(out, -1, 0).reshape(2, -1)
+
+
+def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
+    """Projection onto { z : |z_1 / w_1|^q + |z_2 / w_2|^q <= 1 }, 1 < q < inf.
+    Points in the ball are returned unchanged.  By symmetry a point outside
+    is projected as a = |x| onto the first-quadrant arc; the sign of the
+    optimality condition at the arc's midpoint tells which coordinate u has
+    (z_u / w_u)^q <= 1/2 at the solution."""
+    if x.shape[-1] != 2 or len(w) != 2:
+        raise ValueError("the q-norm ball projection is 2-D only")
+    out, planes = _copy_with_planes(x)
+    a = np.abs(planes)
+    with np.errstate(over="ignore"):  # inf is outside too
+        outside = np.flatnonzero((a[0] / w[0]) ** q + (a[1] / w[1]) ** q > 1.0)
+    a = a[:, outside]
+    mid = 2.0 ** (-1.0 / q)
+    first = (w[0] * mid - a[0]) + (a[1] - w[1] * mid) * (w[1] / w[0]) >= 0.0
+    for u, group in ((0, np.flatnonzero(first)), (1, np.flatnonzero(~first))):
+        v = 1 - u
+        cells = outside[group]
+        z_u, z_v = _nearest_on_q_arc(a[u, group], a[v, group], w[u], w[v], q)
+        planes[u, cells] = np.copysign(z_u, planes[u, cells])
+        planes[v, cells] = np.copysign(z_v, planes[v, cells])
+    return out
+
+
+def _project_convex_polygon(x: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Projection onto a CCW convex polygon.  A point outside goes to the
+    nearest point of its most-violated edge, the edge of largest excess
+    n_e.x - b_e.  That is exact: in an edge's region the distance is the
+    largest excess, and in a vertex's region the largest excess belongs to
+    one of the vertex's two edges, whose clipped segment projection lands
+    on the vertex."""
+    out, planes = _copy_with_planes(x)
+    x0, x1 = planes
+    normals, offsets = _polygon_halfspaces(vertices)
+    # the largest excess, one edge at a time, which keeps the temporaries to
+    # a few planes; then, for the points outside, the first edge attaining it
+    largest = np.full(x0.shape, -np.inf)
+    excess, term = np.empty((2,) + x0.shape)
+    for (n0, n1), b in zip(normals, offsets):
+        np.multiply(n0, x0, out=excess)
+        excess += np.multiply(n1, x1, out=term)
+        excess -= b
+        np.maximum(largest, excess, out=largest)
+    outside = np.flatnonzero(largest > 1e-12)
+    x0 = x0[outside]
+    x1 = x1[outside]
+    edge = (normals[:, 0] * x0[:, None] + normals[:, 1] * x1[:, None]
+            - offsets).argmax(axis=1)
+    a0, a1 = vertices.T
+    d0 = np.roll(a0, -1) - a0
+    d1 = np.roll(a1, -1) - a1
+    length2 = d0 * d0 + d1 * d1
+    t = ((x0 - a0[edge]) * d0[edge] + (x1 - a1[edge]) * d1[edge]) / length2[edge]
+    np.clip(t, 0.0, 1.0, out=t)
+    # one representation per vertex, whichever of its edges was chosen:
+    # vertex k > 0 is the end of edge k - 1, vertex 0 the start of edge 0
+    start = np.flatnonzero((t == 0.0) & (edge > 0))
+    edge[start] -= 1
+    t[start] = 1.0
+    end = np.flatnonzero((t == 1.0) & (edge == len(vertices) - 1))
+    edge[end] = 0
+    t[end] = 0.0
+    planes[0, outside] = a0[edge] + t * d0[edge]
+    planes[1, outside] = a1[edge] + t * d1[edge]
+    return out

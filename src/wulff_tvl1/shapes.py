@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import Gauge, _polygon_halfspaces, _project_convex_polygon
+from .gauge import Gauge
+from .projection import _polygon_halfspaces, _project_convex_polygon
 
 __all__ = [
     "ConvexPolygon",

@@ -17,7 +17,10 @@ The step loop takes its differences at unit spacing and lets the steps
 carry the 1/h (sigma/h on the gradient, tau/h on the divergence), the
 same method with iterates that differ only by rounding.  The monitor's
 arithmetic is unchanged: it divides by h exactly as the public kernels
-do, so the gap of a given (u, p) pair is the same to the bit.
+do, so the gap of a given (u, p) pair is the same to the bit.  Every
+update of u and u_bar writes into one of its operands: the new u forms
+in the step buffer and u_bar in the previous u's, then the three (H, W)
+buffers rotate by name, with the iterates bit for bit as written above.
 
 The convergence monitor tracks one objective: the forward-stencil energy
 sum phi(grad+ u) h^2 + lam |u - f|_1,  the primal of the saddle-point
@@ -144,7 +147,6 @@ def solve(f: GridImage, lam: float, g: Gauge,
     spacing = f.spacing
     fv = f.values
     u = fv.copy()
-    u_prev = np.empty_like(fv)
     u_bar = fv.copy()
     # (H, W, 2) views of two contiguous component planes, C order at return
     planes = (2, f.height, f.width)
@@ -170,17 +172,19 @@ def solve(f: GridImage, lam: float, g: Gauge,
         grad_buf += p
         p = g.project_minus_wulff(grad_buf)
 
-        # u <- f + shrink(u + tau * div p - f, tau * lam), in the buffers
+        # u <- f + shrink(u + tau * div p - f, tau * lam) forms in the step
+        # buffer and u_bar = (u - u_prev) + u in the old u's; the three
+        # buffers then rotate by name
         _div_adjoint_raw(p, 1.0, out=div_buf)
         np.multiply(div_buf, tau / spacing, out=step)
         step += u
         step -= fv
         step -= np.clip(step, -tau * lam, tau * lam, out=scratch)
-        u, u_prev = u_prev, u
-        np.add(fv, step, out=u)
-        np.subtract(u, u_prev, out=u_bar)
-        change = _abs_max(u_bar)
-        u_bar += u
+        step += fv
+        np.subtract(step, u, out=u)
+        change = _abs_max(u)
+        u += step
+        u, u_bar, step = step, u, u_bar
 
         # |u| <= |u_prev| + |u - u_prev| keeps u_bound >= max|u|; the exact
         # max is taken only when the bound cannot rule a stall out

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from wulff_tvl1.gauge import (Gauge, _conjugate_exponent, _pnorm, dual_extremal,
-                              eval_dual, eval_gauge, project_minus_wulff,
-                              wulff_shape)
+from wulff_tvl1.gauge import (Gauge, _conjugate_exponent, _pnorm,
+                              _polygon_halfspaces, dual_extremal, eval_dual,
+                              eval_gauge, project_minus_wulff, wulff_shape)
 
-from conftest import GAUGE_ZOO, brute_force_dual
+from conftest import GAUGE_ZOO, brute_force_dual, random_convex_polygon
 
 
 def test_l1_evaluation():
@@ -257,15 +257,18 @@ def test_projection_nonexpansive(any_gauge, rng):
     assert np.all(num <= den + 1e-12)
 
 
-def assert_variational_inequality(g: Gauge, x: np.ndarray, px: np.ndarray):
+def assert_variational_inequality(g: Gauge, x: np.ndarray, px: np.ndarray,
+                                  slack=0.0):
     # P(x) is the projection onto -W iff <x - P(x), z - P(x)> <= 0 for every
-    # z in -W; z = d / phi_dual(d) samples the boundary of -W exactly
+    # z in -W; z = d / phi_dual(d) samples the boundary of -W exactly.
+    # `slack` bounds |P(x) - exact| per point, beyond the 1e-12 allowed
     theta = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
     d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     z = d / eval_dual(g, d)[:, None]
     r = x - px
     lhs = r @ z.T - np.einsum("ij,ij->i", r, px)[:, None]
-    bound = 1e-12 * (1.0 + np.linalg.norm(r, axis=-1))
+    norm_r = np.linalg.norm(r, axis=-1)
+    bound = 1e-12 * (1.0 + norm_r) + slack * norm_r
     assert np.all(lhs <= bound[:, None])
 
 
@@ -276,13 +279,27 @@ def test_projection_variational_inequality(name, rng):
     assert_variational_inequality(g, x, project_minus_wulff(g, x))
 
 
+INF_NORM_KINDS = [Gauge.p_norm(math.inf), Gauge.weighted(math.inf, [1.5, 1.5]),
+                  Gauge.weighted(math.inf, [2.0, 0.7])]
+INF_NORM_IDS = ["linf", "linf-1.5-1.5", "linf-2-0.7"]
+
+
+def l1_ball_weights(g: Gauge) -> np.ndarray:
+    """w of the l1 ball |z_1| / w_1 + |z_2| / w_2 <= 1 that is -W for an
+    inf-norm kind."""
+    return g.weights if g.kind == "weighted" else np.ones(2)
+
+
 @pytest.mark.parametrize("g", [Gauge.weighted(3, [1.0, 50.0]), Gauge.p_norm(1.1),
-                               Gauge.p_norm(10)], ids=["weighted-p3", "p1.1", "p10"])
+                               Gauge.p_norm(10)] + INF_NORM_KINDS,
+                         ids=["weighted-p3", "p1.1", "p10"] + INF_NORM_IDS)
 def test_projection_hard_inputs(g, rng):
-    # q-norm balls that are very flat, nearly square or nearly a diamond:
-    # points on and next to the axes (down to subnormal offsets), the
-    # origin, far points, points within 1e-12 of the boundary and interior
-    # points
+    # q-norm balls that are very flat, nearly square or nearly a diamond,
+    # and the l1 balls of the inf-norm kinds: points on and next to the axes
+    # (down to subnormal offsets), the origin, far points, points within
+    # 1e-12 of the boundary and interior points.  The l1-ball closed forms
+    # subtract terms of size |x|, so for them each point may also miss the
+    # exact projection by a few ulp of |x|
     theta = rng.uniform(0.0, 2.0 * math.pi, 200)
     d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     boundary = d / eval_dual(g, d)[:, None]
@@ -297,13 +314,110 @@ def test_projection_hard_inputs(g, rng):
                                axes * 1e-3, [[0.0, 0.0]]])
     x = np.concatenate([outside, interior])
     px = project_minus_wulff(g, x)
-    assert_variational_inequality(g, x, px)
-    assert float(np.max(eval_dual(g, px))) <= 1.0 + 1e-12
+    ulps = 0.0
+    if g.kind != "polyhedral" and math.isinf(g.p):
+        ulps = 4.0 * np.finfo(float).eps * np.abs(x).max(axis=-1)
+    assert_variational_inequality(g, x, px, slack=ulps)
+    # an error of `ulps` in each coordinate moves phi_dual by ulps phi_dual(1, 1)
+    assert np.all(eval_dual(g, px) <= 1.0 + 1e-12 + ulps * g.dual(np.ones(2)))
     assert np.array_equal(px[len(outside):], interior)
     with pytest.raises(ValueError):
         project_minus_wulff(g, np.ones((4, 3)))
     with pytest.raises(ValueError):
         project_minus_wulff(Gauge.weighted(g.p, [1.0, 2.0, 3.0]), np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("g", INF_NORM_KINDS, ids=INF_NORM_IDS)
+def test_inf_norm_projection_on_the_square(g):
+    # -W is a square with vertices (+-w_1, 0), (0, +-w_2): its vertices come
+    # back unchanged, and with equal weights so do the dyadic points of its
+    # edges
+    w = l1_ball_weights(g)
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    vertices = axes * w
+    assert np.array_equal(project_minus_wulff(g, vertices), vertices)
+    t = np.array([0.25, 0.5, 0.75])[:, None]
+    edges = np.concatenate([t * vertices[k] + (1 - t) * vertices[(k + 1) % 4]
+                            for k in range(4)])
+    if w[0] == w[1]:
+        assert np.array_equal(project_minus_wulff(g, edges), edges)
+
+
+def closed_form_l1_ball(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Condat's 2-D closed form for the ball |z_1| / w_1 + |z_2| / w_2 <= 1:
+    z = sign(x) max(|x| - mu c, 0), c = 1 / w, mu the largest root over the
+    active sets."""
+    c = 1.0 / w
+    a = np.abs(x)
+    mu = np.maximum.reduce([(c[0] * a[..., 0] - 1.0) / c[0] ** 2,
+                            (c[1] * a[..., 1] - 1.0) / c[1] ** 2,
+                            ((a * c).sum(axis=-1) - 1.0) / (c @ c),
+                            np.zeros(x.shape[:-1])])
+    return np.copysign(np.maximum(a - mu[..., None] * c, 0.0), x)
+
+
+@pytest.mark.parametrize("g", INF_NORM_KINDS, ids=INF_NORM_IDS)
+def test_inf_norm_projection_matches_the_closed_form(g, rng):
+    # the rotated box of equal weights and the closed form of unequal ones
+    # agree with the closed form to a few ulp of (1 + |x|), near, far and
+    # next to the axes
+    w = l1_ball_weights(g)
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    x = np.concatenate([rng.normal(size=(2000, 2)) * scale
+                        for scale in (0.3, 1.0, 4.0, 1e6)]
+                       + [axes * 3.0 + axes[:, ::-1] * 5e-324,
+                          axes * 1e6 + axes[:, ::-1]])
+    px = project_minus_wulff(g, x)
+    bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(x).max(axis=-1))
+    assert np.all(np.abs(px - closed_form_l1_ball(x, w)).max(axis=-1) <= bound)
+
+
+def all_edges_polygon_projection(x: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The nearest of the clipped projections onto every edge (ties to the
+    lowest edge) for points outside the polygon."""
+    normals, offsets = _polygon_halfspaces(vertices)
+    out = x.copy()
+    outside = (x @ normals.T - offsets).max(axis=-1) > 1e-12
+    y = x[outside][:, None, :]
+    a = vertices[None]
+    d = np.roll(vertices, -1, axis=0)[None] - a
+    t = np.clip(((y - a) * d).sum(axis=-1) / (d * d).sum(axis=-1), 0.0, 1.0)
+    c = a + t[..., None] * d
+    nearest = ((y - c) ** 2).sum(axis=-1).argmin(axis=-1)
+    out[outside] = c[np.arange(len(c)), nearest]
+    return out
+
+
+def test_polygon_projection_uses_the_most_violated_edge(rng):
+    # projecting onto the edge of largest excess alone matches the nearest
+    # point over all edges: to the bit on the square and hexagon, whose
+    # vertices and edge vectors are exact, and to an ulp on random polygons
+    for name in ("square", "hexagon"):
+        g = GAUGE_ZOO[name]
+        x = rng.normal(size=(20000, 2)) * rng.choice([0.5, 2.0, 1e6], size=(20000, 1))
+        ref = all_edges_polygon_projection(x, g._minus_wulff_polygon)
+        assert project_minus_wulff(g, x).tobytes() == ref.tobytes()
+    for _ in range(10):
+        vertices = random_convex_polygon(rng, scale=2.0)
+        vertices -= vertices.mean(axis=0)  # 0 strictly inside
+        g = Gauge.polyhedral(vertices)
+        x = rng.normal(size=(5000, 2)) * 3.0
+        ref = all_edges_polygon_projection(x, g._minus_wulff_polygon)
+        assert np.abs(project_minus_wulff(g, x) - ref).max() <= 4e-15
+
+
+@pytest.mark.parametrize("name", ["asymmetric", "asymmetric-skew"])
+@pytest.mark.parametrize("layout", ["c", "fortran", "planar", "rows"])
+def test_asymmetric_projection_is_the_shifted_disk(name, layout, rng):
+    # the plane-wise projection does the arithmetic of a + P_disk(x - a)
+    g = GAUGE_ZOO[name]
+    x = _in_layout(rng.normal(scale=1.5, size=(16, 12, 2)), layout)
+    y = x - g.shift
+    radius = np.sqrt(y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1])
+    ref = g.shift + y / np.maximum(radius, 1.0)[..., None]
+    assert project_minus_wulff(g, x).tobytes() == np.ascontiguousarray(ref).tobytes()
+    vector = x[3, 4].copy()
+    assert project_minus_wulff(g, vector).tobytes() == ref[3, 4].tobytes()
 
 
 def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:

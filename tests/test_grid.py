@@ -224,6 +224,21 @@ def test_tv_unit_square_l1_exact():
     assert tv_phi(u, L1) == pytest.approx(4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("supersample", [1, 4])
+def test_symmetric_polygons_raster_symmetrically(supersample):
+    # the Wulff square (1-norm) and diamond (inf-norm): every sample and its
+    # mirror images are exact negatives, so each raster equals its
+    # left-right, up-down and point reflections
+    for g in (GAUGE_ZOO["l1"], GAUGE_ZOO["linf"]):
+        vertices = g.wulff().vertices
+        for n in range(16, 120):
+            v = raster_convex_polygon(vertices, n, n, 3.0 / n,
+                                      supersample=supersample).values
+            assert np.array_equal(v, v[:, ::-1])
+            assert np.array_equal(v, v[::-1])
+            assert np.array_equal(v, v[::-1, ::-1])
+
+
 def test_tv_disk_l1_matches_boundary_integral():
     # quadrature oracle: integral of phi(-nu) over the unit circle
     oracle = boundary_integral_oracle(L1)
