@@ -40,9 +40,9 @@ import numpy as np
 
 from .gauge import Gauge
 # dual_pairing, tv_phi: unused here, kept for tracers that patch them by name
-from .grid import (FEASIBILITY_TOL, DualField, GridImage, backward_gradient,
-                   cell_centers, divergence, dual_pairing, forward_divergence,
-                   forward_gradient, tv_phi)
+from .grid import (FEASIBILITY_TOL, DualField, GridImage, _check_same_grid,
+                   backward_gradient, cell_centers, divergence, dual_pairing,
+                   forward_divergence, forward_gradient, tv_phi)
 from .solver import SolveResult, SolverConfig, solve, threshold_binary
 
 __all__ = [
@@ -124,10 +124,8 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
     The default tolerance 3 * spacing matches the first-order accuracy of
     the divergence stencils.
     """
-    if u0.values.shape != f.values.shape or u0.values.shape != v.values.shape[:2]:
-        raise ValueError("u0, f and v must live on the same grid")
-    if u0.spacing != f.spacing or u0.spacing != v.spacing:
-        raise ValueError("grid spacings do not match")
+    _check_same_grid(u0, f)
+    _check_same_grid(u0, v)
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
     spacing = u0.spacing

@@ -96,7 +96,10 @@ def cmd_denoise(args) -> int:
     result = solve(f, args.lam, gauge, cfg)
     is_binary = bool(np.all((f.values == 0.0) | (f.values == 1.0)))
     thresholded = bool(is_binary and args.threshold)
-    u_out = threshold_binary(result) if thresholded else result.u
+    # with binary f the certified u0 is the thresholded minimiser
+    u0 = (threshold_binary(result)
+          if is_binary and (args.certify or args.threshold) else result.u)
+    u_out = u0 if thresholded else result.u
 
     prefix = Path(args.output_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -119,7 +122,6 @@ def cmd_denoise(args) -> int:
         "thresholded_output": thresholded,
     }
     if args.certify:
-        u0 = threshold_binary(result) if is_binary else result.u
         report["certificate"] = check_certificate(
             u0, f, result.p, args.lam, gauge).to_json()
     _write_json(report_path, report)

@@ -55,6 +55,9 @@ def read_pgm(path, spacing: float = 1.0) -> GridImage:
     if tokens[0] != b"P5":
         raise ValueError("only binary (P5) PGM is supported")
     width, height, maxval = (int(t) for t in tokens[1:])
+    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+        raise ValueError(f"PGM header {width}x{height}, maxval {maxval} "
+                         "is outside the format")
     n = width * height
     if maxval <= 255:
         data = np.frombuffer(raw, dtype=np.uint8, count=n, offset=offset)

@@ -182,10 +182,8 @@ def _div_adjoint_raw(p: np.ndarray, spacing: float,
         np.subtract(pf[1:-1], pf[:-2], out=of[1:-1])
     out[:, 0] = px[:, 0]
     out[:, -1] = -px[:, -2]
-    out[0, :] += py[0, :]
-    out[1:-1, :] += py[1:-1, :]
-    out[1:-1, :] -= py[:-2, :]
-    out[-1, :] -= py[-2, :]
+    out[:-1] += py[:-1]
+    out[1:] -= py[:-1]
     if spacing != 1.0:
         out /= spacing
     return out

@@ -107,6 +107,15 @@ def test_denoise_missing_input(tmp_path):
                "--lambda", "1", "--output-prefix", str(tmp_path / "o")) == 1
 
 
+def test_denoise_rejects_a_pgm_header_outside_the_format(tmp_path):
+    # maxval 70000 is no PGM; it used to be read as 16-bit samples
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5 4 4 70000\n" + bytes(32))
+    assert run("denoise", "--input", str(bad), "--lambda", "1",
+               "--output-prefix", str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o_report.json").exists()
+
+
 def test_denoise_zero_image(tmp_path):
     z = tmp_path / "z.pgm"
     write_pgm(z, GridImage(np.zeros((32, 32)), 1.0))

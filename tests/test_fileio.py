@@ -43,6 +43,17 @@ def test_pgm_reads_comments(tmp_path):
     assert img.values[0, 1] == 1.0 and img.values[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("header", [b"P5 -1 1 255\n", b"P5 2 3 0\n",
+                                    b"P5 2 3 70000\n"])
+def test_pgm_rejects_headers_outside_the_format(tmp_path, header):
+    # a negative width, maxval 0 and maxval above 16 bits, each with a
+    # payload large enough for any reading of the header
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + bytes(12))
+    with pytest.raises(ValueError, match="outside the format"):
+        read_pgm(path)
+
+
 def test_field_round_trip(tmp_path, rng):
     p = DualField(rng.normal(size=(7, 5, 2)), spacing=0.125)
     path = tmp_path / "v.raw"
