@@ -28,6 +28,17 @@ exclusion rules, each reported:
 
 The verdict therefore means "certified at resolution spacing"; the
 convergence of the residuals as spacing -> 0 is the actual evidence.
+
+check_certificate runs over row blocks of at most grid.BLOCK_CELLS cells
+(2^16: one block up to 256^2).  Each block reads a slab with a halo of
+BOUNDARY_MARGIN + 1 = 3 rows on each side, enough for the divergences (one
+row) and for the dilated jump cells (the margin plus the row a difference
+reaches), and the frame is placed in grid rows.  Blocks merge by max and
+by counting, so every residual, the excluded fraction and the verdict
+equal a whole-grid evaluation bit for bit; TV and the pairing are the
+blocked sums of grid.tv_phi and grid.dual_pairing.  Besides its inputs the
+check holds a few dozen block-sized temporaries (about 0.5 MB each at
+2^16 cells), not full-grid arrays.
 """
 
 from __future__ import annotations
@@ -39,10 +50,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .gauge import Gauge
-# dual_pairing, tv_phi: unused here, kept for tracers that patch them by name
+# backward_gradient, dual_pairing, forward_gradient, tv_phi: unused here,
+# kept for tracers that patch them by name
 from .grid import (FEASIBILITY_TOL, DualField, GridImage, _check_same_grid,
-                   backward_gradient, cell_centers, divergence, dual_pairing,
-                   forward_divergence, forward_gradient, tv_phi)
+                   _row_blocks, _stencil_means, backward_gradient,
+                   cell_centers, divergence, dual_pairing, forward_divergence,
+                   forward_gradient, tv_phi)
 from .solver import SolveResult, SolverConfig, solve, threshold_binary
 
 __all__ = [
@@ -116,6 +129,11 @@ def _jump_cells(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return jump
 
 
+def _abs_max(values: np.ndarray, start: float) -> float:
+    """max(start, max |values|); start for an empty selection."""
+    return max(start, float(np.max(np.abs(values)))) if values.size else start
+
+
 def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
                       g: Gauge, tol: float | None = None) -> CertificateReport:
     """Evaluates conditions (i)-(iii), (a)-(c) cellwise and reports every
@@ -136,40 +154,45 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
 
     wulff_violation = max(0.0, v.max_dual_value(g) - 1.0)
 
-    div_b = divergence(v).values
-    div_f = forward_divergence(v).values
-    # agreement of the two one-sided stencils bounds the kink smearing a
-    # surviving cell can carry, so included residuals stay O(spacing)
-    stencil_ok = np.abs(div_b - div_f) <= spacing
-    interior = np.zeros(div_b.shape, dtype=bool)
+    height, width = u0.values.shape
     m = BOUNDARY_MARGIN
-    interior[m:-m, m:-m] = True
-    stencil_ok &= interior
+    finite = True
+    div_inf = res_above = res_below = 0.0
+    ok_cells = 0
+    for lo, hi, s0, s1 in _row_blocks(height, width, m + 1):
+        block = slice(lo - s0, hi - s0)
+        slab = DualField(v.values[s0:s1], spacing)
+        div_b = divergence(slab).values[block]
+        div_f = forward_divergence(slab).values[block]
+        finite = finite and bool(np.all(np.isfinite(div_b)))
+        # agreement of the two one-sided stencils bounds the kink smearing a
+        # surviving cell can carry, so included residuals stay O(spacing)
+        stencil_ok = np.abs(div_b - div_f) <= spacing
+        # the window frame, in grid rows
+        stencil_ok[:max(m - lo, 0)] = False
+        stencil_ok[max(height - m - lo, 0):] = False
+        stencil_ok[:, :m] = False
+        stencil_ok[:, width - m:] = False
+        ok_cells += np.count_nonzero(stencil_ok)
+        div_inf = _abs_max(div_b[stencil_ok], div_inf)
 
-    included = div_b[stencil_ok]
-    div_inf = float(np.max(np.abs(included))) if included.size else 0.0
+        boundary = _dilate(_jump_cells(u0.values[s0:s1])
+                           | _jump_cells(f.values[s0:s1]), m)[block]
+        kept = ~boundary & stencil_ok
+        u, fv = u0.values[lo:hi], f.values[lo:hi]
+        above = (u - fv > TIE_BAND) & kept
+        below = (fv - u > TIE_BAND) & kept
+        res_above = _abs_max(div_b[above] - lam, res_above)
+        res_below = _abs_max(div_b[below] + lam, res_below)
     div_bound_residual = max(0.0, div_inf - lam)
 
-    boundary = _dilate(_jump_cells(u0.values) | _jump_cells(f.values),
-                       BOUNDARY_MARGIN)
-    above = (u0.values - f.values > TIE_BAND) & ~boundary & stencil_ok
-    below = (f.values - u0.values > TIE_BAND) & ~boundary & stencil_ok
-    res_above = float(np.max(np.abs(div_b[above] - lam))) if above.any() else 0.0
-    res_below = float(np.max(np.abs(div_b[below] + lam))) if below.any() else 0.0
-
-    # tv_phi(u0, g) and dual_pairing(u0, v) from one gradient per stencil
-    tv_sums, pairing_sums = [], []
-    for gradient in (forward_gradient, backward_gradient):
-        d = gradient(u0).values
-        tv_sums.append(g(d).sum())
-        pairing_sums.append(np.einsum("ijk,ijk->", d, v.values))
-    tv = float(0.5 * (tv_sums[0] + tv_sums[1]) * spacing**2)
-    pairing_gap = tv - float(0.5 * (pairing_sums[0] + pairing_sums[1]) * spacing**2)
+    tv, pairing = _stencil_means(u0, g, v)
+    pairing_gap = tv - pairing
     pairing_tol = tol * max(1.0, tv)
 
     conditions = {
         "i_wulff_membership": wulff_violation <= FEASIBILITY_TOL,
-        "ii_bounded_divergence": bool(np.all(np.isfinite(div_b))),
+        "ii_bounded_divergence": finite,
         "iii_tv_pairing": abs(pairing_gap) <= pairing_tol,
         "a_div_bound": div_bound_residual <= tol,
         "b_div_equals_lambda_above": res_above <= tol,
@@ -185,7 +208,7 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         tv_value=tv,
         tolerance=tol,
         band=TIE_BAND,
-        excluded_fraction=float(1.0 - stencil_ok.mean()),
+        excluded_fraction=float(1.0 - ok_cells / (height * width)),
         conditions=conditions,
         passed=all(conditions.values()),
         # the strict divergence bound holds with margin, hence uniqueness

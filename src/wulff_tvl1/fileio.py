@@ -63,6 +63,9 @@ def read_pgm(path, spacing: float = 1.0) -> GridImage:
         data = np.frombuffer(raw, dtype=np.uint8, count=n, offset=offset)
     else:
         data = np.frombuffer(raw, dtype=">u2", count=n, offset=offset)
+    top = int(data.max())
+    if top > maxval:
+        raise ValueError(f"PGM sample {top} exceeds maxval {maxval}")
     values = data.reshape(height, width).astype(float) / maxval
     return GridImage(values, spacing)
 

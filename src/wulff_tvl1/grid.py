@@ -22,7 +22,12 @@ the rasterisers):
 * the discrete anisotropic TV averages the gauge over the forward and the
   backward gradient stencils.  The two sums coincide for separable gauges
   (e.g. the 1-norm); the average is what makes the reflection identity
-  TV(-u) = TV(u(-.)) exact for non-even gauges.
+  TV(-u) = TV(u(-.)) exact for non-even gauges;
+* grid-wide sums and maxima (tv_phi, dual_pairing, max_dual_value) run
+  over row blocks of at most BLOCK_CELLS cells, each read with the halo
+  rows its stencils need, so no temporary is larger than one block.
+  Maxima are exact; sums over more than one block add the blocks' partial
+  sums, which can differ from a whole-grid sum in the last bit.
 """
 
 from __future__ import annotations
@@ -110,7 +115,9 @@ class DualField:
 
     def max_dual_value(self, g: Gauge) -> float:
         """max over cells of phi_dual(p); <= 1 means pointwise in -W."""
-        return float(np.max(g.dual(self.values)))
+        blocks = _row_blocks(self.height, self.width, 0)
+        return float(max(np.max(g.dual(self.values[lo:hi]))
+                         for lo, hi, _, _ in blocks))
 
 
 @dataclass
@@ -124,9 +131,22 @@ class LevelSet:
 FEASIBILITY_TOL = 1e-9  # slack on phi_dual(p) <= 1 for membership in -W
 
 
+BLOCK_CELLS = 1 << 16  # cells per row block; grids up to 256^2 are one block
+
+
 def _check_same_grid(a, b):
     if a.values.shape[:2] != b.values.shape[:2] or a.spacing != b.spacing:
         raise ValueError("grid shapes/spacings do not match")
+
+
+def _row_blocks(height: int, width: int, halo: int):
+    """Yields (lo, hi, s0, s1) for consecutive row blocks [lo, hi) of at
+    most BLOCK_CELLS cells (at least one row), with the slab [s0, s1) that
+    adds up to `halo` rows on each side within the grid."""
+    rows = max(1, BLOCK_CELLS // width)
+    for lo in range(0, height, rows):
+        hi = min(lo + rows, height)
+        yield lo, hi, max(lo - halo, 0), min(hi + halo, height)
 
 
 # ----------------------------------------------------------------------
@@ -233,21 +253,40 @@ def forward_divergence(p: DualField) -> GridImage:
 # anisotropic total variation
 # ----------------------------------------------------------------------
 
+def _stencil_means(u: GridImage, g: Gauge | None = None,
+                  p: DualField | None = None) -> tuple[float, float]:
+    """(tv_phi(u, g), dual_pairing(u, p)), 0.0 for an argument left out,
+    from one forward_gradient and one backward_gradient call per row block.
+    A block's gradients are taken on its slab with one halo row each side,
+    so they equal the whole-grid gradients bit for bit."""
+    tv, pairing = [0.0, 0.0], [0.0, 0.0]
+    for lo, hi, s0, s1 in _row_blocks(u.height, u.width, 1):
+        slab = GridImage(u.values[s0:s1], u.spacing)
+        for k, gradient in enumerate((forward_gradient, backward_gradient)):
+            d = gradient(slab).values[lo - s0:hi - s0]
+            if g is not None:
+                tv[k] += g(d).sum()
+            if p is not None:
+                pairing[k] += np.einsum("ijk,ijk->", d, p.values[lo:hi])
+    area = u.spacing**2
+    return (float(0.5 * (tv[0] + tv[1]) * area),
+            float(0.5 * (pairing[0] + pairing[1]) * area))
+
+
 def tv_phi(u: GridImage, g: Gauge) -> float:
     """Discrete TV: spacing^2 times the mean of the gauge over the forward
-    and backward gradient stencils (they agree for separable gauges)."""
-    fw = g(forward_gradient(u).values).sum()
-    bw = g(backward_gradient(u).values).sum()
-    return float(0.5 * (fw + bw) * u.spacing**2)
+    and backward gradient stencils (they agree for separable gauges).  The
+    sums run by row blocks (_stencil_means); on a grid of more than one
+    block they can differ from a whole-grid sum in the last bit."""
+    return _stencil_means(u, g=g)[0]
 
 
 def dual_pairing(u: GridImage, p: DualField) -> float:
     """Stencil-matched pairing spacing^2 * mean of <grad u, p> over the two
-    stencils; bounded by tv_phi(u) whenever p is pointwise in -W."""
+    stencils; bounded by tv_phi(u) whenever p is pointwise in -W.  Summed
+    by row blocks like tv_phi, with the same last-bit caveat."""
     _check_same_grid(u, p)
-    fw = np.einsum("ijk,ijk->", forward_gradient(u).values, p.values)
-    bw = np.einsum("ijk,ijk->", backward_gradient(u).values, p.values)
-    return float(0.5 * (fw + bw) * u.spacing**2)
+    return _stencil_means(u, p=p)[1]
 
 
 def tv_phi_dual_gap(u: GridImage, p: DualField, g: Gauge) -> float:

@@ -227,10 +227,18 @@ def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
         raise ValueError("the q-norm ball projection is 2-D only")
     out, planes = _copy_with_planes(x)
     a = np.abs(planes)
-    with np.errstate(over="ignore"):  # inf is outside too
-        outside = np.flatnonzero((a[0] / w[0]) ** q + (a[1] / w[1]) ** q > 1.0)
-    a = a[:, outside]
+    r0, r1 = a[0] / w[0], a[1] / w[1]
     mid = 2.0 ** (-1.0 / q)
+    # two power-free tests for the inside, ratios summing to at most 1 (as
+    # q > 1) and then both ratios at most mid (each power at most 1/2),
+    # leave the power test the rest.  Their bounds sit 1e-12 inside, so
+    # rounding in the power test cannot call a point they pass outside
+    inner = 1.0 - 1e-12
+    rest = np.flatnonzero(r0 + r1 > inner)
+    rest = rest[np.maximum(r0[rest], r1[rest]) > mid * inner]
+    with np.errstate(over="ignore"):  # inf is outside too
+        outside = rest[r0[rest] ** q + r1[rest] ** q > 1.0]
+    a = a[:, outside]
     first = (w[0] * mid - a[0]) + (a[1] - w[1] * mid) * (w[1] / w[0]) >= 0.0
     for u, group in ((0, np.flatnonzero(first)), (1, np.flatnonzero(~first))):
         v = 1 - u

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from wulff_tvl1 import certificate, grid
-from wulff_tvl1.certificate import (_dilate, build_circle_certificate,
+from wulff_tvl1.certificate import (BOUNDARY_MARGIN, TIE_BAND,
+                                    CertificateReport, _dilate,
+                                    build_circle_certificate,
                                     certify_minimizer, check_certificate)
 from wulff_tvl1.gauge import Gauge
-from wulff_tvl1.grid import (DualField, GridImage, cell_centers, dual_pairing,
-                             raster_disk, raster_convex_polygon, tv_phi)
+from wulff_tvl1.grid import (FEASIBILITY_TOL, DualField, GridImage,
+                             backward_gradient, cell_centers, divergence,
+                             dual_pairing, forward_divergence,
+                             forward_gradient, raster_disk,
+                             raster_convex_polygon, tv_phi)
 from wulff_tvl1.solver import SolverConfig, energy
 
 from conftest import GAUGE_ZOO, clipped_disk_raster, gaussian_blur
@@ -138,6 +143,156 @@ def test_check_certificate_takes_each_gradient_once(name, monkeypatch):
     # the same sums as the two separate calls, bit for bit
     assert rep.tv_value == tv_phi(u0, g)
     assert rep.tv_pairing_gap == tv_phi(u0, g) - dual_pairing(u0, v)
+
+
+def _whole_grid_jump_cells(values, tol=1e-9):
+    jump = np.zeros(values.shape, dtype=bool)
+    dx = np.abs(np.diff(values, axis=1)) > tol
+    dy = np.abs(np.diff(values, axis=0)) > tol
+    jump[:, :-1] |= dx
+    jump[:, 1:] |= dx
+    jump[:-1, :] |= dy
+    jump[1:, :] |= dy
+    return jump
+
+
+def _whole_grid_dilate(mask, margin):
+    out = mask.copy()
+    for d in range(1, margin + 1):
+        out[d:] |= mask[:-d]
+        out[:-d] |= mask[d:]
+    rows = out.copy()
+    for d in range(1, margin + 1):
+        out[:, d:] |= rows[:, :-d]
+        out[:, :-d] |= rows[:, d:]
+    return out
+
+
+def _whole_grid_check(u0, f, v, lam, g):
+    """check_certificate as it was before row blocks: every mask and
+    divergence a full-grid array, every sum one whole-grid reduction."""
+    spacing = u0.spacing
+    tol = 3.0 * spacing
+    wulff_violation = max(0.0, float(np.max(g.dual(v.values))) - 1.0)
+    div_b = divergence(v).values
+    div_f = forward_divergence(v).values
+    stencil_ok = np.abs(div_b - div_f) <= spacing
+    interior = np.zeros(div_b.shape, dtype=bool)
+    m = BOUNDARY_MARGIN
+    interior[m:-m, m:-m] = True
+    stencil_ok &= interior
+    included = div_b[stencil_ok]
+    div_inf = float(np.max(np.abs(included))) if included.size else 0.0
+    div_bound_residual = max(0.0, div_inf - lam)
+    boundary = _whole_grid_dilate(_whole_grid_jump_cells(u0.values)
+                                  | _whole_grid_jump_cells(f.values), m)
+    above = (u0.values - f.values > TIE_BAND) & ~boundary & stencil_ok
+    below = (f.values - u0.values > TIE_BAND) & ~boundary & stencil_ok
+    res_above = float(np.max(np.abs(div_b[above] - lam))) if above.any() else 0.0
+    res_below = float(np.max(np.abs(div_b[below] + lam))) if below.any() else 0.0
+    tv_sums, pairing_sums = [], []
+    for gradient in (forward_gradient, backward_gradient):
+        d = gradient(u0).values
+        tv_sums.append(g(d).sum())
+        pairing_sums.append(np.einsum("ijk,ijk->", d, v.values))
+    tv = float(0.5 * (tv_sums[0] + tv_sums[1]) * spacing**2)
+    pairing_gap = tv - float(0.5 * (pairing_sums[0] + pairing_sums[1]) * spacing**2)
+    conditions = {
+        "i_wulff_membership": wulff_violation <= FEASIBILITY_TOL,
+        "ii_bounded_divergence": bool(np.all(np.isfinite(div_b))),
+        "iii_tv_pairing": abs(pairing_gap) <= tol * max(1.0, tv),
+        "a_div_bound": div_bound_residual <= tol,
+        "b_div_equals_lambda_above": res_above <= tol,
+        "c_div_equals_minus_lambda_below": res_below <= tol,
+    }
+    return CertificateReport(
+        wulff_violation=wulff_violation, div_inf_norm=div_inf,
+        div_bound_residual=div_bound_residual, div_residual_above=res_above,
+        div_residual_below=res_below, tv_pairing_gap=pairing_gap, tv_value=tv,
+        tolerance=tol, band=TIE_BAND,
+        excluded_fraction=float(1.0 - stencil_ok.mean()),
+        conditions=conditions, passed=all(conditions.values()),
+        strict_uniqueness_hint=bool(div_inf < lam - tol))
+
+
+def _seam_case(height, width, rows, g, rng):
+    """u0 and f piecewise constant with row jumps on block seams (multiples
+    of `rows`) and inside the 2-cell frame, column jumps at W/2 and 1, and
+    ties, excess and deficit cells between them; v a smooth field in -W
+    with noise on a tenth of the cells and a fifth of those pushed 20%
+    outside."""
+    r = np.arange(height)[:, None]
+    c = np.arange(width)[None, :]
+
+    def steps(jumps, levels, column):
+        band = np.searchsorted(jumps, r, side="right")
+        return np.asarray(levels, dtype=float)[band] + 0.5 * (c >= column)
+
+    def seam(frac):
+        return rows * round(frac * height / rows)
+
+    # between the inner jumps u0 - f is +1, then 0, then -1
+    u0 = steps([1, seam(0.3), height - 1], [0, 2, 1, 1], width // 2)
+    f = steps([2, seam(0.7), height - 2], [0, 1, 2, 0], 1)
+    v = 0.9 * np.stack([np.sin(0.3 * r + 0.2 * c), np.cos(0.25 * r - 0.1 * c)],
+                       axis=-1)
+    noisy = rng.random((height, width)) < 0.1
+    v[noisy] = rng.uniform(-1.0, 1.0, (noisy.sum(), 2))
+    v = g.project_minus_wulff(v)
+    v[noisy & (rng.random((height, width)) < 0.2)] *= 1.2
+    return GridImage(u0, 0.5), GridImage(f, 0.5), DualField(v, 0.5)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("shape", [(300, 257), (37, 5), (17, 2)])
+@pytest.mark.parametrize("name", ["l1", "hexagon", "asymmetric", "p3"])
+def test_blocked_check_matches_the_whole_grid_check(name, shape, rows,
+                                                    monkeypatch):
+    g = GAUGE_ZOO[name]
+    height, width = shape
+    u0, f, v = _seam_case(height, width, rows, g, np.random.default_rng(rows))
+    lam = 0.3
+    ref = _whole_grid_check(u0, f, v, lam, g)
+    monkeypatch.setattr(grid, "BLOCK_CELLS", rows * width)
+    assert len(list(grid._row_blocks(height, width, 0))) >= 3
+    rep = check_certificate(u0, f, v, lam, g)
+    for key in ("wulff_violation", "div_inf_norm", "div_bound_residual",
+                "div_residual_above", "div_residual_below",
+                "excluded_fraction", "conditions", "passed",
+                "strict_uniqueness_hint"):
+        assert getattr(rep, key) == getattr(ref, key), key
+    assert rep.tv_value == pytest.approx(ref.tv_value, rel=1e-12)
+    # the gap is a difference of two sums of the size of TV
+    assert abs(rep.tv_pairing_gap - ref.tv_pairing_gap) <= 1e-12 * ref.tv_value
+    assert rep.tv_value == tv_phi(u0, g)
+    assert rep.tv_pairing_gap == tv_phi(u0, g) - dual_pairing(u0, v)
+    if width > 2 * BOUNDARY_MARGIN + 1:
+        # the large grid exercises every exclusion and both signed sets
+        assert 0.0 < ref.excluded_fraction < 1.0
+        assert ref.wulff_violation > 0.0
+        assert ref.div_residual_above > 0.0 and ref.div_residual_below > 0.0
+
+
+def test_blocked_check_sees_jumps_through_the_halo(monkeypatch):
+    # one row jump of u0 at every row in turn, f = 1/2, and div v growing
+    # towards the jump: the largest residual on either side sits on the
+    # first row past the margin, so a jump a block misses moves it
+    height, width, h, lam = 41, 8, 0.1, 1.0
+    r = np.arange(height)
+    f = GridImage(np.full((height, width), 0.5), h)
+    monkeypatch.setattr(grid, "BLOCK_CELLS", 4 * width)
+    for j in range(3, height - 3):
+        u0 = GridImage(np.repeat((r >= j).astype(float)[:, None], width, 1), h)
+        div = lam + 0.01 * (height - np.abs(r - j))
+        v = np.zeros((height, width, 2))
+        v[..., 1] = (h * np.cumsum(div))[:, None]
+        v = DualField(v, h)
+        rep = check_certificate(u0, f, v, lam, L1)
+        ref = _whole_grid_check(u0, f, v, lam, L1)
+        if 8 <= j <= height - 8:  # both sides reach past margin and frame
+            assert rep.div_residual_above > 0.0 and rep.div_residual_below > 0.0
+        assert rep.div_residual_above == ref.div_residual_above, j
+        assert rep.div_residual_below == ref.div_residual_below, j
 
 
 def test_check_certificate_validates_grids():

@@ -116,6 +116,14 @@ def test_denoise_rejects_a_pgm_header_outside_the_format(tmp_path):
     assert not (tmp_path / "o_report.json").exists()
 
 
+def test_denoise_rejects_a_pgm_sample_above_maxval(tmp_path):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5 2 2 1\n" + bytes([0, 1, 255, 0]))
+    assert run("denoise", "--input", str(bad), "--lambda", "1",
+               "--output-prefix", str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o_report.json").exists()
+
+
 def test_denoise_zero_image(tmp_path):
     z = tmp_path / "z.pgm"
     write_pgm(z, GridImage(np.zeros((32, 32)), 1.0))

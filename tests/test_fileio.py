@@ -54,6 +54,19 @@ def test_pgm_rejects_headers_outside_the_format(tmp_path, header):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("raw", [
+    b"P5 2 2 1\n" + bytes([0, 1, 255, 0]),
+    b"P5 2 2 1000\n" + bytes([0xff, 0xff]) + bytes(6),
+], ids=["8-bit", "16-bit"])
+def test_pgm_rejects_samples_above_maxval(tmp_path, raw):
+    # the format bounds every sample by maxval; these read as 255.0 and
+    # 65.535 before the check
+    path = tmp_path / "s.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="exceeds maxval"):
+        read_pgm(path)
+
+
 def test_field_round_trip(tmp_path, rng):
     p = DualField(rng.normal(size=(7, 5, 2)), spacing=0.125)
     path = tmp_path / "v.raw"
