@@ -56,7 +56,7 @@ from .grid import (FEASIBILITY_TOL, DualField, GridImage, _check_same_grid,
                    _row_blocks, _stencil_means, backward_gradient,
                    cell_centers, divergence, dual_pairing, forward_divergence,
                    forward_gradient, tv_phi)
-from .solver import SolveResult, SolverConfig, solve, threshold_binary
+from .solver import SolveResult, SolverConfig, canonical_minimiser, solve
 
 __all__ = [
     "CertificateReport",
@@ -152,7 +152,7 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
     if not 0 <= tol < math.inf:
         raise ValueError("tolerance must be finite and >= 0")
 
-    wulff_violation = max(0.0, v.max_dual_value(g) - 1.0)
+    wulff_violation = float(np.maximum(v.max_dual_value(g) - 1.0, 0.0))
 
     height, width = u0.values.shape
     m = BOUNDARY_MARGIN
@@ -249,9 +249,8 @@ def certify_minimizer(f: GridImage, lam: float, g: Gauge,
                       cfg: SolverConfig | None = None,
                       tol: float | None = None
                       ) -> tuple[SolveResult, CertificateReport]:
-    """Solves, then feeds the minimiser (thresholded when f is binary) and
-    the dual iterate into check_certificate."""
+    """Solves, then feeds the canonical minimiser (thresholded when f is
+    binary) and the dual iterate into check_certificate."""
     result = solve(f, lam, g, cfg)
-    is_binary = np.all((f.values == 0.0) | (f.values == 1.0))
-    u0 = threshold_binary(result) if is_binary else result.u
-    return result, check_certificate(u0, f, result.p, lam, g, tol=tol)
+    return result, check_certificate(canonical_minimiser(result, f), f,
+                                     result.p, lam, g, tol=tol)

@@ -25,7 +25,7 @@ from .gauge import Gauge
 from .grid import GridImage, raster_convex_polygon, raster_disk
 from .shapes import (circle_example, circle_optimality_threshold,
                      trivial_threshold, wulff_tv_and_area)
-from .solver import SolverConfig, energy, solve, threshold_binary
+from .solver import SolverConfig, canonical_minimiser, energy, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -88,17 +88,14 @@ def _write_image(path, image: GridImage, maxval: int = 255) -> None:
 def cmd_denoise(args) -> int:
     gauge = Gauge.from_json(args.gauge)
     f = _read_image(args.input, args.spacing)
-    # the flags set the config; --config overrides only the keys it names
-    cfg = SolverConfig.from_json({"max_iterations": args.max_iterations,
-                                  "gap_tolerance": args.gap_tolerance,
-                                  **json.loads(args.config or "{}")})
+    # --config overrides the flags for the keys it names; others raise
+    cfg = SolverConfig(**{"max_iterations": args.max_iterations,
+                          "gap_tolerance": args.gap_tolerance,
+                          **json.loads(args.config or "{}")})
 
     result = solve(f, args.lam, gauge, cfg)
-    is_binary = bool(np.all((f.values == 0.0) | (f.values == 1.0)))
-    thresholded = bool(is_binary and args.threshold)
-    # with binary f the certified u0 is the thresholded minimiser
-    u0 = (threshold_binary(result)
-          if is_binary and (args.certify or args.threshold) else result.u)
+    u0 = canonical_minimiser(result, f)
+    thresholded = bool(args.threshold and u0 is not result.u)
     u_out = u0 if thresholded else result.u
 
     prefix = Path(args.output_prefix)

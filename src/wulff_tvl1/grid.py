@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -116,8 +117,9 @@ class DualField:
     def max_dual_value(self, g: Gauge) -> float:
         """max over cells of phi_dual(p); <= 1 means pointwise in -W."""
         blocks = _row_blocks(self.height, self.width, 0)
-        return float(max(np.max(g.dual(self.values[lo:hi]))
-                         for lo, hi, _, _ in blocks))
+        # np.maximum, unlike max, keeps a NaN from any block
+        return float(reduce(np.maximum, (np.max(g.dual(self.values[lo:hi]))
+                                         for lo, hi, _, _ in blocks)))
 
 
 @dataclass
@@ -293,7 +295,7 @@ def tv_phi_dual_gap(u: GridImage, p: DualField, g: Gauge) -> float:
     """tv_phi(u) minus the dual pairing; nonnegative (up to rounding) for
     feasible p, ~0 exactly when p is an optimal certificate field for u."""
     violation = p.max_dual_value(g) - 1.0
-    if violation > FEASIBILITY_TOL:
+    if not violation <= FEASIBILITY_TOL:  # NaN is no feasible field
         raise ValueError(f"dual field violates the -W constraint by {violation:.3e}")
     return tv_phi(u, g) - dual_pairing(u, p)
 

@@ -13,29 +13,23 @@ construction.  The reported duality gap uses the scaled-feasible dual
 point, hence it is a true upper bound on the suboptimality of the
 returned energy.
 
-The step loop takes its differences at unit spacing and lets the steps
-carry the 1/h (sigma/h on the gradient, tau/h on the divergence), the
-same method with iterates that differ only by rounding.  The monitor's
-arithmetic is unchanged: it divides by h exactly as the public kernels
-do, so the gap of a given (u, p) pair is the same to the bit.  Every
-update of u and u_bar writes into one of its operands: the new u forms
-in the step buffer and u_bar in the previous u's, then the three (H, W)
-buffers rotate by name, with the iterates bit for bit as written above.
+Two parts carry it out.  The step generator ``_run`` owns the buffers and
+the step: it takes differences at unit spacing with the 1/h carried by
+the steps (sigma/h, tau/h), forms each new u and u_bar in one of its
+operands and rotates the three (H, W) buffers by name, bit for bit the
+iterates above.  Every MONITOR_EVERY iterations and on the last one it
+tests the relative-change fallback on max|u - u_prev| and yields the
+forward-stencil energy e_fwd = sum phi(grad+ u) h^2 + lam |u - f|_1 (the
+primal, which the gap bounds) and the dual value, divided by h as the
+public kernels divide.
 
-The convergence monitor tracks one objective: the forward-stencil energy
-sum phi(grad+ u) h^2 + lam |u - f|_1,  the primal of the saddle-point
-form above and the quantity the gap bounds.  It selects the returned
-pair, fills ``energy_trace`` (one entry per check) and normalises
-``final_gap``; the two-stencil ``energy`` below is what reports quote.
-It checks every MONITOR_EVERY iterations and on the last one; only a
-check iteration takes the change max|u - u_prev| and tests the
-relative-change fallback, so every stop lands on a check iteration.
-Every run reports why it stopped: ``gap`` (the normalised gap met the
-tolerance; the run returns the pair that met it), ``stalled`` (the
-relative-change fallback fired first) or ``cap`` (the iteration cap).
-Only ``gap`` counts as converged; a stalled or capped run returns the
-checked pair of lowest forward-stencil energy.  The energy trace records
-that lowest energy so far and ends at the energy of the returned pair.
+``solve`` is the stop policy over those checks.  It stops at the first
+check where the normalised gap meets the tolerance (``gap``, returning
+that pair) or the fallback fired (``stalled``), else at the cap (``cap``);
+a stalled or capped run returns the checked pair of lowest e_fwd.
+``converged`` is ``stop_reason == "gap"``.  ``energy_trace`` holds the
+lowest e_fwd so far at each check; reports quote the two-stencil
+``energy`` below.
 """
 
 from __future__ import annotations
@@ -59,6 +53,7 @@ __all__ = [
     "energy",
     "solve",
     "threshold_binary",
+    "canonical_minimiser",
     "check_contrast_invariance",
 ]
 
@@ -94,14 +89,6 @@ class SolverConfig:
                 f"tau*sigma*L^2 = {tau * sigma * lsq:.6f} exceeds 1")
         return tau, sigma
 
-    @classmethod
-    def from_json(cls, spec: dict) -> "SolverConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(spec) - known
-        if unknown:
-            raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-        return cls(**spec)
-
 
 @dataclass
 class SolveResult:
@@ -111,8 +98,11 @@ class SolveResult:
     final_gap: float = math.nan            # raw primal-dual gap
     final_gap_normalized: float = math.nan
     iterations: int = 0
-    converged: bool = False                # the gap met the tolerance
     stop_reason: str = "cap"               # "gap", "stalled" or "cap"
+
+    @property
+    def converged(self) -> bool:  # the gap met the tolerance
+        return self.stop_reason == "gap"
 
 
 def energy(u: GridImage, f: GridImage, lam: float, g: Gauge) -> float:
@@ -129,22 +119,16 @@ def _abs_max(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
-def solve(f: GridImage, lam: float, g: Gauge,
-          cfg: SolverConfig | None = None) -> SolveResult:
-    """Minimises E(.; f, lam); returns the minimiser together with the dual
-    field that witnesses it."""
-    if not 0 < lam < math.inf:
-        raise ValueError("lambda must be positive and finite")
-    _check_stencil_grid(f)
-    cfg = cfg or SolverConfig()
-    tau, sigma = cfg.steps_for(f.spacing)
-    h2 = f.spacing**2
-
+def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
+         max_iterations: int):
+    """Steps from (u, p) = (f, 0); yields (iterations, u, p, e_fwd,
+    dual_value, stalled) on each check, u and p valid until the next step."""
     spacing = f.spacing
+    h2 = spacing**2
     fv = f.values
     u = fv.copy()
     u_bar = fv.copy()
-    # (H, W, 2) views of two contiguous component planes, C order at return
+    # (H, W, 2) views of two contiguous component planes
     planes = (2, f.height, f.width)
     p = np.zeros(planes).transpose(1, 2, 0)
     grad_buf = np.zeros(planes).transpose(1, 2, 0)
@@ -152,14 +136,7 @@ def solve(f: GridImage, lam: float, g: Gauge,
     step = np.empty_like(fv)
     scratch = np.empty_like(fv)
 
-    best_energy = math.inf
-    best_u = u.copy()
-    best_p = np.zeros(planes).transpose(1, 2, 0)
-    best_gap = math.nan
-    trace = []
-    stop_reason = "cap"
-
-    for k in range(cfg.max_iterations):
+    for k in range(max_iterations):
         iterations = k + 1
 
         _grad_forward_raw(u_bar, 1.0, out=grad_buf)
@@ -178,7 +155,7 @@ def solve(f: GridImage, lam: float, g: Gauge,
         step += fv
         np.subtract(step, u, out=u)
         check = (iterations % MONITOR_EVERY == 0
-                 or iterations == cfg.max_iterations)
+                 or iterations == max_iterations)
         # the fallback, with u - u_prev in u and the new u in step:
         # max|u - u_prev| <= CHANGE_TOLERANCE * max|u| after the burn-in
         stalled = (check and k > BURN_IN and _abs_max(u)
@@ -199,9 +176,28 @@ def solve(f: GridImage, lam: float, g: Gauge,
         dmax = _abs_max(div_p)
         scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
         dual_value = -float(np.multiply(fv, div_p, out=scratch).sum()) * scale * h2
+        yield iterations, u, p, e_fwd, dual_value, stalled
+
+
+def solve(f: GridImage, lam: float, g: Gauge,
+          cfg: SolverConfig | None = None) -> SolveResult:
+    """Minimises E(.; f, lam); returns the minimiser together with the dual
+    field that witnesses it."""
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
+    _check_stencil_grid(f)
+    cfg = cfg or SolverConfig()
+    tau, sigma = cfg.steps_for(f.spacing)
+
+    best_energy = math.inf
+    best_u = f.values.copy()
+    best_p = np.zeros((2, f.height, f.width)).transpose(1, 2, 0)
+    best_gap = math.nan
+    trace = []
+    for iterations, u, p, e_fwd, dual_value, stalled in _run(
+            f, lam, g, tau, sigma, cfg.max_iterations):
         gap = e_fwd - dual_value
         gap_met = gap / (1.0 + abs(e_fwd)) <= cfg.gap_tolerance
-
         # the gap is kept with the returned pair so it bounds *its* energy;
         # that pair is the lowest-e_fwd one, or on a gap stop the one that met it
         if gap_met or e_fwd < best_energy:
@@ -210,27 +206,33 @@ def solve(f: GridImage, lam: float, g: Gauge,
             best_p[...] = p
             best_gap = gap
         trace.append(best_energy)
-
-        if gap_met or stalled:
-            stop_reason = "gap" if gap_met else "stalled"
-            break
-
-    gap = max(best_gap, 0.0)
-    return SolveResult(
-        u=GridImage(best_u, f.spacing),
-        p=DualField(np.ascontiguousarray(best_p), f.spacing),
-        energy_trace=np.array(trace),
-        final_gap=gap,
-        final_gap_normalized=gap / (1.0 + abs(best_energy)),
-        iterations=iterations,
-        converged=stop_reason == "gap",
-        stop_reason=stop_reason,
-    )
+        del p  # so the next projection can reuse this p's memory
+        if not (gap_met or stalled or iterations == cfg.max_iterations):
+            continue
+        # built while the loop's buffers are alive: built after, it left the
+        # heap top free to be trimmed, and later solves re-faulted its pages
+        gap = max(best_gap, 0.0)
+        return SolveResult(
+            u=GridImage(best_u, f.spacing),
+            p=DualField(np.ascontiguousarray(best_p), f.spacing),
+            energy_trace=np.array(trace),
+            final_gap=gap,
+            final_gap_normalized=gap / (1.0 + abs(best_energy)),
+            iterations=iterations,
+            stop_reason="gap" if gap_met else "stalled" if stalled else "cap",
+        )
 
 
 def threshold_binary(result: SolveResult, t: float = 0.5) -> GridImage:
     """Binary minimiser {u > t}; the canonical output when f was binary."""
     return level_set(result.u, t).image
+
+
+def canonical_minimiser(result: SolveResult, f: GridImage) -> GridImage:
+    """The minimiser to write and certify: threshold_binary(result) when f
+    is binary, else result.u itself."""
+    binary = np.all((f.values == 0.0) | (f.values == 1.0))
+    return threshold_binary(result) if binary else result.u
 
 
 @dataclass

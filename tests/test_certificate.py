@@ -37,6 +37,16 @@ def test_trivial_zero_certificate():
     assert all(r == 0.0 for r in rep.residuals().values())
 
 
+def test_nan_dual_maximum_fails_membership(monkeypatch):
+    # a NaN largest dual-gauge value is a NaN violation, not a zero one
+    monkeypatch.setattr(DualField, "max_dual_value", lambda self, g: math.nan)
+    u0 = GridImage(np.zeros((16, 16)), 0.5)
+    rep = check_certificate(u0, u0, DualField(np.zeros((16, 16, 2)), 0.5),
+                            1.0, L1)
+    assert math.isnan(rep.wulff_violation)
+    assert not rep.conditions["i_wulff_membership"] and not rep.passed
+
+
 def test_check_certificate_sets_uniqueness_hint():
     # hint = div_inf_norm < lam - tol: a zero field has margin, the circle
     # field reaches |div v| = lam on the clipped disk

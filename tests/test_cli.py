@@ -1,12 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wulff_tvl1
+from wulff_tvl1.certificate import certify_minimizer
 from wulff_tvl1.cli import main
 from wulff_tvl1.fileio import read_pgm, write_pgm
+from wulff_tvl1.gauge import Gauge
 from wulff_tvl1.grid import GridImage
+from wulff_tvl1.shapes import wulff_tv_and_area
+from wulff_tvl1.solver import SolverConfig, solve
 
 
 def run(*argv):
@@ -22,6 +31,19 @@ def test_synth_disk_area(tmp_path):
     assert set(np.unique(img.values)) <= {0.0, 1.0}
     assert (tmp_path / "disk.pgm.json").exists()
     assert (tmp_path / "disk.pgm.manifest.json").exists()
+
+
+def test_synth_wulff_area(tmp_path):
+    hexagon = {"kind": "polyhedral", "wulff_vertices":
+               [[2, 0], [1, 2], [-1, 1], [-2, -1], [0, -2], [1.5, -1]]}
+    out = tmp_path / "w.pgm"
+    assert run("synth", "wulff", "--gauge", json.dumps(hexagon), "--scale",
+               "0.5", "--size", "128", "--output", str(out)) == 0
+    img = read_pgm(out, spacing=3.0 / 128)
+    assert set(np.unique(img.values)) <= {0.0, 1.0}
+    _, area = wulff_tv_and_area(Gauge.from_json(json.dumps(hexagon)))
+    assert img.values.sum() * img.spacing**2 == pytest.approx(
+        0.25 * area, rel=0.02)
 
 
 def test_synth_zero_noise_is_clean(tmp_path):
@@ -69,10 +91,30 @@ def test_oracle_circle(capsys):
     assert run("oracle", "circle", "--lambda", "nan") == 1
 
 
-def test_oracle_wulff(capsys):
-    assert run("oracle", "wulff", "--gauge", '{"kind":"p-norm","p":1}') == 0
+def test_oracle_wulff(tmp_path, capsys):
+    out = tmp_path / "wulff.json"
+    assert run("oracle", "wulff", "--gauge", '{"kind":"p-norm","p":1}',
+               "--output", str(out)) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["tv"], payload["area"]) == (8.0, 4.0)
+    assert json.loads(out.read_text()) == payload
+
+
+def test_module_entry_point():
+    # python -m wulff_tvl1 runs cli.main and exits with its code
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(wulff_tvl1.__file__).resolve().parents[1]))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "wulff_tvl1", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    done = module("oracle", "critical-lambda")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["critical_lambda"] == pytest.approx(
+        2.4754, abs=1e-3)
+    assert module("oracle", "threshold", "--R", "nan").returncode == 1
 
 
 def test_denoise_circle_example(tmp_path, capsys):
@@ -91,6 +133,48 @@ def test_denoise_circle_example(tmp_path, capsys):
     assert (tmp_path / "out_dual.raw").exists()
     assert (tmp_path / "out_dual.raw.json").exists()
     assert (tmp_path / "out.manifest.json").exists()
+
+
+def noisy_disk(tmp_path) -> tuple[Path, GridImage]:
+    """A non-binary 32^2 input file and the image the CLI reads from it."""
+    path = tmp_path / "noisy.pgm"
+    run("synth", "disk", "--size", "32", "--output", str(path))
+    spacing = json.loads(Path(f"{path}.json").read_text())["spacing"]
+    clean = read_pgm(path, spacing=spacing)
+    noise = np.random.default_rng(5).uniform(0.0, 0.4, size=clean.values.shape)
+    write_pgm(path, GridImage(np.abs(clean.values - noise), spacing))
+    return path, read_pgm(path, spacing=spacing)
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary-disk", "noisy"])
+def test_denoise_certifies_what_certify_minimizer_certifies(tmp_path, binary):
+    if binary:
+        path = tmp_path / "disk.pgm"
+        run("synth", "disk", "--size", "32", "--output", str(path))
+        f = read_pgm(path, spacing=3.0 / 32)
+    else:
+        path, f = noisy_disk(tmp_path)
+    assert binary == bool(np.all((f.values == 0.0) | (f.values == 1.0)))
+    prefix = tmp_path / "o"
+    run("denoise", "--input", str(path), "--lambda", "3", "--max-iterations",
+        "300", "--output-prefix", str(prefix), "--certify")
+    report = json.loads((tmp_path / "o_report.json").read_text())
+    _, expected = certify_minimizer(f, 3.0, Gauge.p_norm(1),
+                                    SolverConfig(max_iterations=300))
+    assert report["certificate"] == json.loads(json.dumps(expected.to_json()))
+
+
+def test_threshold_writes_a_non_binary_minimiser_unchanged(tmp_path):
+    path, f = noisy_disk(tmp_path)
+    prefix = tmp_path / "o"
+    run("denoise", "--input", str(path), "--lambda", "3", "--max-iterations",
+        "300", "--output-prefix", str(prefix), "--threshold")
+    report = json.loads((tmp_path / "o_report.json").read_text())
+    assert report["thresholded_output"] is False
+    expected = tmp_path / "expected.pgm"
+    write_pgm(expected, solve(f, 3.0, Gauge.p_norm(1),
+                              SolverConfig(max_iterations=300)).u, maxval=65535)
+    assert (tmp_path / "o.pgm").read_bytes() == expected.read_bytes()
 
 
 def test_denoise_rejects_bad_lambda(tmp_path):
@@ -221,10 +305,11 @@ def test_unwritable_output_is_an_io_error(tmp_path):
     ["synth", "disk", "--size", "16", "--noise", "1.5"],
     ["synth", "disk", "--size", "16", "--noise", "-0.1"],
     ["oracle", "wulff", "--gauge", "[1, 2]"],
+    ["certify"],
 ], ids=["synth-size-0", "synth-size-1", "barcode-blocks-0", "certify-size-0",
         "certify-tol-nan", "certify-tol-negative", "threshold-R-nan",
         "threshold-R-inf", "synth-noise-nan", "synth-noise-above-1",
-        "synth-noise-negative", "gauge-not-an-object"])
+        "synth-noise-negative", "gauge-not-an-object", "certify-no-inputs"])
 def test_degenerate_grid_option_is_a_configuration_error(tmp_path, argv):
     out = tmp_path / "x.pgm"
     assert run(*argv, "--output", str(out)) == 1
@@ -289,9 +374,9 @@ def test_denoise_config_json(tmp_path):
     assert run("denoise", "--input", str(disk), "--lambda", "4",
                "--output-prefix", str(prefix),
                "--config", '{"tau": 100.0, "sigma": 100.0}') == 1
-    assert run("denoise", "--input", str(disk), "--lambda", "4",
-               "--output-prefix", str(prefix),
-               "--config", '{"bogus": 1}') == 1
+    for bad in ('{"bogus": 1}', '[1]'):
+        assert run("denoise", "--input", str(disk), "--lambda", "4",
+                   "--output-prefix", str(prefix), "--config", bad) == 1
     # the flags still hold for the keys the JSON does not name
     run("denoise", "--input", str(disk), "--lambda", "4",
         "--output-prefix", str(prefix), "--max-iterations", "100",
@@ -307,7 +392,8 @@ def test_denoise_config_json(tmp_path):
 
 
 def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("WULFF_TVL1_THREADS", "not-a-number")
-    assert run("oracle", "critical-lambda") == 1
+    for bad in ("not-a-number", "0"):
+        monkeypatch.setenv("WULFF_TVL1_THREADS", bad)
+        assert run("oracle", "critical-lambda") == 1
     monkeypatch.setenv("WULFF_TVL1_THREADS", "2")
     assert run("oracle", "critical-lambda") == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wulff_tvl1 import grid
 from wulff_tvl1.gauge import Gauge, _polygon_halfspaces
 from wulff_tvl1.grid import (DualField, GridImage, _div_adjoint_raw,
                              _div_forward_raw, _grad_backward_raw,
@@ -283,6 +284,19 @@ def test_dual_gap_rejects_infeasible_field():
     p = DualField(np.full((4, 4, 2), 5.0), 1.0)
     with pytest.raises(ValueError):
         tv_phi_dual_gap(u, p, L1)
+
+
+@pytest.mark.parametrize("row", [0, 5], ids=["first-block", "later-block"])
+def test_blocked_dual_maximum_keeps_a_nan(row, monkeypatch):
+    # an 8x8 field in four 2-row blocks: a NaN in any block is the maximum,
+    # as in a whole-grid np.max, so the field never passes as feasible
+    monkeypatch.setattr(grid, "BLOCK_CELLS", 16)
+    values = np.zeros((8, 8, 2))
+    values[row, 3, 0] = math.nan
+    p = DualField(values, 1.0)
+    assert math.isnan(p.max_dual_value(L1))
+    with pytest.raises(ValueError):
+        tv_phi_dual_gap(GridImage(np.zeros((8, 8)), 1.0), p, L1)
 
 
 # ----------------------------------------------------------------------
