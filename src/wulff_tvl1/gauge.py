@@ -34,7 +34,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .projection import (_pnorm, _polygon_halfspaces, _project_convex_polygon,
+from .projection import (PolygonEdges, _pnorm, _polygon_edges,
+                         _polygon_halfspaces, _project_convex_polygon,
                          _project_l1_ball, _project_q_ball,
                          _project_shifted_disk, _project_unit_disk)
 
@@ -188,13 +189,17 @@ class Gauge:
         return _convex_hull_ccw(-self.wulff_vertices)
 
     @cached_property
+    def _minus_wulff_edges(self) -> PolygonEdges:
+        return _polygon_edges(self._minus_wulff_polygon)
+
+    @cached_property
     def _unit_ball_vertices(self) -> np.ndarray:
         """Vertices of B = {phi <= 1}; the canonical argmax list for
         dual_extremal tie-breaking."""
         if self.kind == "polyhedral":
             # B is the polar of -W: one vertex n_e / b_e per edge of -W.
-            normals, offsets = _polygon_halfspaces(self._minus_wulff_polygon)
-            return normals / offsets[:, None]
+            edges = self._minus_wulff_edges
+            return edges.normals / edges.offsets[:, None]
         if self.separable:
             eye = np.eye(self.dim)
             verts = np.concatenate([eye, -eye], axis=0)
@@ -317,7 +322,7 @@ class Gauge:
         if self.kind == "asymmetric":  # -W is the unit disk centred at a
             return _project_shifted_disk(x, self.shift)
         if self.kind == "polyhedral":
-            return _project_convex_polygon(x, self._minus_wulff_polygon)
+            return _project_convex_polygon(x, self._minus_wulff_edges)
         p = self.p
         w = self.weights if self.kind == "weighted" else None
         if p == 1.0:  # -W is the box |x_i| <= w_i

@@ -9,14 +9,18 @@ parameter per point for weighted q-norm balls (every other p, ellipses
 included), and the nearest point of the most-violated edge for convex
 polygons.  The box of p = 1 is a clip.  Each routine returns a new array
 in its input's memory layout and leaves points of the set unchanged.  The
-plane-wise p-norm and the polygon half-spaces, which the gauge evaluators
-share, live here too.
+q-ball and polygon routines look for the points outside only among those
+that a cheap test cannot place inside: for a polygon about 0, the points
+outside its inscribed disk.  The polygon routine takes the polygon's edge
+data, which a gauge builds once.  The plane-wise p-norm and the polygon
+half-spaces, which the gauge evaluators share, live here too.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +53,26 @@ def _polygon_halfspaces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     normals = normals / lengths[:, None]
     offsets = np.einsum("ij,ij->i", normals, vertices)
     return normals, offsets
+
+
+class PolygonEdges(NamedTuple):
+    """Edge data of a CCW convex polygon, built once per polygon: edge e
+    runs from starts[e] to starts[e] + edges[e]."""
+
+    normals: np.ndarray  # outward unit normals n_e
+    offsets: np.ndarray  # b_e, with n_e.x <= b_e on the polygon
+    starts: np.ndarray   # the vertices
+    edges: np.ndarray    # edge vectors d_e
+    length2: np.ndarray  # |d_e|^2
+    inradius: float      # min_e b_e: if positive, the inscribed disk about 0
+
+
+def _polygon_edges(vertices: np.ndarray) -> PolygonEdges:
+    normals, offsets = _polygon_halfspaces(vertices)
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    d0, d1 = edges.T
+    return PolygonEdges(normals, offsets, vertices, edges, d0 * d0 + d1 * d1,
+                        float(offsets.min()))
 
 
 def _project_unit_disk(x: np.ndarray) -> np.ndarray:
@@ -249,34 +273,52 @@ def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project_convex_polygon(x: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Projection onto a CCW convex polygon.  A point outside goes to the
-    nearest point of its most-violated edge, the edge of largest excess
-    n_e.x - b_e.  That is exact: in an edge's region the distance is the
-    largest excess, and in a vertex's region the largest excess belongs to
-    one of the vertex's two edges, whose clipped segment projection lands
-    on the vertex."""
+def _project_convex_polygon(x: np.ndarray, polygon: PolygonEdges) -> np.ndarray:
+    """Projection onto a CCW convex polygon, given by its edge data.  A
+    point outside goes to the nearest point of its most-violated edge, the
+    edge of largest excess n_e.x - b_e.  That is exact: in an edge's region
+    the distance is the largest excess, and in a vertex's region the largest
+    excess belongs to one of the vertex's two edges, whose clipped segment
+    projection lands on the vertex.
+
+    When 0 lies strictly inside (r = min_e b_e > 0), a point with
+    |x|^2 < (r (1 - 1e-12))^2 is inside, as n_e.x <= |x| <= b_e for every
+    edge; the margin keeps rounding from passing a point that the excess
+    test would send outside.  Only the other points, the candidates, go
+    through the excess test, so the full-grid work is the copy and that one
+    pre-filter."""
     out, planes = _copy_with_planes(x)
     x0, x1 = planes
-    normals, offsets = _polygon_halfspaces(vertices)
+    normals, offsets, starts, edges, length2, inradius = polygon
+    if inradius > 0.0:
+        radius2 = np.multiply(x0, x0)
+        radius2 += np.multiply(x1, x1)
+        # NaN fails this test as it fails the excess test: it comes back as is
+        candidates = np.flatnonzero(radius2 >= (inradius * (1.0 - 1e-12)) ** 2)
+    else:
+        candidates = np.arange(x0.size)
+    c0 = x0[candidates]
+    c1 = x1[candidates]
     # the largest excess, one edge at a time, which keeps the temporaries to
-    # a few planes; then, for the points outside, the first edge attaining it
-    largest = np.full(x0.shape, -np.inf)
-    excess, term = np.empty((2,) + x0.shape)
+    # a few candidate-length buffers; then, for the points outside, the
+    # first edge attaining it
+    largest = np.full(c0.shape, -np.inf)
+    excess, term = np.empty((2,) + c0.shape)
     for (n0, n1), b in zip(normals, offsets):
-        np.multiply(n0, x0, out=excess)
-        excess += np.multiply(n1, x1, out=term)
+        np.multiply(n0, c0, out=excess)
+        excess += np.multiply(n1, c1, out=term)
         excess -= b
         np.maximum(largest, excess, out=largest)
-    outside = np.flatnonzero(largest > 1e-12)
+    outside = candidates[largest > 1e-12]
+    if outside.size == 0:  # as in about half the calls of a solve
+        return out
     x0 = x0[outside]
     x1 = x1[outside]
-    edge = (normals[:, 0] * x0[:, None] + normals[:, 1] * x1[:, None]
-            - offsets).argmax(axis=1)
-    a0, a1 = vertices.T
-    d0 = np.roll(a0, -1) - a0
-    d1 = np.roll(a1, -1) - a1
-    length2 = d0 * d0 + d1 * d1
+    # one row per edge, so each broadcast pass runs along the points
+    edge = (normals[:, :1] * x0 + normals[:, 1:] * x1
+            - offsets[:, None]).argmax(axis=0)
+    a0, a1 = starts.T
+    d0, d1 = edges.T
     t = ((x0 - a0[edge]) * d0[edge] + (x1 - a1[edge]) * d1[edge]) / length2[edge]
     np.clip(t, 0.0, 1.0, out=t)
     # one representation per vertex, whichever of its edges was chosen:
@@ -284,7 +326,7 @@ def _project_convex_polygon(x: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     start = np.flatnonzero((t == 0.0) & (edge > 0))
     edge[start] -= 1
     t[start] = 1.0
-    end = np.flatnonzero((t == 1.0) & (edge == len(vertices) - 1))
+    end = np.flatnonzero((t == 1.0) & (edge == len(starts) - 1))
     edge[end] = 0
     t[end] = 0.0
     planes[0, outside] = a0[edge] + t * d0[edge]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import Gauge
-from .projection import _polygon_halfspaces, _project_convex_polygon
+from .projection import (PolygonEdges, _polygon_edges, _polygon_halfspaces,
+                         _project_convex_polygon)
 
 __all__ = [
     "ConvexPolygon",
@@ -271,11 +272,11 @@ def hausdorff_distance(P: ConvexPolygon, Q: ConvexPolygon) -> float:
         raise ValueError("Hausdorff distance needs nonempty polygons")
     ts = np.linspace(0.0, 1.0, _HAUSDORFF_SAMPLES_PER_EDGE, endpoint=False)
 
-    def directed(A: ConvexPolygon, B: ConvexPolygon) -> float:
-        v = A.vertices
-        edges = np.roll(v, -1, axis=0) - v
-        pts = (v[:, None, :] + ts[None, :, None] * edges[:, None, :]).reshape(-1, 2)
-        gaps = pts - _project_convex_polygon(pts, B.vertices)
+    def directed(A: PolygonEdges, B: PolygonEdges) -> float:
+        pts = A.starts[:, None, :] + ts[None, :, None] * A.edges[:, None, :]
+        pts = pts.reshape(-1, 2)
+        gaps = pts - _project_convex_polygon(pts, B)
         return float(np.max(np.linalg.norm(gaps, axis=-1)))
 
-    return max(directed(P, Q), directed(Q, P))
+    edges_p, edges_q = _polygon_edges(P.vertices), _polygon_edges(Q.vertices)
+    return max(directed(edges_p, edges_q), directed(edges_q, edges_p))

@@ -81,8 +81,8 @@ class SolverConfig:
     def steps_for(self, spacing: float) -> tuple[float, float]:
         tau = self.tau if self.tau is not None else spacing / math.sqrt(8.0)
         sigma = self.sigma if self.sigma is not None else spacing / math.sqrt(8.0)
-        if tau <= 0 or sigma <= 0:
-            raise ValueError("step sizes must be positive")
+        if not (0 < tau < math.inf and 0 < sigma < math.inf):
+            raise ValueError("step sizes must be positive and finite")
         lsq = 8.0 / spacing**2
         if tau * sigma * lsq > 1.0 + 1e-12:
             raise ValueError(

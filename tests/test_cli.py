@@ -374,7 +374,7 @@ def test_denoise_config_json(tmp_path):
     assert run("denoise", "--input", str(disk), "--lambda", "4",
                "--output-prefix", str(prefix),
                "--config", '{"tau": 100.0, "sigma": 100.0}') == 1
-    for bad in ('{"bogus": 1}', '[1]'):
+    for bad in ('{"bogus": 1}', '[1]', '{"tau": NaN}', '{"sigma": NaN}'):
         assert run("denoise", "--input", str(disk), "--lambda", "4",
                    "--output-prefix", str(prefix), "--config", bad) == 1
     # the flags still hold for the keys the JSON does not name

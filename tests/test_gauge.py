@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from wulff_tvl1.gauge import (Gauge, _conjugate_exponent, _pnorm,
-                              _polygon_halfspaces, dual_extremal, eval_dual,
-                              eval_gauge, project_minus_wulff, wulff_shape)
+from wulff_tvl1 import gauge, projection
+from wulff_tvl1.gauge import (Gauge, _conjugate_exponent, _convex_hull_ccw,
+                              _pnorm, _polygon_halfspaces, dual_extremal,
+                              eval_dual, eval_gauge, project_minus_wulff,
+                              wulff_shape)
+from wulff_tvl1.projection import _polygon_edges, _project_convex_polygon
 
 from conftest import GAUGE_ZOO, brute_force_dual, random_convex_polygon
 
@@ -388,15 +391,62 @@ def all_edges_polygon_projection(x: np.ndarray, vertices: np.ndarray) -> np.ndar
     return out
 
 
+def polygon_edge_cases(vertices: np.ndarray) -> np.ndarray:
+    """Points where the inscribed-disk pre-filter and the excess test meet,
+    if 0 is inside: on circles about 0 at r (1 - 1e-12), r and r (1 + 1e-12)
+    for the inscribed radius r = min_e b_e (the tangent points r n_e among
+    them).  Then the feet b_e n_e of every edge line, the vertices, the
+    origin, far and non-finite points."""
+    normals, offsets = _polygon_halfspaces(vertices)
+    r = offsets.min()
+    theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    directions = np.concatenate([normals, np.stack([np.cos(theta), np.sin(theta)], -1)])
+    circles = [directions * (r * scale) for scale in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)
+               if r > 0.0]
+    inf, nan = math.inf, math.nan
+    odd = [[0.0, 0.0], [nan, 0.0], [0.0, nan], [nan, nan], [inf, 0.0], [-inf, 0.0],
+           [0.0, inf], [0.0, -inf], [inf, inf], [-inf, inf], [1e6, -3e6], [-2e6, 1e6]]
+    return np.concatenate(circles + [offsets[:, None] * normals, vertices, np.array(odd)])
+
+
 def test_polygon_projection_uses_the_most_violated_edge(rng):
     # projecting onto the edge of largest excess alone matches the nearest
-    # point over all edges: to the bit on the square and hexagon, whose
-    # vertices and edge vectors are exact, and to an ulp on random polygons
+    # point over all edges: to the bit where the vertices and edge vectors
+    # are exact (the square, the hexagon, polygons on a 1/8 grid), and to an
+    # ulp on random polygons.  The inscribed-disk pre-filter changes no bit,
+    # non-finite points included (whose nearest point is undefined); polygons
+    # that exclude 0 run without it
+    def check(edges, x, project):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = project(x)
+            unfiltered = _project_convex_polygon(x, edges._replace(inradius=0.0))
+        assert got.tobytes() == unfiltered.tobytes()
+        finite = np.isfinite(x).all(axis=-1)
+        ref = all_edges_polygon_projection(x[finite], edges.starts)
+        assert got[finite].tobytes() == ref.tobytes()
+        nan = np.isnan(x).any(axis=-1)
+        assert np.array_equal(got[nan], x[nan], equal_nan=True)
+
     for name in ("square", "hexagon"):
         g = GAUGE_ZOO[name]
         x = rng.normal(size=(20000, 2)) * rng.choice([0.5, 2.0, 1e6], size=(20000, 1))
-        ref = all_edges_polygon_projection(x, g._minus_wulff_polygon)
-        assert project_minus_wulff(g, x).tobytes() == ref.tobytes()
+        polygon = g._minus_wulff_polygon
+        check(g._minus_wulff_edges, np.concatenate([x, polygon_edge_cases(polygon)]),
+              g.project_minus_wulff)
+    grid_polygons = [np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0], [1.0, 2.0]])]
+    while len(grid_polygons) < 4:
+        vertices = np.round(random_convex_polygon(rng, scale=2.0) * 8.0) / 8.0
+        try:
+            # moved into x_1, x_2 >= 1, so 0 lies outside
+            grid_polygons.append(_convex_hull_ccw(vertices + 1.0 - vertices.min(axis=0)))
+        except ValueError:
+            continue
+    for vertices in grid_polygons:
+        edges = _polygon_edges(vertices)
+        assert edges.inradius < 0.0
+        x = np.concatenate([rng.normal(size=(5000, 2)) * 3.0 + vertices.mean(axis=0),
+                            polygon_edge_cases(vertices)])
+        check(edges, x, lambda x: _project_convex_polygon(x, edges))
     for _ in range(10):
         vertices = random_convex_polygon(rng, scale=2.0)
         vertices -= vertices.mean(axis=0)  # 0 strictly inside
@@ -404,6 +454,25 @@ def test_polygon_projection_uses_the_most_violated_edge(rng):
         x = rng.normal(size=(5000, 2)) * 3.0
         ref = all_edges_polygon_projection(x, g._minus_wulff_polygon)
         assert np.abs(project_minus_wulff(g, x) - ref).max() <= 4e-15
+
+
+def test_polygon_edges_are_built_once_per_gauge(monkeypatch):
+    # the edge data of -W is cached on the gauge: after the first
+    # projection, neither a projection nor the dual recomputes half-spaces
+    g = Gauge.polyhedral([[2, 0], [1, 2], [-1, 1], [-2, -1], [0, -2], [1.5, -1]])
+    calls = []
+
+    def counted(vertices, _fn=projection._polygon_halfspaces):
+        calls.append(len(vertices))
+        return _fn(vertices)
+    monkeypatch.setattr(projection, "_polygon_halfspaces", counted)
+    monkeypatch.setattr(gauge, "_polygon_halfspaces", counted)
+    x = np.random.default_rng(3).normal(size=(32, 32, 2))
+    first = g.project_minus_wulff(x)
+    assert calls == [6]
+    assert g.project_minus_wulff(x).tobytes() == first.tobytes()
+    g.dual(x)
+    assert calls == [6]
 
 
 @pytest.mark.parametrize("name", ["asymmetric", "asymmetric-skew"])

@@ -79,6 +79,10 @@ def test_solve_rejects_bad_config():
             solve(f, lam, L1)
     with pytest.raises(ValueError):
         solve(f, 1.0, L1, SolverConfig(tau=10.0, sigma=10.0))
+    for bad in (0.0, -0.1, math.nan, math.inf):
+        for steps in ({"tau": bad}, {"sigma": bad}):
+            with pytest.raises(ValueError, match="step sizes"):
+                solve(f, 1.0, L1, SolverConfig(**steps))
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     for tol in (math.nan, -1.0):
