@@ -28,6 +28,10 @@ exclusion rules, each reported:
 
 The verdict therefore means "certified at resolution spacing"; the
 convergence of the residuals as spacing -> 0 is the actual evidence.
+Condition (ii) is read off the violation of (i): any non-finite entry of
+v (or a dual gauge that overflows) makes it NaN or inf, and (a)-(c) are
+then not evaluated.  The cells of (a) come from grid._div_bound_cells,
+which the solver's stop guard calls too.
 
 check_certificate runs over row blocks of at most grid.BLOCK_CELLS cells
 (2^16: one block up to 256^2).  Each block reads a slab with a halo of
@@ -52,10 +56,10 @@ import numpy as np
 from .gauge import Gauge
 # backward_gradient, dual_pairing, forward_gradient, tv_phi: unused here,
 # kept for tracers that patch them by name
-from .grid import (FEASIBILITY_TOL, DualField, GridImage, _check_same_grid,
-                   _row_blocks, _stencil_means, backward_gradient,
-                   cell_centers, divergence, dual_pairing, forward_divergence,
-                   forward_gradient, tv_phi)
+from .grid import (BOUNDARY_MARGIN, FEASIBILITY_TOL, DualField, GridImage,
+                   _check_same_grid, _div_bound_cells, _row_blocks,
+                   _stencil_means, backward_gradient, cell_centers, divergence,
+                   dual_pairing, forward_divergence, forward_gradient, tv_phi)
 from .solver import SolveResult, SolverConfig, canonical_minimiser, solve
 
 __all__ = [
@@ -66,7 +70,6 @@ __all__ = [
 ]
 
 TIE_BAND = 1e-6      # |u0 - f| <= TIE_BAND counts as a tie
-BOUNDARY_MARGIN = 2  # cells
 
 
 @dataclass
@@ -153,28 +156,25 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         raise ValueError("tolerance must be finite and >= 0")
 
     wulff_violation = float(np.maximum(v.max_dual_value(g) - 1.0, 0.0))
+    # (ii): a non-finite entry of v makes the violation NaN or inf; the
+    # residuals are then not evaluated (inf, every cell excluded)
+    finite = math.isfinite(wulff_violation)
 
     height, width = u0.values.shape
     m = BOUNDARY_MARGIN
-    finite = True
-    div_inf = res_above = res_below = 0.0
+    div_inf = res_above = res_below = 0.0 if finite else math.inf
     ok_cells = 0
-    for lo, hi, s0, s1 in _row_blocks(height, width, m + 1):
+    for lo, hi, s0, s1 in _row_blocks(height, width, m + 1) if finite else ():
         block = slice(lo - s0, hi - s0)
         slab = DualField(v.values[s0:s1], spacing)
         div_b = divergence(slab).values[block]
         div_f = forward_divergence(slab).values[block]
-        finite = finite and bool(np.all(np.isfinite(div_b)))
         # agreement of the two one-sided stencils bounds the kink smearing a
         # surviving cell can carry, so included residuals stay O(spacing)
-        stencil_ok = np.abs(div_b - div_f) <= spacing
-        # the window frame, in grid rows
-        stencil_ok[:max(m - lo, 0)] = False
-        stencil_ok[max(height - m - lo, 0):] = False
-        stencil_ok[:, :m] = False
-        stencil_ok[:, width - m:] = False
+        stencil_ok, block_max = _div_bound_cells(div_b, div_f, spacing, lo,
+                                                 height)
         ok_cells += np.count_nonzero(stencil_ok)
-        div_inf = _abs_max(div_b[stencil_ok], div_inf)
+        div_inf = max(div_inf, block_max)
 
         boundary = _dilate(_jump_cells(u0.values[s0:s1])
                            | _jump_cells(f.values[s0:s1]), m)[block]

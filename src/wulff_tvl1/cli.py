@@ -110,6 +110,8 @@ def cmd_denoise(args) -> int:
         "lambda": args.lam,
         "gauge": gauge.to_json(),
         "energy": energy(result.u, f, args.lam, gauge),
+        "energy_forward": result.energy_forward,
+        "lower_bound": result.lower_bound,
         "energy_trace": result.energy_trace.tolist(),
         "final_gap": result.final_gap,
         "final_gap_normalized": result.final_gap_normalized,

@@ -134,6 +134,7 @@ FEASIBILITY_TOL = 1e-9  # slack on phi_dual(p) <= 1 for membership in -W
 
 
 BLOCK_CELLS = 1 << 16  # cells per row block; grids up to 256^2 are one block
+BOUNDARY_MARGIN = 2    # cells: the certificate's window frame and jump margin
 
 
 def _check_same_grid(a, b):
@@ -211,13 +212,32 @@ def _div_adjoint_raw(p: np.ndarray, spacing: float,
     return out
 
 
-def _div_forward_raw(p: np.ndarray, spacing: float) -> np.ndarray:
+def _div_forward_raw(p: np.ndarray, spacing: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference divergence, the exact negative adjoint of
     _grad_backward_raw (ignores the first component column/row): the
     backward-difference kernel on the reflected field, negated."""
-    out = np.empty(p.shape[:2])
+    if out is None:
+        out = np.empty(p.shape[:2])
     _div_adjoint_raw(p[::-1, ::-1], spacing, out=out[::-1, ::-1])
     return np.subtract(0.0, out, out=out)
+
+
+def _div_bound_cells(div_b: np.ndarray, div_f: np.ndarray, spacing: float,
+                     lo: int, height: int) -> tuple[np.ndarray, float]:
+    """The cells of a row block (first grid row lo, grid height `height`)
+    where certificate condition (a) is evaluated, and max |div_b| over them
+    (0.0 for none): the two one-sided divergences agree within one spacing,
+    and the cell lies outside the BOUNDARY_MARGIN-cell window frame.  A
+    non-finite divergence never agrees.  div_f is overwritten."""
+    m = BOUNDARY_MARGIN
+    width = div_b.shape[1]
+    ok = np.abs(np.subtract(div_b, div_f, out=div_f), out=div_f) <= spacing
+    ok[:max(m - lo, 0)] = False
+    ok[max(height - m - lo, 0):] = False
+    ok[:, :m] = False
+    ok[:, width - m:] = False
+    return ok, float(np.max(np.abs(div_b, out=div_f), where=ok, initial=0.0))
 
 
 def _check_stencil_grid(field) -> None:

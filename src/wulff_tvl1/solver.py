@@ -9,27 +9,48 @@ is iterated with the classic first-order scheme
 
 whose dual iterate is exactly the certificate field of the optimality
 characterisation, so the checker can consume it without any extra
-construction.  The reported duality gap uses the scaled-feasible dual
-point, hence it is a true upper bound on the suboptimality of the
-returned energy.
+construction.  The reported duality gap bounds the suboptimality of the
+returned energy from above.
 
 Two parts carry it out.  The step generator ``_run`` owns the buffers and
 the step: it takes differences at unit spacing with the 1/h carried by
 the steps (sigma/h, tau/h), forms each new u and u_bar in one of its
 operands and rotates the three (H, W) buffers by name, bit for bit the
 iterates above.  Every MONITOR_EVERY iterations and on the last one it
-tests the relative-change fallback on max|u - u_prev| and yields the
-forward-stencil energy e_fwd = sum phi(grad+ u) h^2 + lam |u - f|_1 (the
-primal, which the gap bounds) and the dual value, divided by h as the
-public kernels divide.
+tests the relative-change fallback on max|u - u_prev| and forms the
+forward-stencil energy e_fwd = sum phi(grad+ u) h^2 + lam |u - f|_1 and a
+lower bound on its minimum, the dual value at a copy of p scaled to
+|div p| <= lam (divided by h as the public kernels divide).
+
+For a separable gauge (the 1-norm and weighted-1 kinds) the check is
+sharper, in buffers the step leaves free there:
+
+* the box dual: clipping u to [min f, max f] raises no term, so the
+  saddle objective at p itself, minimised cellwise over u in that box (at
+  min f, max f or f), is a lower bound with no scaling; the larger of the
+  two bounds is kept;
+* the 0.5 level set: for binary f some level set of u is as good as u
+  (coarea); where the 0.5 one's energy, counted from its jumps and its
+  cells off f, is below e_fwd, or u is binary itself, the check reports
+  that image and energy, the image canonical_minimiser returns;
+* the guard: the sharper gap stops the run only if the plain one (scaled
+  dual, unrounded e_fwd) meets the tolerance too, or p meets certificate
+  condition (a) as check_certificate evaluates it (grid._div_bound_cells,
+  tolerance 3 h).  Below a tolerance of 1 the plain gap meeting it implies
+  the sharper one does, so no run stops later than on the plain gap, and
+  an earlier stop returns a p that meets (a).
+
+Other gauge kinds keep the plain gap: clipping can raise an asymmetric
+gauge (phi(-1, 1) < phi(0, 1) for a = (0.5, 0)).
 
 ``solve`` is the stop policy over those checks.  It stops at the first
-check where the normalised gap meets the tolerance (``gap``, returning
-that pair) or the fallback fired (``stalled``), else at the cap (``cap``);
-a stalled or capped run returns the checked pair of lowest e_fwd.
-``converged`` is ``stop_reason == "gap"``.  ``energy_trace`` holds the
-lowest e_fwd so far at each check; reports quote the two-stencil
-``energy`` below.
+check whose gap met the tolerance (``gap``, returning that pair) or
+the fallback fired (``stalled``), else at the cap (``cap``); a stalled or
+capped run returns the checked pair of lowest energy.  ``converged`` is
+``stop_reason == "gap"``.  ``energy_trace`` holds the lowest checked
+energy so far at each check (e_fwd, or the level set's); its last entry
+is ``energy_forward``, and final_gap = max(energy_forward - lower_bound,
+0).  Reports also quote the two-stencil ``energy`` below.
 """
 
 from __future__ import annotations
@@ -43,8 +64,9 @@ from .gauge import Gauge
 # _grad_backward_raw, divergence, forward_gradient: unused here, kept for
 # tracers that patch them by name
 from .grid import (DualField, GridImage, _check_same_grid, _check_stencil_grid,
-                   _div_adjoint_raw, _grad_backward_raw, _grad_forward_raw,
-                   divergence, forward_gradient, level_set, tv_phi)
+                   _div_adjoint_raw, _div_bound_cells, _div_forward_raw,
+                   _grad_backward_raw, _grad_forward_raw, divergence,
+                   forward_gradient, level_set, tv_phi)
 
 __all__ = [
     "SolverConfig",
@@ -97,12 +119,17 @@ class SolveResult:
     energy_trace: np.ndarray = field(repr=False)
     final_gap: float = math.nan            # raw primal-dual gap
     final_gap_normalized: float = math.nan
+    lower_bound: float = math.nan          # final_gap = energy_forward - this
     iterations: int = 0
     stop_reason: str = "cap"               # "gap", "stalled" or "cap"
 
     @property
     def converged(self) -> bool:  # the gap met the tolerance
         return self.stop_reason == "gap"
+
+    @property
+    def energy_forward(self) -> float:  # the energy final_gap bounds
+        return float(self.energy_trace[-1])
 
 
 def energy(u: GridImage, f: GridImage, lam: float, g: Gauge) -> float:
@@ -119,10 +146,15 @@ def _abs_max(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
+def _is_binary(values: np.ndarray) -> bool:
+    return bool(np.all((values == 0.0) | (values == 1.0)))
+
+
 def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
-         max_iterations: int):
-    """Steps from (u, p) = (f, 0); yields (iterations, u, p, e_fwd,
-    dual_value, stalled) on each check, u and p valid until the next step."""
+         max_iterations: int, gap_tolerance: float):
+    """Steps from (u, p) = (f, 0); yields (iterations, u, p, energy,
+    dual_value, gap_met, stalled) on each check, u and p valid until the
+    next step."""
     spacing = f.spacing
     h2 = spacing**2
     fv = f.values
@@ -135,6 +167,11 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
     div_buf = np.empty_like(fv)
     step = np.empty_like(fv)
     scratch = np.empty_like(fv)
+    box = g.separable
+    if box:
+        f_lo, f_hi = float(fv.min()), float(fv.max())
+        rounding = _is_binary(fv)
+        c0, c1 = (float(c) for c in g(np.eye(2)))  # phi(y) = c0|y0| + c1|y1|
 
     for k in range(max_iterations):
         iterations = k + 1
@@ -175,8 +212,51 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
         div_p = np.divide(div_buf, spacing, out=div_buf)  # the kernel's bits
         dmax = _abs_max(div_p)
         scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
-        dual_value = -float(np.multiply(fv, div_p, out=scratch).sum()) * scale * h2
-        yield iterations, u, p, e_fwd, dual_value, stalled
+        scaled_dual = -float(np.multiply(fv, div_p, out=scratch).sum()) * scale * h2
+        energy_value, dual_value, checked_u = e_fwd, scaled_dual, u
+        if box:
+            # the box dual: per cell -f c - (max f) max(x, 0) - (min f)
+            # min(x, 0) with c = clip(div p, -lam, lam) and x = div p - c
+            clipped = np.clip(div_p, -lam, lam, out=grad_buf[..., 0])
+            fc = float(np.multiply(fv, clipped, out=scratch).sum())
+            x = np.subtract(div_p, clipped, out=clipped)
+            up = float(np.maximum(x, 0.0, out=scratch).sum())
+            down = float(np.minimum(x, 0.0, out=x).sum()) if f_lo else 0.0
+            dual_value = max(dual_value, -(fc + f_hi * up + f_lo * down) * h2)
+            if rounding:
+                # binary f: the 0.5 level set where its energy, counted, is
+                # lower, or where u is binary itself
+                level = np.greater(u, 0.5, out=step)
+                e_level = _binary_energy(level, fv, lam, c0, c1, spacing)
+                if e_level < e_fwd or np.array_equal(level, u):
+                    energy_value, checked_u = e_level, level
+        # the guard: the plain gap meets the tolerance too, or p meets
+        # certificate condition (a); without a sharper value the two gaps
+        # are one
+        gap_met = ((energy_value - dual_value) / (1.0 + abs(energy_value))
+                   <= gap_tolerance
+                   and ((e_fwd - scaled_dual) / (1.0 + abs(e_fwd))
+                        <= gap_tolerance
+                        or _meets_div_bound(div_p, p, lam, spacing, scratch)))
+        yield iterations, checked_u, p, energy_value, dual_value, gap_met, stalled
+
+
+def _binary_energy(b: np.ndarray, fv: np.ndarray, lam: float, c0: float,
+                   c1: float, spacing: float) -> float:
+    """Forward-stencil energy of a 0/1 image b for phi(y) = c0|y0| + c1|y1|,
+    from counts of unequal neighbours and of cells off f."""
+    jumps = (c0 * np.count_nonzero(b[:, 1:] != b[:, :-1])
+             + c1 * np.count_nonzero(b[1:] != b[:-1]))
+    return jumps * spacing + lam * np.count_nonzero(b != fv) * spacing**2
+
+
+def _meets_div_bound(div_p: np.ndarray, p: np.ndarray, lam: float,
+                     spacing: float, buf: np.ndarray) -> bool:
+    """Condition (a) of check_certificate at its default tolerance 3 h, for
+    p with backward divergence div_p; buf receives the forward one."""
+    _, div_inf = _div_bound_cells(div_p, _div_forward_raw(p, spacing, out=buf),
+                                  spacing, 0, p.shape[0])
+    return max(0.0, div_inf - lam) <= 3.0 * spacing
 
 
 def solve(f: GridImage, lam: float, g: Gauge,
@@ -192,32 +272,32 @@ def solve(f: GridImage, lam: float, g: Gauge,
     best_energy = math.inf
     best_u = f.values.copy()
     best_p = np.zeros((2, f.height, f.width)).transpose(1, 2, 0)
-    best_gap = math.nan
+    best_dual = math.nan
     trace = []
-    for iterations, u, p, e_fwd, dual_value, stalled in _run(
-            f, lam, g, tau, sigma, cfg.max_iterations):
-        gap = e_fwd - dual_value
-        gap_met = gap / (1.0 + abs(e_fwd)) <= cfg.gap_tolerance
-        # the gap is kept with the returned pair so it bounds *its* energy;
-        # that pair is the lowest-e_fwd one, or on a gap stop the one that met it
-        if gap_met or e_fwd < best_energy:
-            best_energy = e_fwd
+    for iterations, u, p, e, dual_value, gap_met, stalled in _run(
+            f, lam, g, tau, sigma, cfg.max_iterations, cfg.gap_tolerance):
+        # the dual value is kept with the returned pair so the gap bounds
+        # *its* energy; that pair is the lowest-energy one, or on a gap stop
+        # the one that met the tolerance
+        if gap_met or e < best_energy:
+            best_energy = e
             best_u[...] = u
             best_p[...] = p
-            best_gap = gap
+            best_dual = dual_value
         trace.append(best_energy)
         del p  # so the next projection can reuse this p's memory
         if not (gap_met or stalled or iterations == cfg.max_iterations):
             continue
         # built while the loop's buffers are alive: built after, it left the
         # heap top free to be trimmed, and later solves re-faulted its pages
-        gap = max(best_gap, 0.0)
+        gap = max(best_energy - best_dual, 0.0)
         return SolveResult(
             u=GridImage(best_u, f.spacing),
             p=DualField(np.ascontiguousarray(best_p), f.spacing),
             energy_trace=np.array(trace),
             final_gap=gap,
             final_gap_normalized=gap / (1.0 + abs(best_energy)),
+            lower_bound=best_dual,
             iterations=iterations,
             stop_reason="gap" if gap_met else "stalled" if stalled else "cap",
         )
@@ -231,8 +311,7 @@ def threshold_binary(result: SolveResult, t: float = 0.5) -> GridImage:
 def canonical_minimiser(result: SolveResult, f: GridImage) -> GridImage:
     """The minimiser to write and certify: threshold_binary(result) when f
     is binary, else result.u itself."""
-    binary = np.all((f.values == 0.0) | (f.values == 1.0))
-    return threshold_binary(result) if binary else result.u
+    return threshold_binary(result) if _is_binary(f.values) else result.u
 
 
 @dataclass

@@ -47,6 +47,20 @@ def test_nan_dual_maximum_fails_membership(monkeypatch):
     assert not rep.conditions["i_wulff_membership"] and not rep.passed
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_field_fails_bounded_divergence(bad):
+    # (ii) is derived from the violation of (i), which a non-finite entry
+    # makes non-finite; the check reports it instead of raising
+    u0 = GridImage(np.zeros((8, 8)), 0.5)
+    v = np.zeros((8, 8, 2))
+    v[4, 4, 0] = bad
+    rep = check_certificate(u0, u0, DualField(v, 0.5), 1.0, L1)
+    assert not math.isfinite(rep.wulff_violation)
+    assert not rep.conditions["ii_bounded_divergence"] and not rep.passed
+    assert rep.div_inf_norm == math.inf and rep.excluded_fraction == 1.0
+    assert not rep.strict_uniqueness_hint
+
+
 def test_check_certificate_sets_uniqueness_hint():
     # hint = div_inf_norm < lam - tol: a zero field has margin, the circle
     # field reaches |div v| = lam on the clipped disk

@@ -128,6 +128,10 @@ def test_denoise_circle_example(tmp_path, capsys):
     report = json.loads((tmp_path / "out_report.json").read_text())
     assert report["energy"] == pytest.approx(7.915867428480675, rel=0.01)
     assert report["converged"] and report["stop_reason"] == "gap"
+    # final_gap bounds energy_forward, the last energy_trace entry
+    assert report["energy_forward"] == report["energy_trace"][-1]
+    assert (max(report["energy_forward"] - report["lower_bound"], 0.0)
+            == report["final_gap"])
     assert report["certificate"]["passed"]
     assert (tmp_path / "out.pgm").exists()
     assert (tmp_path / "out_dual.raw").exists()
@@ -262,6 +266,23 @@ def test_certify_file_inputs_pass(tmp_path):
     write_field(v, DualField(np.zeros((16, 16, 2)), 0.5))
     assert run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
                "--lambda", "2", "--spacing", "0.5") == 0
+
+
+def test_certify_non_finite_field_fails(tmp_path):
+    # an inf entry fails condition (ii): exit 3 with a report, not exit 1
+    from wulff_tvl1.fileio import write_field
+    from wulff_tvl1.grid import DualField
+    u0 = tmp_path / "u0.pgm"
+    v = tmp_path / "v.raw"
+    out = tmp_path / "cert.json"
+    write_pgm(u0, GridImage(np.zeros((8, 8)), 1.0))
+    values = np.zeros((8, 8, 2))
+    values[4, 4, 0] = math.inf
+    write_field(v, DualField(values, 1.0))
+    assert run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
+               "--lambda", "2", "--spacing", "1.0", "--output", str(out)) == 3
+    report = json.loads(out.read_text())
+    assert report["conditions"]["ii_bounded_divergence"] is False
 
 
 def test_zero_spacing_is_a_configuration_error(tmp_path):

@@ -5,12 +5,13 @@ import pytest
 
 from wulff_tvl1 import solver
 from wulff_tvl1.gauge import Gauge
-from wulff_tvl1.grid import (GridImage, _div_adjoint_raw, _grad_forward_raw,
-                             divergence, forward_gradient,
+from wulff_tvl1.certificate import check_certificate
+from wulff_tvl1.grid import (DualField, GridImage, _div_adjoint_raw,
+                             _grad_forward_raw, divergence, forward_gradient,
                              raster_convex_polygon, raster_disk, tv_phi)
 from wulff_tvl1.solver import (BURN_IN, CHANGE_TOLERANCE, SolverConfig,
-                               check_contrast_invariance, energy, solve,
-                               threshold_binary)
+                               canonical_minimiser, check_contrast_invariance,
+                               energy, solve, threshold_binary)
 
 from conftest import (GAUGE_ZOO, brute_force_binary_optimum, gaussian_blur,
                       symmetric_difference_area)
@@ -144,18 +145,53 @@ def test_gap_bounds_suboptimality(rng):
     assert energy(res.u, f, 2.0, L1) - opt <= res.final_gap + 1e-9
 
 
+def forward_energy(u: GridImage, f: GridImage, lam: float, g: Gauge) -> float:
+    h2 = f.spacing**2
+    return (float(g(forward_gradient(u).values).sum()) * h2
+            + lam * float(np.abs(u.values - f.values).sum()) * h2)
+
+
+def box_dual(fv: np.ndarray, div_p: np.ndarray, lam: float, h2: float) -> float:
+    """h^2 sum over cells of the least of -u div p + lam |u - f| over
+    u in [min f, max f], attained at min f, max f or f."""
+    c = np.clip(div_p, -lam, lam)
+    x = div_p - c
+    return -(float((fv * c).sum()) + float(fv.max()) * float(np.maximum(x, 0.0).sum())
+             + float(fv.min()) * float(np.minimum(x, 0.0).sum())) * h2
+
+
+def is_binary(f: GridImage) -> bool:
+    return bool(np.all((f.values == 0.0) | (f.values == 1.0)))
+
+
+def binary_energy(b: np.ndarray, f: GridImage, lam: float, g: Gauge) -> float:
+    """Forward-stencil energy of a 0/1 image of a separable gauge, counted:
+    h (phi(e0) #x-jumps + phi(e1) #y-jumps) + lam h^2 #(b != f)."""
+    c0, c1 = (float(c) for c in g(np.eye(2)))
+    jumps = (c0 * np.count_nonzero(np.diff(b, axis=1))
+             + c1 * np.count_nonzero(np.diff(b, axis=0)))
+    return (jumps * f.spacing
+            + lam * np.count_nonzero(b != f.values) * f.spacing**2)
+
+
 def reference_gap(res, f: GridImage, lam: float, g: Gauge) -> tuple[float, float]:
     """Raw and normalised gap of the returned (u, p), computed from scratch
-    with the validated grid operators."""
+    with the validated grid operators: the scaled dual and, for separable
+    gauges, the box dual; with binary f a binary u has its counted energy,
+    and any other u is returned only where its level set's is not lower."""
     h2 = f.spacing**2
     div_p = divergence(res.p).values
     dmax = float(np.max(np.abs(div_p)))
     scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
     dual_value = -float((f.values * div_p).sum()) * scale * h2
-    e_fwd = (float(g(forward_gradient(res.u).values).sum()) * h2
-             + lam * float(np.abs(res.u.values - f.values).sum()) * h2)
-    gap = max(e_fwd - dual_value, 0.0)
-    return gap, gap / (1.0 + abs(e_fwd))
+    e = forward_energy(res.u, f, lam, g)
+    if g.separable:
+        dual_value = max(dual_value, box_dual(f.values, div_p, lam, h2))
+        if is_binary(f):
+            level = binary_energy(threshold_binary(res).values, f, lam, g)
+            e = level if is_binary(res.u) else min(e, level)
+    gap = max(e - dual_value, 0.0)
+    return gap, gap / (1.0 + abs(e))
 
 
 @pytest.mark.parametrize("name", ["l1", "l2", "asymmetric", "hexagon"])
@@ -170,9 +206,12 @@ def test_gap_stop_returns_the_pair_that_met_the_tolerance():
     f = raster_disk(64, 64, 3.0 / 64, radius=1.0, supersample=4, binary=True)
     cfg = SolverConfig(max_iterations=1500)
     res = solve(f, 3.0, L1, cfg)
-    # without the gap test the run goes on, so the gap test stopped it
-    no_gap = solve(f, 3.0, L1, SolverConfig(max_iterations=1500, gap_tolerance=0.0))
-    assert res.converged and res.iterations < no_gap.iterations
+    # the check before did not meet the tolerance (a run capped there ends
+    # on it), so the gap test stopped the run at its first chance; a zero
+    # tolerance no longer shows this, since the sharper gap reaches 0 here
+    early = solve(f, 3.0, L1, SolverConfig(
+        max_iterations=res.iterations - solver.MONITOR_EVERY))
+    assert res.converged and early.stop_reason == "cap"
     assert res.stop_reason == "gap"
     assert res.final_gap_normalized <= cfg.gap_tolerance
     assert (res.final_gap,
@@ -201,8 +240,9 @@ def test_capped_run_returns_its_lowest_forward_energy_pair(name):
 def reference_loop(f: GridImage, lam: float, g: Gauge, cfg: SolverConfig):
     """The step loop with interleaved (H, W, 2) fields, the 1/h folded into
     the steps, the shrink written as sign(s) max(|s| - tau lam, 0), fresh
-    copies on each improvement and the monitor on every iteration; returns
-    (u, p, trace, gap, iterations)."""
+    copies on each improvement and the monitor on every iteration, its
+    condition-(a) guard taken from check_certificate; returns (u, p, trace,
+    gap, iterations)."""
     tau, sigma = cfg.steps_for(f.spacing)
     h2 = f.spacing**2
     fv = f.values
@@ -226,10 +266,23 @@ def reference_loop(f: GridImage, lam: float, g: Gauge, cfg: SolverConfig):
         div_p = _div_adjoint_raw(p, f.spacing)
         dmax = max(float(div_p.max()), -float(div_p.min()))
         scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
-        gap = e_fwd - (-float((fv * div_p).sum()) * scale * h2)
-        gap_met = gap / (1.0 + abs(e_fwd)) <= cfg.gap_tolerance
-        if gap_met or e_fwd < best_energy:
-            best_energy, best_u, best_p, best_gap = e_fwd, u.copy(), p.copy(), gap
+        scaled = -float((fv * div_p).sum()) * scale * h2
+        e, dual, checked = e_fwd, scaled, u
+        if g.separable:
+            dual = max(dual, box_dual(fv, div_p, lam, h2))
+            if is_binary(f):
+                level = (u > 0.5).astype(float)
+                e_level = binary_energy(level, f, lam, g)
+                if e_level < e_fwd or np.array_equal(level, u):
+                    e, checked = e_level, level
+        gap = e - dual
+        gap_met = gap / (1.0 + abs(e)) <= cfg.gap_tolerance
+        if gap_met and (e, dual) != (e_fwd, scaled):
+            gap_met = ((e_fwd - scaled) / (1.0 + abs(e_fwd)) <= cfg.gap_tolerance
+                       or check_certificate(f, f, DualField(p, f.spacing), lam,
+                                            g).conditions["a_div_bound"])
+        if gap_met or e < best_energy:
+            best_energy, best_u, best_p, best_gap = e, checked.copy(), p.copy(), gap
         trace.append(best_energy)
         if gap_met or (k > BURN_IN and change <= CHANGE_TOLERANCE
                        * (max(float(u.max()), -float(u.min())) + 1e-30)):
@@ -256,10 +309,95 @@ def test_planar_loop_matches_the_interleaved_reference(name, monkeypatch):
     assert res.final_gap == gap
 
 
-def forward_energy(u: GridImage, f: GridImage, lam: float, g: Gauge) -> float:
-    h2 = f.spacing**2
-    return (float(g(forward_gradient(u).values).sum()) * h2
-            + lam * float(np.abs(u.values - f.values).sum()) * h2)
+@pytest.mark.parametrize("name", ["l1", "weighted-l1"])
+def test_sharper_stop_matches_the_reference(name, monkeypatch):
+    # binary f at the default tolerance: the box dual, the 0.5 level set and
+    # the condition-(a) guard, which turns down candidate checks here before
+    # the run stops, all bit for bit
+    monkeypatch.setattr(solver, "MONITOR_EVERY", 1)
+    verdicts = []
+    guard = solver._meets_div_bound
+    monkeypatch.setattr(solver, "_meets_div_bound",
+                        lambda *args: verdicts.append(guard(*args)) or verdicts[-1])
+    g = GAUGE_ZOO[name]
+    f = raster_disk(48, 48, 3.0 / 48, radius=1.0, supersample=4, binary=True)
+    cfg = SolverConfig(max_iterations=2000)
+    res = solve(f, 2.0, g, cfg)
+    u, p, trace, gap, iterations = reference_loop(f, 2.0, g, cfg)
+    assert res.stop_reason == "gap" and res.iterations == iterations
+    assert False in verdicts and verdicts[-1]
+    assert res.u.values.tobytes() == u.tobytes()
+    assert res.p.values.tobytes() == p.tobytes()
+    assert res.energy_trace.tobytes() == trace.tobytes()
+    assert res.final_gap == gap
+    assert set(np.unique(res.u.values)) <= {0.0, 1.0}  # the 0.5 level set
+
+
+@pytest.mark.parametrize("name", ["asymmetric", "asymmetric-skew", "square",
+                                  "hexagon"])
+def test_non_separable_solves_keep_the_plain_monitor(name, monkeypatch):
+    # the box dual needs a gauge that clipping cannot raise; the asymmetric
+    # gauge is not monotone in |y_1|, and the others are left as they are too
+    a = GAUGE_ZOO["asymmetric"]
+    assert a(np.array([-1.0, 1.0])) < a(np.array([0.0, 1.0]))
+    monkeypatch.setattr(solver, "MONITOR_EVERY", 1)
+    monkeypatch.setattr(solver, "_meets_div_bound", None)  # never called
+    g = GAUGE_ZOO[name]
+    f = raster_disk(32, 32, 3.0 / 32, radius=1.0, supersample=4, binary=True)
+    cfg = SolverConfig(max_iterations=300)
+    res = solve(f, 3.0, g, cfg)
+    u, p, trace, gap, iterations = reference_loop(f, 3.0, g, cfg)
+    assert res.iterations == iterations
+    assert res.u.values.tobytes() == u.tobytes()
+    assert res.p.values.tobytes() == p.tobytes()
+    assert res.energy_trace.tobytes() == trace.tobytes()
+    assert res.final_gap == gap
+
+
+@pytest.mark.parametrize("name", ["l1", "weighted-l1"])
+def test_sharper_bound_is_sound(name, rng):
+    # lower_bound = energy_forward - final_gap stays at or below the exact
+    # optimum, and the returned energy at or above it
+    g = GAUGE_ZOO[name]
+    for _ in range(4):
+        f = GridImage(rng.integers(0, 2, size=(3, 3)).astype(float), 1.0)
+        for lam in (0.5, 2.0, 8.0):
+            opt = brute_force_binary_optimum(f, lam, g)
+            res = solve(f, lam, g, SolverConfig(max_iterations=4000))
+            assert res.energy_forward - res.final_gap <= opt + 1e-9
+            assert res.lower_bound <= opt + 1e-9
+            assert opt <= res.energy_forward + 1e-9
+            assert res.energy_forward == pytest.approx(
+                forward_energy(res.u, f, lam, g), rel=1e-12)
+
+
+def test_binary_iterate_reports_its_counted_energy():
+    # lambda above max |div p| keeps u = f; at h = 0.3 the counted energy of
+    # this f (15.0) is an ulp above the gauge sum, and the report keeps the
+    # counted one, as for any binary u it returns
+    f = GridImage(np.random.default_rng(3).integers(0, 2, size=(8, 8))
+                  .astype(float), 0.3)
+    assert binary_energy(f.values, f, 100.0, L1) > forward_energy(f, f, 100.0, L1)
+    res = solve(f, 100.0, L1, SolverConfig(max_iterations=100))
+    assert res.u.values.tobytes() == f.values.tobytes()
+    assert res.energy_forward == binary_energy(f.values, f, 100.0, L1) == 15.0
+    assert (res.final_gap,
+            res.final_gap_normalized) == reference_gap(res, f, 100.0, L1)
+
+
+def test_trivial_regime_stops_only_on_a_certifying_field(monkeypatch):
+    # 96^2 square at lambda = 1: the sharper gap meets the tolerance one
+    # check before p meets condition (a), and the guard waits for it
+    f = unit_square(n=96)
+    cfg = SolverConfig(max_iterations=4000)
+    res = solve(f, 1.0, L1, cfg)
+    rep = check_certificate(canonical_minimiser(res, f), f, res.p, 1.0, L1)
+    assert res.stop_reason == "gap" and rep.passed
+    monkeypatch.setattr(solver, "_meets_div_bound", lambda *args: True)
+    early = solve(f, 1.0, L1, cfg)
+    assert early.stop_reason == "gap" and early.iterations < res.iterations
+    rep = check_certificate(canonical_minimiser(early, f), f, early.p, 1.0, L1)
+    assert not rep.conditions["a_div_bound"]
 
 
 def test_monitor_cadence(monkeypatch):
