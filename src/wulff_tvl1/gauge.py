@@ -309,33 +309,37 @@ class Gauge:
 
     # -- projection onto -W -----------------------------------------------
 
-    def project_minus_wulff(self, x) -> np.ndarray:
+    def project_minus_wulff(self, x, out: np.ndarray | None = None) -> np.ndarray:
         """Euclidean projection onto -W = {phi_dual <= 1}, exact for every
         kind: a clip for p = 1, closed forms for the unit disk (p = 2, and
         asymmetric kinds shifted by a) and the l1 ball (p = inf; a box in
         rotated coordinates when both weights are equal), safeguarded
         Newton for the weighted q-norm ball of any other p, and the nearest
-        point of the most-violated edge for polygons.  The result has x's
-        memory layout; points in -W come back unchanged.  All but the clip
-        and the disk are 2-D only."""
+        point of the most-violated edge for polygons.  The result is written
+        into `out` (x itself, or an array of x's shape that shares no memory
+        with it) and returned; by default into a new array in x's memory
+        layout.  Points in -W come back unchanged.  All but the clip and the
+        disk are 2-D only."""
         x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty_like(x)
         if self.kind == "asymmetric":  # -W is the unit disk centred at a
-            return _project_shifted_disk(x, self.shift)
+            return _project_shifted_disk(x, self.shift, out)
         if self.kind == "polyhedral":
-            return _project_convex_polygon(x, self._minus_wulff_edges)
+            return _project_convex_polygon(x, self._minus_wulff_edges, out)
         p = self.p
         w = self.weights if self.kind == "weighted" else None
         if p == 1.0:  # -W is the box |x_i| <= w_i
             bound = w if w is not None else 1.0
-            return np.clip(x, -bound, bound)
+            return np.clip(x, -bound, bound, out=out)
         if w is None:
             if p == 2.0:
-                return _project_unit_disk(x)
+                return _project_unit_disk(x, out)
             w = np.ones(2)
         if math.isinf(p):  # -W is the ball sum |x_i| / w_i <= 1
-            return _project_l1_ball(x, w)
+            return _project_l1_ball(x, w, out)
         # -W is the ball sum |x_i / w_i|^q <= 1 with 1/p + 1/q = 1
-        return _project_q_ball(x, _conjugate_exponent(p), w)
+        return _project_q_ball(x, _conjugate_exponent(p), w, out)
 
 
 def _encode_exponent(p: float):

@@ -7,9 +7,10 @@ equal weights a square turned 45 degrees, clipped as a box in the rotated
 coordinates x_1 + x_2 and x_1 - x_2), safeguarded Newton on one boundary
 parameter per point for weighted q-norm balls (every other p, ellipses
 included), and the nearest point of the most-violated edge for convex
-polygons.  The box of p = 1 is a clip.  Each routine returns a new array
-in its input's memory layout and leaves points of the set unchanged.  The
-q-ball and polygon routines look for the points outside only among those
+polygons.  The box of p = 1 is a clip.  Each routine writes its result
+into an array `out` of x's shape that the caller passes, which may be x
+itself, returns it, and leaves points of the set unchanged.  The q-ball
+and polygon routines look for the points outside only among those
 that a cheap test cannot place inside: for a polygon about 0, the points
 outside its inscribed disk.  The polygon routine takes the polygon's edge
 data, which a gauge builds once.  The plane-wise p-norm and the polygon
@@ -75,16 +76,16 @@ def _polygon_edges(vertices: np.ndarray) -> PolygonEdges:
                         float(offsets.min()))
 
 
-def _project_unit_disk(x: np.ndarray) -> np.ndarray:
+def _project_unit_disk(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     scale = np.maximum(_pnorm(x, 2.0), 1.0)[..., None]
-    return np.divide(x, scale, out=np.empty_like(x))
+    return np.divide(x, scale, out=out)
 
 
-def _project_shifted_disk(x: np.ndarray, centre: np.ndarray) -> np.ndarray:
+def _project_shifted_disk(x: np.ndarray, centre: np.ndarray,
+                          out: np.ndarray) -> np.ndarray:
     """Projection onto the unit disk centred at `centre`, one component
-    plane at a time in x's memory layout: the same arithmetic as
+    plane at a time: the same arithmetic as
     centre + _project_unit_disk(x - centre), without its broadcast passes."""
-    out = np.empty_like(x)
     planes = [out[..., i] for i in range(x.shape[-1])]
     for i, (plane, c) in enumerate(zip(planes, centre)):
         np.subtract(x[..., i], c, out=plane)
@@ -95,7 +96,7 @@ def _project_shifted_disk(x: np.ndarray, centre: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project_l1_ball(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _project_l1_ball(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Projection onto { z : |z_1| / w_1 + |z_2| / w_2 <= 1 } (w > 0).
 
     With w_1 = w_2 = r the ball is the box |s|, |d| <= r in the rotated
@@ -112,19 +113,20 @@ def _project_l1_ball(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise ValueError("the l1-ball projection is 2-D only")
     x0 = x[..., 0]
     x1 = x[..., 1]
-    out = np.empty_like(x)  # in x's memory order
     z0 = out[..., 0]  # 0-d arrays for one vector, so every out= works
     z1 = out[..., 1]
     if w[0] == w[1]:
         r = w[0]
-        e = np.empty((2,) + x.shape[:-1])
-        e_s, e_d = e[0, ...], e[1, ...]
-        for part, combine in ((e_s, np.add), (e_d, np.subtract)):
-            combine(x0, x1, out=part)
-            part -= np.clip(part, -r, r, out=z0)
-        np.add(e_s, e_d, out=z0)
-        z0 *= 0.5
-        np.subtract(x0, z0, out=z0)
+        # x is read to the end, as out may be x; [i, ...] keeps 0-d arrays
+        e = np.empty((3,) + x.shape[:-1])
+        e_s, e_d, t = (e[i, ...] for i in range(3))
+        np.add(x0, x1, out=e_s)
+        np.subtract(x0, x1, out=e_d)
+        for part in (e_s, e_d):
+            part -= np.clip(part, -r, r, out=t)
+        np.add(e_s, e_d, out=t)
+        t *= 0.5
+        np.subtract(x0, t, out=z0)
         e_s -= e_d
         e_s *= 0.5
         np.subtract(x1, e_s, out=z1)
@@ -229,19 +231,28 @@ def _nearest_on_q_arc(a_u: np.ndarray, a_v: np.ndarray, w_u: float, w_v: float,
     return w_u * y_u, w_v * y_v
 
 
-def _copy_with_planes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A copy of x in x's memory order (in C order if no plane has a flat
-    view in x's) and its two component planes as writable 1-D views."""
-    out = np.array(x, dtype=float)
+def _copy_with_planes(x: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x copied into out (unless out is x) and out's two component planes as
+    writable 1-D views; in place of an out whose strides give no plane a
+    flat view, a C-order copy of x, which _written_to returns in out."""
+    if out is not x:
+        np.copyto(out, x)
     for order in "CF":
         planes = np.moveaxis(out, -1, 0).reshape(2, -1, order=order)
         if np.may_share_memory(planes, out):
             return out, planes
-    out = np.ascontiguousarray(out)  # also any empty x: it shares no memory
-    return out, np.moveaxis(out, -1, 0).reshape(2, -1)
+    work = np.array(x, order="C")  # also for any empty x: it shares no memory
+    return work, np.moveaxis(work, -1, 0).reshape(2, -1)
 
 
-def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
+def _written_to(out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    if work is not out:
+        np.copyto(out, work)
+    return out
+
+
+def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
     """Projection onto { z : |z_1 / w_1|^q + |z_2 / w_2|^q <= 1 }, 1 < q < inf.
     Points in the ball are returned unchanged.  By symmetry a point outside
     is projected as a = |x| onto the first-quadrant arc; the sign of the
@@ -249,7 +260,7 @@ def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
     (z_u / w_u)^q <= 1/2 at the solution."""
     if x.shape[-1] != 2 or len(w) != 2:
         raise ValueError("the q-norm ball projection is 2-D only")
-    out, planes = _copy_with_planes(x)
+    work, planes = _copy_with_planes(x, out)
     a = np.abs(planes)
     r0, r1 = a[0] / w[0], a[1] / w[1]
     mid = 2.0 ** (-1.0 / q)
@@ -270,10 +281,11 @@ def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
         z_u, z_v = _nearest_on_q_arc(a[u, group], a[v, group], w[u], w[v], q)
         planes[u, cells] = np.copysign(z_u, planes[u, cells])
         planes[v, cells] = np.copysign(z_v, planes[v, cells])
-    return out
+    return _written_to(out, work)
 
 
-def _project_convex_polygon(x: np.ndarray, polygon: PolygonEdges) -> np.ndarray:
+def _project_convex_polygon(x: np.ndarray, polygon: PolygonEdges,
+                            out: np.ndarray) -> np.ndarray:
     """Projection onto a CCW convex polygon, given by its edge data.  A
     point outside goes to the nearest point of its most-violated edge, the
     edge of largest excess n_e.x - b_e.  That is exact: in an edge's region
@@ -287,7 +299,7 @@ def _project_convex_polygon(x: np.ndarray, polygon: PolygonEdges) -> np.ndarray:
     test would send outside.  Only the other points, the candidates, go
     through the excess test, so the full-grid work is the copy and that one
     pre-filter."""
-    out, planes = _copy_with_planes(x)
+    work, planes = _copy_with_planes(x, out)
     x0, x1 = planes
     normals, offsets, starts, edges, length2, inradius = polygon
     if inradius > 0.0:
@@ -311,7 +323,7 @@ def _project_convex_polygon(x: np.ndarray, polygon: PolygonEdges) -> np.ndarray:
         np.maximum(largest, excess, out=largest)
     outside = candidates[largest > 1e-12]
     if outside.size == 0:  # as in about half the calls of a solve
-        return out
+        return _written_to(out, work)
     x0 = x0[outside]
     x1 = x1[outside]
     # one row per edge, so each broadcast pass runs along the points
@@ -331,4 +343,4 @@ def _project_convex_polygon(x: np.ndarray, polygon: PolygonEdges) -> np.ndarray:
     t[end] = 0.0
     planes[0, outside] = a0[edge] + t * d0[edge]
     planes[1, outside] = a1[edge] + t * d1[edge]
-    return out
+    return _written_to(out, work)

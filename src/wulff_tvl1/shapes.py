@@ -275,7 +275,7 @@ def hausdorff_distance(P: ConvexPolygon, Q: ConvexPolygon) -> float:
     def directed(A: PolygonEdges, B: PolygonEdges) -> float:
         pts = A.starts[:, None, :] + ts[None, :, None] * A.edges[:, None, :]
         pts = pts.reshape(-1, 2)
-        gaps = pts - _project_convex_polygon(pts, B)
+        gaps = pts - _project_convex_polygon(pts, B, np.empty_like(pts))
         return float(np.max(np.linalg.norm(gaps, axis=-1)))
 
     edges_p, edges_q = _polygon_edges(P.vertices), _polygon_edges(Q.vertices)

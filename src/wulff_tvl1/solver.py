@@ -14,16 +14,29 @@ returned energy from above.
 
 Two parts carry it out.  The step generator ``_run`` owns the buffers and
 the step: it takes differences at unit spacing with the 1/h carried by
-the steps (sigma/h, tau/h), forms each new u and u_bar in one of its
-operands and rotates the three (H, W) buffers by name, bit for bit the
-iterates above.  Every MONITOR_EVERY iterations and on the last one it
+the steps (sigma/h, tau/h), bit for bit the iterates above, and no
+iteration allocates.  Its workspace is one zero-filled allocation with
+eight buffers: f, u, u_bar, the step, scratch and divergence planes, and
+the dual iterate p with the buffer the next p forms in, both planar
+(2, H, W) arrays.  Buffer k starts k * 512 bytes past a page boundary.
+The placement is fixed because of 4K aliasing: a load waits for an
+earlier store whose address matches it modulo 4 KiB, so a numpy kernel
+that stores 16-64 bytes above one of its loads modulo 4 KiB runs 2-2.5
+times slower (np.add(a, b, out=o) on 65 536 doubles: 45-58 us, against
+20-23 us otherwise, on a 2-core Xeon), and wherever malloc put the
+buffers decided the speed of a 256^2 solve (0.70-1.01 ms per iteration).
+The dual arithmetic p + (sigma/h) grad u_bar runs on whole planes, the
+projection writes into its input, and that buffer and p then swap names,
+as u, u_bar and the step buffer rotate.  Every MONITOR_EVERY iterations
+and on the last one it
 tests the relative-change fallback on max|u - u_prev| and forms the
 forward-stencil energy e_fwd = sum phi(grad+ u) h^2 + lam |u - f|_1 and a
 lower bound on its minimum, the dual value at a copy of p scaled to
 |div p| <= lam (divided by h as the public kernels divide).
 
 For a separable gauge (the 1-norm and weighted-1 kinds) the check is
-sharper, in buffers the step leaves free there:
+sharper, in buffers the step leaves free there; it forms phi(grad u) as
+c0|y0| + c1|y1| in the gradient buffer, bit for bit g(y):
 
 * the box dual: clipping u to [min f, max f] raises no term, so the
   saddle objective at p itself, minimised cellwise over u in that box (at
@@ -82,6 +95,7 @@ __all__ = [
 CHANGE_TOLERANCE = 1e-9  # fallback stop: relative change of u
 BURN_IN = 50             # iterations before the fallback may stop the run
 MONITOR_EVERY = 10       # iterations between convergence checks
+PAGE = 4096              # bytes: the period of 4K aliasing (module docstring)
 
 
 @dataclass
@@ -150,6 +164,28 @@ def _is_binary(values: np.ndarray) -> bool:
     return bool(np.all((values == 0.0) | (values == 1.0)))
 
 
+def _workspace(shapes) -> list[np.ndarray]:
+    """Zero-filled float arrays of the given shapes, carved from one
+    allocation so that array k of m starts k * PAGE / m bytes past a page
+    boundary."""
+    sizes = [math.prod(shape) * 8 for shape in shapes]
+    stagger = PAGE // len(shapes)
+    raw = np.zeros((sum(sizes) + len(shapes) * PAGE) // 8)
+    base = raw.__array_interface__["data"][0]
+    arrays, start = [], 0
+    for k, (shape, size) in enumerate(zip(shapes, sizes)):
+        start += (k * stagger - base - start) % PAGE
+        arrays.append(raw[start // 8:(start + size) // 8].reshape(shape))
+        start += size
+    return arrays
+
+
+def _bools(a: np.ndarray) -> np.ndarray:
+    """The first a.size bytes of a contiguous float array a, as a bool array
+    of a's shape."""
+    return a.reshape(-1).view(np.bool_)[:a.size].reshape(a.shape)
+
+
 def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
          max_iterations: int, gap_tolerance: float):
     """Steps from (u, p) = (f, 0); yields (iterations, u, p, energy,
@@ -157,16 +193,14 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
     next step."""
     spacing = f.spacing
     h2 = spacing**2
-    fv = f.values
-    u = fv.copy()
-    u_bar = fv.copy()
-    # (H, W, 2) views of two contiguous component planes
-    planes = (2, f.height, f.width)
-    p = np.zeros(planes).transpose(1, 2, 0)
-    grad_buf = np.zeros(planes).transpose(1, 2, 0)
-    div_buf = np.empty_like(fv)
-    step = np.empty_like(fv)
-    scratch = np.empty_like(fv)
+    plane = (f.height, f.width)
+    fv, u, u_bar, step, scratch, div_buf, *duals = _workspace(
+        [plane] * 6 + [(2,) + plane] * 2)
+    for buf in (fv, u, u_bar):
+        buf[...] = f.values
+    # (H, W, 2) views of the planar dual iterate and of the buffer the next
+    # one forms in; the two swap by name
+    p, free = (d.transpose(1, 2, 0) for d in duals)
     box = g.separable
     if box:
         f_lo, f_hi = float(fv.min()), float(fv.max())
@@ -176,10 +210,11 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
     for k in range(max_iterations):
         iterations = k + 1
 
-        _grad_forward_raw(u_bar, 1.0, out=grad_buf)
-        grad_buf *= sigma / spacing
-        grad_buf += p
-        p = g.project_minus_wulff(grad_buf)
+        _grad_forward_raw(u_bar, 1.0, out=free)
+        planes = free.transpose(2, 0, 1)
+        planes *= sigma / spacing
+        planes += p.transpose(2, 0, 1)
+        p, free = g.project_minus_wulff(free, out=free), p
 
         # u <- f + shrink(u + tau * div p - f, tau * lam) forms in the step
         # buffer and u_bar = (u - u_prev) + u in the old u's; the three
@@ -204,7 +239,15 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
 
         np.subtract(u, fv, out=scratch)
         fid = lam * float(np.abs(scratch, out=scratch).sum()) * h2
-        grad_fw = float(g(_grad_forward_raw(u, spacing, out=grad_buf)).sum())
+        grad = _grad_forward_raw(u, spacing, out=free)
+        planes = free.transpose(2, 0, 1)
+        if box:  # c0|y0| + c1|y1| in place, the bits of g(grad) for w > 0
+            y0, y1 = np.abs(planes, out=planes)
+            y0 *= c0
+            y1 *= c1
+            grad_fw = float(np.add(y0, y1, out=y0).sum())
+        else:
+            grad_fw = float(g(grad).sum())
         e_fwd = grad_fw * h2 + fid
 
         # dual value of the forward-stencil saddle objective at a scaled
@@ -217,7 +260,7 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
         if box:
             # the box dual: per cell -f c - (max f) max(x, 0) - (min f)
             # min(x, 0) with c = clip(div p, -lam, lam) and x = div p - c
-            clipped = np.clip(div_p, -lam, lam, out=grad_buf[..., 0])
+            clipped = np.clip(div_p, -lam, lam, out=planes[0])
             fc = float(np.multiply(fv, clipped, out=scratch).sum())
             x = np.subtract(div_p, clipped, out=clipped)
             up = float(np.maximum(x, 0.0, out=scratch).sum())
@@ -225,10 +268,13 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
             dual_value = max(dual_value, -(fc + f_hi * up + f_lo * down) * h2)
             if rounding:
                 # binary f: the 0.5 level set where its energy, counted, is
-                # lower, or where u is binary itself
-                level = np.greater(u, 0.5, out=step)
-                e_level = _binary_energy(level, fv, lam, c0, c1, spacing)
-                if e_level < e_fwd or np.array_equal(level, u):
+                # lower, or where u is binary itself; the level set lives in
+                # the step buffer's bytes and the comparisons in scratch's
+                level = np.greater(u, 0.5, out=_bools(step))
+                flags = _bools(scratch)
+                e_level = _binary_energy(level, fv, lam, c0, c1, spacing, flags)
+                if (e_level < e_fwd
+                        or not np.not_equal(level, u, out=flags).any()):
                     energy_value, checked_u = e_level, level
         # the guard: the plain gap meets the tolerance too, or p meets
         # certificate condition (a); without a sharper value the two gaps
@@ -242,12 +288,14 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
 
 
 def _binary_energy(b: np.ndarray, fv: np.ndarray, lam: float, c0: float,
-                   c1: float, spacing: float) -> float:
+                   c1: float, spacing: float, flags: np.ndarray) -> float:
     """Forward-stencil energy of a 0/1 image b for phi(y) = c0|y0| + c1|y1|,
-    from counts of unequal neighbours and of cells off f."""
-    jumps = (c0 * np.count_nonzero(b[:, 1:] != b[:, :-1])
-             + c1 * np.count_nonzero(b[1:] != b[:-1]))
-    return jumps * spacing + lam * np.count_nonzero(b != fv) * spacing**2
+    from counts of unequal neighbours and of cells off f; the comparisons
+    go to flags, a bool array of b's shape."""
+    jumps = (c0 * np.count_nonzero(np.not_equal(b[:, 1:], b[:, :-1], out=flags[:, 1:]))
+             + c1 * np.count_nonzero(np.not_equal(b[1:], b[:-1], out=flags[1:])))
+    return (jumps * spacing
+            + lam * np.count_nonzero(np.not_equal(b, fv, out=flags)) * spacing**2)
 
 
 def _meets_div_bound(div_p: np.ndarray, p: np.ndarray, lam: float,
@@ -285,7 +333,6 @@ def solve(f: GridImage, lam: float, g: Gauge,
             best_p[...] = p
             best_dual = dual_value
         trace.append(best_energy)
-        del p  # so the next projection can reuse this p's memory
         if not (gap_met or stalled or iterations == cfg.max_iterations):
             continue
         # built while the loop's buffers are alive: built after, it left the

@@ -419,7 +419,8 @@ def test_polygon_projection_uses_the_most_violated_edge(rng):
     def check(edges, x, project):
         with np.errstate(invalid="ignore", over="ignore"):
             got = project(x)
-            unfiltered = _project_convex_polygon(x, edges._replace(inradius=0.0))
+            unfiltered = _project_convex_polygon(x, edges._replace(inradius=0.0),
+                                                np.empty_like(x))
         assert got.tobytes() == unfiltered.tobytes()
         finite = np.isfinite(x).all(axis=-1)
         ref = all_edges_polygon_projection(x[finite], edges.starts)
@@ -446,7 +447,7 @@ def test_polygon_projection_uses_the_most_violated_edge(rng):
         assert edges.inradius < 0.0
         x = np.concatenate([rng.normal(size=(5000, 2)) * 3.0 + vertices.mean(axis=0),
                             polygon_edge_cases(vertices)])
-        check(edges, x, lambda x: _project_convex_polygon(x, edges))
+        check(edges, x, lambda x: _project_convex_polygon(x, edges, np.empty_like(x)))
     for _ in range(10):
         vertices = random_convex_polygon(rng, scale=2.0)
         vertices -= vertices.mean(axis=0)  # 0 strictly inside
@@ -526,6 +527,28 @@ def test_kernels_ignore_the_memory_layout(any_gauge, layout, rng):
     for empty in (np.zeros((0, 2)), _in_layout(np.zeros((3, 0, 2)), layout)):
         assert project_minus_wulff(any_gauge, empty).shape == empty.shape
         assert any_gauge(empty).shape == any_gauge.dual(empty).shape == empty.shape[:-1]
+
+
+@pytest.mark.parametrize("layout", ["c", "planar", "rows"])
+def test_projection_into_out_matches_a_new_array(any_gauge, layout, rng):
+    # out=x (as the solver projects its dual buffer) and out= another buffer
+    # give the bytes of the call that allocates, non-finite points included;
+    # a "rows" out has no flat component plane, so the q-ball and polygon
+    # routines work in a copy and write it back
+    points = np.concatenate([rng.normal(scale=1.5, size=(300, 2)),
+                             polygon_edge_cases(-any_gauge.wulff(16).vertices)])
+    field = np.resize(points, (len(points) // 2 + 1, 2, 2))  # two columns
+    x = _in_layout(field, layout)
+    with np.errstate(all="ignore"):
+        ref = any_gauge.project_minus_wulff(field)
+        new = any_gauge.project_minus_wulff(x)
+        other = _in_layout(np.zeros_like(field), layout)
+        into_other = any_gauge.project_minus_wulff(x, out=other)
+        own = _in_layout(field, layout)
+        into_own = any_gauge.project_minus_wulff(own, out=own)
+    assert into_other is other and into_own is own
+    assert ref.tobytes() == new.tobytes() == other.tobytes() == own.tobytes()
+    assert np.array_equal(x, field, equal_nan=True)
 
 
 def test_json_round_trip(any_gauge, rng):

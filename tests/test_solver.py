@@ -354,6 +354,108 @@ def test_non_separable_solves_keep_the_plain_monitor(name, monkeypatch):
     assert res.final_gap == gap
 
 
+def allocating_run(f: GridImage, lam: float, g: Gauge, tau: float,
+                   sigma: float, max_iterations: int, gap_tolerance: float):
+    """solver._run as it was before its fixed workspace: buffers from
+    separate allocations, interleaved-view dual arithmetic, a fresh array
+    from every projection and from the monitor's gauge evaluation, and a
+    float 0.5 level set."""
+    spacing = f.spacing
+    h2 = spacing**2
+    fv = f.values
+    u = fv.copy()
+    u_bar = fv.copy()
+    planes = (2, f.height, f.width)
+    p = np.zeros(planes).transpose(1, 2, 0)
+    grad_buf = np.zeros(planes).transpose(1, 2, 0)
+    div_buf = np.empty_like(fv)
+    step = np.empty_like(fv)
+    scratch = np.empty_like(fv)
+    box = g.separable
+    if box:
+        f_lo, f_hi = float(fv.min()), float(fv.max())
+        rounding = is_binary(f)
+    for k in range(max_iterations):
+        iterations = k + 1
+        _grad_forward_raw(u_bar, 1.0, out=grad_buf)
+        grad_buf *= sigma / spacing
+        grad_buf += p
+        p = g.project_minus_wulff(grad_buf)
+        _div_adjoint_raw(p, 1.0, out=div_buf)
+        np.multiply(div_buf, tau / spacing, out=step)
+        step += u
+        step -= fv
+        step -= np.clip(step, -tau * lam, tau * lam, out=scratch)
+        step += fv
+        np.subtract(step, u, out=u)
+        check = (iterations % solver.MONITOR_EVERY == 0
+                 or iterations == max_iterations)
+        stalled = (check and k > BURN_IN and solver._abs_max(u)
+                   <= CHANGE_TOLERANCE * (solver._abs_max(step) + 1e-30))
+        u += step
+        u, u_bar, step = step, u, u_bar
+        if not check:
+            continue
+        np.subtract(u, fv, out=scratch)
+        fid = lam * float(np.abs(scratch, out=scratch).sum()) * h2
+        grad_fw = float(g(_grad_forward_raw(u, spacing, out=grad_buf)).sum())
+        e_fwd = grad_fw * h2 + fid
+        div_p = np.divide(div_buf, spacing, out=div_buf)
+        dmax = solver._abs_max(div_p)
+        scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
+        scaled_dual = -float(np.multiply(fv, div_p, out=scratch).sum()) * scale * h2
+        energy_value, dual_value, checked_u = e_fwd, scaled_dual, u
+        if box:
+            clipped = np.clip(div_p, -lam, lam, out=grad_buf[..., 0])
+            fc = float(np.multiply(fv, clipped, out=scratch).sum())
+            x = np.subtract(div_p, clipped, out=clipped)
+            up = float(np.maximum(x, 0.0, out=scratch).sum())
+            down = float(np.minimum(x, 0.0, out=x).sum()) if f_lo else 0.0
+            dual_value = max(dual_value, -(fc + f_hi * up + f_lo * down) * h2)
+            if rounding:
+                level = np.greater(u, 0.5, out=step)
+                e_level = binary_energy(level, f, lam, g)
+                if e_level < e_fwd or np.array_equal(level, u):
+                    energy_value, checked_u = e_level, level
+        gap_met = ((energy_value - dual_value) / (1.0 + abs(energy_value))
+                   <= gap_tolerance
+                   and ((e_fwd - scaled_dual) / (1.0 + abs(e_fwd))
+                        <= gap_tolerance
+                        or solver._meets_div_bound(div_p, p, lam, spacing, scratch)))
+        yield iterations, checked_u, p, energy_value, dual_value, gap_met, stalled
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_ZOO))
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "noisy"])
+def test_workspace_loop_matches_the_allocating_loop(name, binary, monkeypatch):
+    # the fixed workspace moves memory only: on a 37 x 50 grid, whose planes
+    # (14 800 bytes) are no multiple of 4 KiB, every output keeps its bytes
+    g = GAUGE_ZOO[name]
+    f = raster_disk(50, 37, 3.0 / 50, radius=1.0, supersample=4, binary=binary)
+    if not binary:
+        noise = np.random.default_rng(11).normal(scale=0.1, size=f.values.shape)
+        f = GridImage(f.values + noise, f.spacing)
+    cfg = SolverConfig(max_iterations=400)
+    res = solve(f, 2.5, g, cfg)
+    monkeypatch.setattr(solver, "_run", allocating_run)
+    ref = solve(f, 2.5, g, cfg)
+    for a, b in ((res.u.values, ref.u.values), (res.p.values, ref.p.values),
+                 (res.energy_trace, ref.energy_trace)):
+        assert a.tobytes() == b.tobytes()
+    assert (res.iterations, res.stop_reason, res.lower_bound, res.final_gap) == (
+        ref.iterations, ref.stop_reason, ref.lower_bound, ref.final_gap)
+
+
+def test_workspace_places_every_buffer_at_its_page_offset():
+    buffers = solver._workspace([(37, 50)] * 6 + [(2, 37, 50)] * 2)
+    offsets = [b.__array_interface__["data"][0] % solver.PAGE for b in buffers]
+    assert offsets == [k * solver.PAGE // 8 for k in range(8)]
+    assert [b.shape for b in buffers] == [(37, 50)] * 6 + [(2, 37, 50)] * 2
+    assert all(b.flags.c_contiguous and not b.any() for b in buffers)
+    ends = sorted((b.__array_interface__["data"][0], b.nbytes) for b in buffers)
+    assert all(a + n <= b for (a, n), (b, _) in zip(ends, ends[1:]))
+
+
 @pytest.mark.parametrize("name", ["l1", "weighted-l1"])
 def test_sharper_bound_is_sound(name, rng):
     # lower_bound = energy_forward - final_gap stays at or below the exact
