@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -375,9 +376,20 @@ def test_inf_norm_projection_matches_the_closed_form(g, rng):
     assert np.all(np.abs(px - closed_form_l1_ball(x, w)).max(axis=-1) <= bound)
 
 
+def exact_clipped_distance2(y, a, d) -> Fraction:
+    """Exact squared distance from y to the segment a + [0, 1] d."""
+    y, a, d = ([Fraction(float(c)) for c in v] for v in (y, a, d))
+    t = min(max(sum((yk - ak) * dk for yk, ak, dk in zip(y, a, d))
+                / sum(dk * dk for dk in d), Fraction(0)), Fraction(1))
+    return sum((yk - ak - t * dk) ** 2 for yk, ak, dk in zip(y, a, d))
+
+
 def all_edges_polygon_projection(x: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """The nearest of the clipped projections onto every edge (ties to the
-    lowest edge) for points outside the polygon."""
+    """For points outside the polygon, the clipped projection onto the edge
+    whose exact clipped projection is nearest (ties to the lowest edge),
+    computed in floating point as the solver's routine computes it.  Edges
+    whose rounded distances lie within 1e-12 (1 + |x|) of the least, and
+    whose rounded projections differ, are compared exactly."""
     normals, offsets = _polygon_halfspaces(vertices)
     out = x.copy()
     outside = (x @ normals.T - offsets).max(axis=-1) > 1e-12
@@ -386,7 +398,14 @@ def all_edges_polygon_projection(x: np.ndarray, vertices: np.ndarray) -> np.ndar
     d = np.roll(vertices, -1, axis=0)[None] - a
     t = np.clip(((y - a) * d).sum(axis=-1) / (d * d).sum(axis=-1), 0.0, 1.0)
     c = a + t[..., None] * d
-    nearest = ((y - c) ** 2).sum(axis=-1).argmin(axis=-1)
+    dist = np.sqrt(((y - c) ** 2).sum(axis=-1))
+    nearest = dist.argmin(axis=-1)
+    near = dist <= dist.min(axis=-1, keepdims=True) + 1e-12 * (1.0 + np.abs(y).max(axis=-1))
+    for i in np.flatnonzero(near.sum(axis=-1) > 1):
+        edges = np.flatnonzero(near[i])
+        if len(np.unique(c[i, edges], axis=0)) > 1:
+            nearest[i] = min(edges, key=lambda e: (
+                exact_clipped_distance2(y[i, 0], a[0, e], d[0, e]), e))
     out[outside] = c[np.arange(len(c)), nearest]
     return out
 
@@ -395,18 +414,27 @@ def polygon_edge_cases(vertices: np.ndarray) -> np.ndarray:
     """Points where the inscribed-disk pre-filter and the excess test meet,
     if 0 is inside: on circles about 0 at r (1 - 1e-12), r and r (1 + 1e-12)
     for the inscribed radius r = min_e b_e (the tangent points r n_e among
-    them).  Then the feet b_e n_e of every edge line, the vertices, the
-    origin, far and non-finite points."""
+    them).  Then points within 1e-12 of the two boundary rays of every
+    vertex's normal cone, where a vertex and an edge point are the nearest
+    candidates within rounding; the feet b_e n_e of every edge line, the
+    vertices, the origin, far and non-finite points."""
     normals, offsets = _polygon_halfspaces(vertices)
     r = offsets.min()
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     directions = np.concatenate([normals, np.stack([np.cos(theta), np.sin(theta)], -1)])
     circles = [directions * (r * scale) for scale in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)
                if r > 0.0]
+    # edge e runs from vertex e to vertex e + 1 along the unit tangent
+    # (-n_1, n_0); the rays are v + s n_e at both of its ends
+    tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=-1)
+    rays = [np.concatenate([vertices, np.roll(vertices, -1, axis=0)]) + s * np.tile(normals, (2, 1))
+            + nudge * np.tile(tangents, (2, 1)) for s in (1.0, 1e3)
+            for nudge in (-1e-12, 0.0, 1e-12)]
     inf, nan = math.inf, math.nan
     odd = [[0.0, 0.0], [nan, 0.0], [0.0, nan], [nan, nan], [inf, 0.0], [-inf, 0.0],
            [0.0, inf], [0.0, -inf], [inf, inf], [-inf, inf], [1e6, -3e6], [-2e6, 1e6]]
-    return np.concatenate(circles + [offsets[:, None] * normals, vertices, np.array(odd)])
+    return np.concatenate(circles + rays + [offsets[:, None] * normals, vertices,
+                                            np.array(odd)])
 
 
 def test_polygon_projection_uses_the_most_violated_edge(rng):
