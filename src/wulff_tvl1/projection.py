@@ -100,10 +100,11 @@ def _project_l1_ball(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarra
     """Projection onto { z : |z_1| / w_1 + |z_2| / w_2 <= 1 } (w > 0).
 
     With w_1 = w_2 = r the ball is the box |s|, |d| <= r in the rotated
-    coordinates s = x_1 + x_2, d = x_1 - x_2.  Its projection clips s and d
-    and moves x back by the clipped-off parts e_s and e_d:
-    z_1 = x_1 - (e_s + e_d) / 2, z_2 = x_2 - (e_s - e_d) / 2, so points in
-    the ball (e = 0) come back unchanged to the bit.
+    coordinates s = x_1 + x_2, d = x_1 - x_2.  Points in the ball come back
+    unchanged to the bit.  A point outside, where |s| or |d| exceeds r,
+    goes to ((s' + d') / 2, (s' - d') / 2) from the clipped s' and d', so
+    its error is a rounding of r, not of |x|; only those points are
+    gathered.
 
     Otherwise, with c = 1 / w, the closed form z = sign(x) max(|x| - mu c,
     0), where mu >= 0 solves sum_i c_i max(|x_i| - mu c_i, 0) = 1 (Condat
@@ -117,19 +118,19 @@ def _project_l1_ball(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarra
     z1 = out[..., 1]
     if w[0] == w[1]:
         r = w[0]
-        # x is read to the end, as out may be x; [i, ...] keeps 0-d arrays
-        e = np.empty((3,) + x.shape[:-1])
-        e_s, e_d, t = (e[i, ...] for i in range(3))
-        np.add(x0, x1, out=e_s)
-        np.subtract(x0, x1, out=e_d)
-        for part in (e_s, e_d):
-            part -= np.clip(part, -r, r, out=t)
-        np.add(e_s, e_d, out=t)
-        t *= 0.5
-        np.subtract(x0, t, out=z0)
-        e_s -= e_d
-        e_s *= 0.5
-        np.subtract(x1, e_s, out=z1)
+        # [i, ...] keeps 0-d arrays for one vector
+        rotated = np.empty((3,) + x.shape[:-1])
+        s, d, t = (rotated[i, ...] for i in range(3))
+        np.add(x0, x1, out=s)
+        np.subtract(x0, x1, out=d)
+        outside = np.abs(s, out=t) > r
+        outside |= np.abs(d, out=t) > r
+        if out is not x:
+            np.copyto(out, x)
+        s = np.clip(s[outside], -r, r)
+        d = np.clip(d[outside], -r, r)
+        z0[outside] = (s + d) * 0.5
+        z1[outside] = (s - d) * 0.5
         return out
     a0 = np.abs(x0)
     a1 = np.abs(x1)
