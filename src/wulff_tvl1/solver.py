@@ -59,7 +59,8 @@ gauge (phi(-1, 1) < phi(0, 1) for a = (0.5, 0)).
 ``solve`` is the stop policy over those checks.  It stops at the first
 check whose gap met the tolerance (``gap``, returning that pair) or
 the fallback fired (``stalled``), else at the cap (``cap``); a stalled or
-capped run returns the checked pair of lowest energy.  ``converged`` is
+capped run returns the checked pair of lowest energy, and among pairs of
+equal energy the one of highest dual value.  ``converged`` is
 ``stop_reason == "gap"``.  ``energy_trace`` holds the lowest checked
 energy so far at each check (e_fwd, or the level set's); its last entry
 is ``energy_forward``, and final_gap = max(energy_forward - lower_bound,
@@ -325,9 +326,11 @@ def solve(f: GridImage, lam: float, g: Gauge,
     for iterations, u, p, e, dual_value, gap_met, stalled in _run(
             f, lam, g, tau, sigma, cfg.max_iterations, cfg.gap_tolerance):
         # the dual value is kept with the returned pair so the gap bounds
-        # *its* energy; that pair is the lowest-energy one, or on a gap stop
-        # the one that met the tolerance
-        if gap_met or e < best_energy:
+        # *its* energy; that pair is the lowest-energy one (of those, the
+        # one with the highest dual value), or on a gap stop the one that
+        # met the tolerance
+        if (gap_met or e < best_energy
+                or (e == best_energy and dual_value > best_dual)):
             best_energy = e
             best_u[...] = u
             best_p[...] = p

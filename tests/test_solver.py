@@ -502,6 +502,29 @@ def test_trivial_regime_stops_only_on_a_certifying_field(monkeypatch):
     assert not rep.conditions["a_div_bound"]
 
 
+def test_energy_ties_keep_the_higher_dual(monkeypatch):
+    # 96^2 square at lambda = 1.5, the trivial regime: u = 0 is optimal and
+    # its counted energy repeats exactly over many checks while the dual
+    # value still rises; the capped run returns the tied pair of highest
+    # dual value, whose gap is the smallest
+    checks = []
+    run = solver._run
+
+    def recorded(*args):
+        for item in run(*args):
+            checks.append(item[3:5])
+            yield item
+    monkeypatch.setattr(solver, "_run", recorded)
+    f = unit_square(n=96)
+    res = solve(f, 1.5, L1, SolverConfig(max_iterations=600))
+    assert res.stop_reason == "cap"
+    lowest = min(e for e, _ in checks)
+    tied = [dual for e, dual in checks if e == lowest]
+    assert len(tied) > 1 and tied[0] < max(tied)
+    assert res.energy_forward == lowest and res.lower_bound == max(tied)
+    assert res.final_gap == max(lowest - max(tied), 0.0)
+
+
 def test_monitor_cadence(monkeypatch):
     every = solver.MONITOR_EVERY
     assert every > 1
