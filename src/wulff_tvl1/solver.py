@@ -27,12 +27,13 @@ times slower (np.add(a, b, out=o) on 65 536 doubles: 45-58 us, against
 buffers decided the speed of a 256^2 solve (0.70-1.01 ms per iteration).
 The dual arithmetic p + (sigma/h) grad u_bar runs on whole planes, the
 projection writes into its input, and that buffer and p then swap names,
-as u, u_bar and the step buffer rotate.  Every MONITOR_EVERY iterations
-and on the last one it
-tests the relative-change fallback on max|u - u_prev| and forms the
-forward-stencil energy e_fwd = sum phi(grad+ u) h^2 + lam |u - f|_1 and a
-lower bound on its minimum, the dual value at a copy of p scaled to
-|div p| <= lam (divided by h as the public kernels divide).
+as u, u_bar and the step buffer rotate.
+
+Every MONITOR_EVERY iterations and on the last one ``_run`` tests the
+relative-change fallback on max|u - u_prev| and forms the forward-stencil
+energy e_fwd = sum phi(grad+ u) h^2 + lam |u - f|_1 and a lower bound on
+its minimum, the dual value at a copy of p scaled to |div p| <= lam
+(divided by h as the public kernels divide).
 
 For a separable gauge (the 1-norm and weighted-1 kinds) the check is
 sharper, in buffers the step leaves free there; it forms phi(grad u) as
