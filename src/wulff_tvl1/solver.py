@@ -324,8 +324,8 @@ def solve(f: GridImage, lam: float, g: Gauge,
     best_p = np.zeros((2, f.height, f.width)).transpose(1, 2, 0)
     best_dual = math.nan
     trace = []
-    for iterations, u, p, e, dual_value, gap_met, stalled in _run(
-            f, lam, g, tau, sigma, cfg.max_iterations, cfg.gap_tolerance):
+    run = _run(f, lam, g, tau, sigma, cfg.max_iterations, cfg.gap_tolerance)
+    for iterations, u, p, e, dual_value, gap_met, stalled in run:
         # the dual value is kept with the returned pair so the gap bounds
         # *its* energy; that pair is the lowest-energy one (of those, the
         # one with the highest dual value), or on a gap stop the one that
@@ -337,21 +337,23 @@ def solve(f: GridImage, lam: float, g: Gauge,
             best_p[...] = p
             best_dual = dual_value
         trace.append(best_energy)
-        if not (gap_met or stalled or iterations == cfg.max_iterations):
-            continue
-        # built while the loop's buffers are alive: built after, it left the
-        # heap top free to be trimmed, and later solves re-faulted its pages
-        gap = max(best_energy - best_dual, 0.0)
-        return SolveResult(
-            u=GridImage(best_u, f.spacing),
-            p=DualField(np.ascontiguousarray(best_p), f.spacing),
-            energy_trace=np.array(trace),
-            final_gap=gap,
-            final_gap_normalized=gap / (1.0 + abs(best_energy)),
-            lower_bound=best_dual,
-            iterations=iterations,
-            stop_reason="gap" if gap_met else "stalled" if stalled else "cap",
-        )
+        if gap_met or stalled or iterations == cfg.max_iterations:
+            break
+    # the workspace, which u and p view, is freed before the result's
+    # copies are made, so they do not add to the loop's peak memory
+    del u, p
+    run.close()
+    gap = max(best_energy - best_dual, 0.0)
+    return SolveResult(
+        u=GridImage(best_u, f.spacing),
+        p=DualField(np.ascontiguousarray(best_p), f.spacing),
+        energy_trace=np.array(trace),
+        final_gap=gap,
+        final_gap_normalized=gap / (1.0 + abs(best_energy)),
+        lower_bound=best_dual,
+        iterations=iterations,
+        stop_reason="gap" if gap_met else "stalled" if stalled else "cap",
+    )
 
 
 def threshold_binary(result: SolveResult, t: float = 0.5) -> GridImage:
