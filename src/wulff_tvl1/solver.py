@@ -15,16 +15,18 @@ returned energy from above.
 Two parts carry it out.  The step generator ``_run`` owns the buffers and
 the step: it takes differences at unit spacing with the 1/h carried by
 the steps (sigma/h, tau/h), bit for bit the iterates above, and no
-iteration allocates.  Its workspace is one zero-filled allocation with
-eight buffers: f, u, u_bar, the step, scratch and divergence planes, and
-the dual iterate p with the buffer the next p forms in, both planar
-(2, H, W) arrays.  Buffer k starts k * 512 bytes past a page boundary.
-The placement is fixed because of 4K aliasing: a load waits for an
-earlier store whose address matches it modulo 4 KiB, so a numpy kernel
-that stores 16-64 bytes above one of its loads modulo 4 KiB runs 2-2.5
-times slower (np.add(a, b, out=o) on 65 536 doubles: 45-58 us, against
-20-23 us otherwise, on a 2-core Xeon), and wherever malloc put the
-buffers decided the speed of a 256^2 solve (0.70-1.01 ms per iteration).
+iteration allocates beyond the temporaries of a projection or a gauge
+evaluation (for the separable kinds, none).  Its workspace is one
+zero-filled allocation with eight buffers: f, u, u_bar, the step,
+scratch and divergence planes, and the dual iterate p with the buffer the
+next p forms in, both planar (2, H, W) arrays.  Buffer k starts k * 512
+bytes past a page boundary.  The placement is fixed because of 4K
+aliasing: a load waits for an earlier store whose address matches it
+modulo 4 KiB, so a numpy kernel that stores 16-64 bytes above one of its
+loads modulo 4 KiB runs 2-2.5 times slower (np.add(a, b, out=o) on
+65 536 doubles: 45-58 us, against 20-23 us otherwise, on a 2-core Xeon),
+and wherever malloc put the buffers decided the speed of a 256^2 solve
+(0.70-1.01 ms per iteration).
 The dual arithmetic p + (sigma/h) grad u_bar runs on whole planes, the
 projection writes into its input, and that buffer and p then swap names,
 as u, u_bar and the step buffer rotate.
