@@ -184,12 +184,6 @@ def _workspace(shapes) -> list[np.ndarray]:
     return arrays
 
 
-def _bools(a: np.ndarray) -> np.ndarray:
-    """The first a.size bytes of a contiguous float array a, as a bool array
-    of a's shape."""
-    return a.reshape(-1).view(np.bool_)[:a.size].reshape(a.shape)
-
-
 def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
          max_iterations: int, gap_tolerance: float):
     """Steps from (u, p) = (f, 0); yields (iterations, u, p, energy,
@@ -209,6 +203,8 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
     if box:
         f_lo, f_hi = float(fv.min()), float(fv.max())
         rounding = _is_binary(fv)
+        if rounding:  # the 0.5 level set and the comparisons
+            level, flags = np.empty(plane, bool), np.empty(plane, bool)
         c0, c1 = (float(c) for c in g(np.eye(2)))  # phi(y) = c0|y0| + c1|y1|
 
     for k in range(max_iterations):
@@ -272,10 +268,8 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
             dual_value = max(dual_value, -(fc + f_hi * up + f_lo * down) * h2)
             if rounding:
                 # binary f: the 0.5 level set where its energy, counted, is
-                # lower, or where u is binary itself; the level set lives in
-                # the step buffer's bytes and the comparisons in scratch's
-                level = np.greater(u, 0.5, out=_bools(step))
-                flags = _bools(scratch)
+                # lower, or where u is binary itself
+                np.greater(u, 0.5, out=level)
                 e_level = _binary_energy(level, fv, lam, c0, c1, spacing, flags)
                 if (e_level < e_fwd
                         or not np.not_equal(level, u, out=flags).any()):
@@ -322,8 +316,10 @@ def solve(f: GridImage, lam: float, g: Gauge,
     tau, sigma = cfg.steps_for(f.spacing)
 
     best_energy = math.inf
+    # the result's arrays, allocated before the loop's workspace, so that
+    # nothing is allocated after it is freed
     best_u = f.values.copy()
-    best_p = np.zeros((2, f.height, f.width)).transpose(1, 2, 0)
+    best_p = np.zeros((f.height, f.width, 2))
     best_dual = math.nan
     trace = []
     run = _run(f, lam, g, tau, sigma, cfg.max_iterations, cfg.gap_tolerance)
@@ -341,14 +337,12 @@ def solve(f: GridImage, lam: float, g: Gauge,
         trace.append(best_energy)
         if gap_met or stalled or iterations == cfg.max_iterations:
             break
-    # the workspace, which u and p view, is freed before the result's
-    # copies are made, so they do not add to the loop's peak memory
-    del u, p
+    del u, p  # views of the workspace, which closing the run frees
     run.close()
     gap = max(best_energy - best_dual, 0.0)
     return SolveResult(
         u=GridImage(best_u, f.spacing),
-        p=DualField(np.ascontiguousarray(best_p), f.spacing),
+        p=DualField(best_p, f.spacing),
         energy_trace=np.array(trace),
         final_gap=gap,
         final_gap_normalized=gap / (1.0 + abs(best_energy)),
