@@ -25,7 +25,7 @@ FAKE_RUN = textwrap.dedent('''\
     args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
     root = Path(__file__).resolve().parents[1]
     with open(root.parent / "order.txt", "a") as log:
-        log.write(f"{root.name} {args['--seed']}\\n")
+        log.write(f"{root.name} {args['--seed']} {args['--seconds']}\\n")
     wall = {WALL} + int(args["--seed"]) / 1000
     print(f"x setup_s 0.1 s median of 3 fresh interpreters [0.100 0.090 0.110]")
     print(json.dumps({"attempted": 4, "failed": 0, "correct": True, "metrics": {
@@ -41,7 +41,7 @@ def fake_tree(root: Path, name: str, wall: float, src_lines: int) -> Path:
     (tree / "perfbench" / "run.py").write_text(FAKE_RUN.replace("{WALL}", repr(wall)))
     (tree / "src" / "pkg").mkdir(parents=True)
     (tree / "src" / "pkg" / "m.py").write_text("x = 1\n" * src_lines)
-    (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+    (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 25, "end_to_end": [
         {"name": "wall_s", "better": "lower"}, {"name": "setup_s", "better": "lower"},
         {"name": "peak_rss_mb", "better": "lower"},
         {"name": "ops_ok_frac", "better": "higher"}]}))
@@ -53,19 +53,21 @@ def test_pairs_alternate_and_the_claim_is_judged(ab, tmp_path):
     change = fake_tree(tmp_path, "change", 0.5, 7)
     out = tmp_path / "BENCH.json"
     assert ab.main(["--parent", str(parent), "--change", str(change),
-                    "--workload", "disk-l1", "--pairs", "3", "--seed", "7",
+                    "--workload", "disk-l1", "--seed", "7",
                     "--claim", "disk-l1:wall_s", "--output", str(out)]) == 0
-    assert (tmp_path / "order.txt").read_text().split("\n")[:-1] == [
-        "parent 7", "change 7", "change 8", "parent 8", "parent 9", "change 9"]
+    order = (tmp_path / "order.txt").read_text().split("\n")[:-1]
+    assert order[:6] == ["parent 7 25", "change 7 25", "change 8 25",
+                         "parent 8 25", "parent 9 25", "change 9 25"]
+    assert len(order) == 20 and order[-1] == "parent 16 25"
     record = json.loads(out.read_text())
-    assert len(record["runs"]) == 6
+    assert len(record["runs"]) == 20
     assert record["runs"][0]["setup_s_samples"] == [0.1, 0.09, 0.11]
     wall = record["summary"]["disk-l1"]["wall_s"]
-    assert wall["change_better_pairs"] == 3 and wall["ties"] == 0
-    assert wall["parent"]["median"] == pytest.approx(1.008)
+    assert wall["change_better_pairs"] == 10 and wall["ties"] == 0
+    assert wall["parent"]["median"] == pytest.approx(1.0115)
     assert wall["median_delta"] == pytest.approx(-0.5)
     rss = record["summary"]["disk-l1"]["peak_rss_mb"]
-    assert rss["change_better_pairs"] == 0 and rss["ties"] == 3
+    assert rss["change_better_pairs"] == 0 and rss["ties"] == 10
     assert record["claim"]["met"]
     assert record["src_py_lines"] == {"parent": 10, "change": 7,
                                       "by_module": {"pkg/m.py": [10, 7]}}
@@ -85,6 +87,9 @@ def test_gain_rule(ab):
     # eight of ten is too few
     change = [0.9] * 8 + [1.1] * 2
     assert not ab.claim_result(ab.summarize(runs(parent, change), better), "w", "wall_s")["met"]
+    # so are fewer than ten pairs, all won
+    assert not ab.claim_result(ab.summarize(runs([1.0] * 9, [0.9] * 9), better),
+                               "w", "wall_s")["met"]
     # all pairs won, but the medians sit inside the parent's spread
     parent = [1.0 + 0.1 * i for i in range(10)]
     change = [v - 0.01 for v in parent]

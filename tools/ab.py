@@ -2,21 +2,23 @@
 checkout, in alternating pairs, summarised into one BENCH_<n>.json.
 
     python3 tools/ab.py --parent DIR --change DIR --workload disk-l1 \\
-        [--workload aniso-capped ...] --pairs 10 --seconds 25 --seed 3000 \\
+        [--workload aniso-capped ...] --seed 3000 \\
         --claim disk-l1:wall_s --output BENCH_16.json
 
-Each checkout runs its own, unchanged perfbench/run.py with --trace 0, so
-the harness of both sides is whatever each tree holds.  Pair i runs seed
-seed + i on both sides; the parent goes first in even pairs and the change
-in odd ones.  A workload's pairs all run before the next workload's.
+Each checkout runs its own, unchanged perfbench/run.py with --trace 0 and
+the run length BENCHMARK.json declares (run_seconds), so the harness of
+both sides is whatever each tree holds.  Every workload gets ten pairs,
+the number the gain rule is stated for.  Pair i runs seed seed + i on both
+sides; the parent goes first in even pairs and the change in odd ones.  A
+workload's pairs all run before the next workload's.
 
 The output has BENCH_15.json's shape: every run (end-to-end metrics,
 operation counts and the set-up samples), and per workload and metric each
 side's median, inclusive quartiles and IQR, the pairs the change won (ties
 count for neither side) and the median over pairs of change minus parent.
---claim adds whether that metric meets the gain rule: the change better in
-at least nine tenths of the pairs, and the medians further apart than the
-parent's IQR.  Lines of src/**/*.py are counted in both trees.
+--claim adds whether that metric meets the gain rule: ten pairs, the
+change better in at least nine of them, and the medians further apart than
+the parent's IQR.  Lines of src/**/*.py are counted in both trees.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT = 900  # seconds for one perfbench/run.py process
+PAIRS = 10         # per workload: the gain rule's ten pairs
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "ops_ok_frac")
 
 
@@ -40,8 +43,6 @@ def parse_args(argv):
     p.add_argument("--parent", required=True, type=Path)
     p.add_argument("--change", required=True, type=Path)
     p.add_argument("--workload", action="append", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     p.add_argument("--claim", default=None, help="WORKLOAD:METRIC")
     p.add_argument("--about", default="")
@@ -117,7 +118,8 @@ def claim_result(summary: dict, workload: str, metric: str) -> dict:
     s = summary[workload][metric]
     parent, change = s["parent"], s["change"]
     gap = abs(change["median"] - parent["median"])
-    met = (s["change_better_pairs"] >= 0.9 * s["pairs"]
+    met = (s["pairs"] >= PAIRS
+           and s["change_better_pairs"] >= 0.9 * s["pairs"]
            and gap > parent["iqr"])
     return {
         "workload": workload,
@@ -148,8 +150,6 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.pairs < 1:
-        raise SystemExit("--pairs must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").is_file():
@@ -157,13 +157,14 @@ def main(argv=None) -> int:
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]
               if m["name"] in METRICS}
+    seconds = declared["run_seconds"]
     runs = []
     for workload in args.workload:
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                run = run_once(trees[side], workload, seed, args.seconds)
+                run = run_once(trees[side], workload, seed, seconds)
                 runs.append({"workload": workload, "side": side, "seed": seed, **run})
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
@@ -176,8 +177,8 @@ def main(argv=None) -> int:
         "parent_commit": git_commit(trees["parent"]),
         "change_commit": git_commit(trees["change"]),
         "command": (f"python3 perfbench/run.py --workload W --seed S "
-                    f"--seconds {args.seconds:g} --trace 0"),
-        "seeds": {w: f"{args.seed}-{args.seed + args.pairs - 1}" for w in args.workload},
+                    f"--seconds {seconds:g} --trace 0"),
+        "seeds": {w: f"{args.seed}-{args.seed + PAIRS - 1}" for w in args.workload},
         "src_py_lines": {
             "parent": sum(lines["parent"].values()),
             "change": sum(lines["change"].values()),
