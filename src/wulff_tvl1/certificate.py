@@ -28,10 +28,11 @@ exclusion rules, each reported:
 
 The verdict therefore means "certified at resolution spacing"; the
 convergence of the residuals as spacing -> 0 is the actual evidence.
-Condition (ii) is read off the violation of (i): any non-finite entry of
-v (or a dual gauge that overflows) makes it NaN or inf, and (a)-(c) are
-then not evaluated.  The cells of (a) come from grid._div_bound_cells,
-which the solver's stop guard calls too.
+Condition (ii) fails when the backward divergence of v is not finite in
+some cell, as for a finite v whose differences overflow, and when the
+violation of (i) is not (a non-finite v, or a dual gauge that overflows);
+(a)-(c) then report inf with every cell excluded.  grid._div_bound_cells,
+which the solver's stop guard calls too, picks the cells of (a).
 
 check_certificate runs over row blocks of at most grid.BLOCK_CELLS cells
 (2^16: one block up to 256^2).  Each block reads a slab with a halo of
@@ -40,9 +41,10 @@ row) and for the dilated jump cells (the margin plus the row a difference
 reaches), and the frame is placed in grid rows.  Blocks merge by max and
 by counting, so every residual, the excluded fraction and the verdict
 equal a whole-grid evaluation bit for bit; TV and the pairing are the
-blocked sums of grid.tv_phi and grid.dual_pairing.  Besides its inputs the
-check holds a few dozen block-sized temporaries (about 0.5 MB each at
-2^16 cells), not full-grid arrays.
+blocked sums of grid.tv_phi and grid.dual_pairing.  The inputs are
+checked once, on entry, and the blocks run the raw kernels on slabs,
+holding a few dozen block-sized temporaries (about 0.5 MB each at 2^16
+cells) besides the inputs, not full-grid arrays.
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .gauge import Gauge
-# backward_gradient, dual_pairing, forward_gradient, tv_phi: unused here,
-# kept for tracers that patch them by name
+# divergence, dual_pairing, forward_divergence, tv_phi: unused here, kept
+# for tracers that patch them by name
 from .grid import (BOUNDARY_MARGIN, FEASIBILITY_TOL, DualField, GridImage,
-                   _check_same_grid, _div_bound_cells, _row_blocks,
-                   _stencil_means, backward_gradient, cell_centers, divergence,
-                   dual_pairing, forward_divergence, forward_gradient, tv_phi)
+                   _check_same_grid, _check_stencil_grid, _div_adjoint_raw,
+                   _div_bound_cells, _div_forward_raw, _row_blocks,
+                   _stencil_means, cell_centers, divergence, dual_pairing,
+                   forward_divergence, tv_phi)
 from .solver import SolveResult, SolverConfig, canonical_minimiser, solve
 
 __all__ = [
@@ -147,6 +150,7 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
     """
     _check_same_grid(u0, f)
     _check_same_grid(u0, v)
+    _check_stencil_grid(u0)
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
     spacing = u0.spacing
@@ -156,19 +160,20 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         raise ValueError("tolerance must be finite and >= 0")
 
     wulff_violation = float(np.maximum(v.max_dual_value(g) - 1.0, 0.0))
-    # (ii): a non-finite entry of v makes the violation NaN or inf; the
-    # residuals are then not evaluated (inf, every cell excluded)
-    finite = math.isfinite(wulff_violation)
+    finite = math.isfinite(wulff_violation)  # else (ii) fails outright
 
     height, width = u0.values.shape
     m = BOUNDARY_MARGIN
-    div_inf = res_above = res_below = 0.0 if finite else math.inf
+    div_inf = res_above = res_below = 0.0
     ok_cells = 0
     for lo, hi, s0, s1 in _row_blocks(height, width, m + 1) if finite else ():
         block = slice(lo - s0, hi - s0)
-        slab = DualField(v.values[s0:s1], spacing)
-        div_b = divergence(slab).values[block]
-        div_f = forward_divergence(slab).values[block]
+        with np.errstate(over="ignore", invalid="ignore"):
+            div_b = _div_adjoint_raw(v.values[s0:s1], spacing)[block]
+            div_f = _div_forward_raw(v.values[s0:s1], spacing)[block]
+        finite = math.isfinite(div_b.max()) and math.isfinite(div_b.min())
+        if not finite:
+            break
         # agreement of the two one-sided stencils bounds the kink smearing a
         # surviving cell can carry, so included residuals stay O(spacing)
         stencil_ok, block_max = _div_bound_cells(div_b, div_f, spacing, lo,
@@ -184,6 +189,9 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         below = (fv - u > TIE_BAND) & kept
         res_above = _abs_max(div_b[above] - lam, res_above)
         res_below = _abs_max(div_b[below] + lam, res_below)
+    if not finite:  # (ii) fails: no residual is evaluated, no cell kept
+        div_inf = res_above = res_below = math.inf
+        ok_cells = 0
     div_bound_residual = max(0.0, div_inf - lam)
 
     tv, pairing = _stencil_means(u0, g, v)

@@ -27,7 +27,9 @@ the rasterisers):
   over row blocks of at most BLOCK_CELLS cells, each read with the halo
   rows its stencils need, so no temporary is larger than one block.
   Maxima are exact; sums over more than one block add the blocks' partial
-  sums, which can differ from a whole-grid sum in the last bit.
+  sums, which can differ from a whole-grid sum in the last bit;
+* inputs are validated at the boundary only, by the constructors and the
+  public functions; block loops run the raw kernels on array slabs.
 """
 
 from __future__ import annotations
@@ -278,14 +280,15 @@ def forward_divergence(p: DualField) -> GridImage:
 def _stencil_means(u: GridImage, g: Gauge | None = None,
                   p: DualField | None = None) -> tuple[float, float]:
     """(tv_phi(u, g), dual_pairing(u, p)), 0.0 for an argument left out,
-    from one forward_gradient and one backward_gradient call per row block.
+    from one forward and one backward gradient kernel call per row block.
     A block's gradients are taken on its slab with one halo row each side,
     so they equal the whole-grid gradients bit for bit."""
+    _check_stencil_grid(u)
     tv, pairing = [0.0, 0.0], [0.0, 0.0]
     for lo, hi, s0, s1 in _row_blocks(u.height, u.width, 1):
-        slab = GridImage(u.values[s0:s1], u.spacing)
-        for k, gradient in enumerate((forward_gradient, backward_gradient)):
-            d = gradient(slab).values[lo - s0:hi - s0]
+        slab = u.values[s0:s1]
+        for k, gradient in enumerate((_grad_forward_raw, _grad_backward_raw)):
+            d = gradient(slab, u.spacing)[lo - s0:hi - s0]
             if g is not None:
                 tv[k] += g(d).sum()
             if p is not None:
@@ -297,16 +300,15 @@ def _stencil_means(u: GridImage, g: Gauge | None = None,
 
 def tv_phi(u: GridImage, g: Gauge) -> float:
     """Discrete TV: spacing^2 times the mean of the gauge over the forward
-    and backward gradient stencils (they agree for separable gauges).  The
-    sums run by row blocks (_stencil_means); on a grid of more than one
-    block they can differ from a whole-grid sum in the last bit."""
+    and backward gradient stencils (they agree for separable gauges), summed
+    by row blocks: on more than one block the last bit can differ."""
     return _stencil_means(u, g=g)[0]
 
 
 def dual_pairing(u: GridImage, p: DualField) -> float:
     """Stencil-matched pairing spacing^2 * mean of <grad u, p> over the two
-    stencils; bounded by tv_phi(u) whenever p is pointwise in -W.  Summed
-    by row blocks like tv_phi, with the same last-bit caveat."""
+    stencils, summed by row blocks like tv_phi; bounded by tv_phi(u)
+    whenever p is pointwise in -W."""
     _check_same_grid(u, p)
     return _stencil_means(u, p=p)[1]
 
@@ -317,7 +319,9 @@ def tv_phi_dual_gap(u: GridImage, p: DualField, g: Gauge) -> float:
     violation = p.max_dual_value(g) - 1.0
     if not violation <= FEASIBILITY_TOL:  # NaN is no feasible field
         raise ValueError(f"dual field violates the -W constraint by {violation:.3e}")
-    return tv_phi(u, g) - dual_pairing(u, p)
+    _check_same_grid(u, p)
+    tv, pairing = _stencil_means(u, g, p)
+    return tv - pairing
 
 
 # ----------------------------------------------------------------------
@@ -343,17 +347,9 @@ def _level_weights(levels: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def coarea_check(u: GridImage, g: Gauge, levels) -> tuple[float, float]:
-    """Returns (tv_phi(u), quadrature of tv_phi of the superlevel sets)."""
-    levels = np.asarray(levels, dtype=float)
-    lo = float(u.values.min())
-    hi = float(u.values.max())
-    weights = _level_weights(levels, lo, hi)
-    rhs = 0.0
-    for t, w in zip(levels, weights):
-        if w == 0.0:
-            continue
-        rhs += w * tv_phi(level_set(u, t).image, g)
-    return tv_phi(u, g), float(rhs)
+    """Returns (tv_phi(u), quadrature of tv_phi of the superlevel sets): the
+    energy decomposition of u against itself at lambda = 0."""
+    return energy_decompose(u, u, 0.0, g, levels)
 
 
 def energy_decompose(u: GridImage, f: GridImage, lam: float, g: Gauge,

@@ -32,9 +32,6 @@ __all__ = [
     "hausdorff_distance",
 ]
 
-_HAUSDORFF_SAMPLES_PER_EDGE = 8
-
-
 @dataclass
 class ConvexPolygon:
     """CCW vertex list; an empty vertex array is a valid (empty) polygon."""
@@ -266,17 +263,15 @@ def shape_energy_ratio(P: ConvexPolygon, g: Gauge) -> float:
 
 
 def hausdorff_distance(P: ConvexPolygon, Q: ConvexPolygon) -> float:
-    """Symmetric Hausdorff distance between convex polygons, sampling edge
-    points so near-parallel faces are measured correctly."""
+    """Symmetric Hausdorff distance between convex polygons, exact from the
+    vertices alone: the distance to a convex set is a convex function, so
+    its maximum over a convex polygon sits at a vertex."""
     if P.is_empty or Q.is_empty:
         raise ValueError("Hausdorff distance needs nonempty polygons")
-    ts = np.linspace(0.0, 1.0, _HAUSDORFF_SAMPLES_PER_EDGE, endpoint=False)
 
-    def directed(A: PolygonEdges, B: PolygonEdges) -> float:
-        pts = A.starts[:, None, :] + ts[None, :, None] * A.edges[:, None, :]
-        pts = pts.reshape(-1, 2)
-        gaps = pts - _project_convex_polygon(pts, B, np.empty_like(pts))
+    def directed(A: np.ndarray, B: PolygonEdges) -> float:
+        gaps = A - _project_convex_polygon(A, B, np.empty_like(A))
         return float(np.max(np.linalg.norm(gaps, axis=-1)))
 
     edges_p, edges_q = _polygon_edges(P.vertices), _polygon_edges(Q.vertices)
-    return max(directed(edges_p, edges_q), directed(edges_q, edges_p))
+    return max(directed(P.vertices, edges_q), directed(Q.vertices, edges_p))

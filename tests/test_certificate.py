@@ -13,7 +13,7 @@ from wulff_tvl1.grid import (FEASIBILITY_TOL, DualField, GridImage,
                              backward_gradient, cell_centers, divergence,
                              dual_pairing, forward_divergence,
                              forward_gradient, raster_disk,
-                             raster_convex_polygon, tv_phi)
+                             raster_convex_polygon, tv_phi, tv_phi_dual_gap)
 from wulff_tvl1.solver import SolverConfig, energy
 
 from conftest import GAUGE_ZOO, clipped_disk_raster, gaussian_blur
@@ -47,17 +47,31 @@ def test_nan_dual_maximum_fails_membership(monkeypatch):
     assert not rep.conditions["i_wulff_membership"] and not rep.passed
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_non_finite_field_fails_bounded_divergence(bad):
-    # (ii) is derived from the violation of (i), which a non-finite entry
-    # makes non-finite; the check reports it instead of raising
-    u0 = GridImage(np.zeros((8, 8)), 0.5)
+def _one_entry(bad):
     v = np.zeros((8, 8, 2))
     v[4, 4, 0] = bad
-    rep = check_certificate(u0, u0, DualField(v, 0.5), 1.0, L1)
-    assert not math.isfinite(rep.wulff_violation)
+    return v, L1, False
+
+
+@pytest.mark.parametrize("v, g, in_w", [
+    _one_entry(math.inf), _one_entry(-math.inf), _one_entry(math.nan),
+    (np.full((8, 8, 2), 1e308), L1, False),
+    # finite and inside -W (phi_dual = 1), but its divergence overflows
+    (1e308 * (-1.0) ** np.arange(8)[None, :, None] * np.ones((8, 8, 2)),
+     Gauge.weighted(1, [1e308, 1e308]), True),
+], ids=["inf", "-inf", "nan", "overflow", "overflow-inside-W"])
+def test_non_finite_field_fails_bounded_divergence(v, g, in_w):
+    # (ii) holds when the backward divergence is finite in every cell: a
+    # non-finite entry of v fails it, and so does a finite v whose
+    # divergence overflows; the check reports it instead of raising
+    u0 = GridImage(np.zeros((8, 8)), 0.5)
+    rep = check_certificate(u0, u0, DualField(v, 0.5), 1.0, g)
+    assert rep.conditions["i_wulff_membership"] == in_w
     assert not rep.conditions["ii_bounded_divergence"] and not rep.passed
-    assert rep.div_inf_norm == math.inf and rep.excluded_fraction == 1.0
+    for key in ("div_inf_norm", "div_bound_residual", "div_residual_above",
+                "div_residual_below"):
+        assert getattr(rep, key) == math.inf, key
+    assert rep.excluded_fraction == 1.0
     assert not rep.strict_uniqueness_hint
 
 
@@ -154,19 +168,46 @@ def test_check_certificate_takes_each_gradient_once(name, monkeypatch):
     u0 = GridImage(gaussian_blur(u0.values, 1.5), u0.spacing)
     v = DualField(g.project_minus_wulff(
         np.random.default_rng(2).normal(size=(96, 96, 2))), u0.spacing)
-    calls = []
-    for op in ("forward_gradient", "backward_gradient"):
-        def counted(u, _fn=getattr(grid, op), _op=op):
-            calls.append(_op)
-            return _fn(u)
+    monkeypatch.setattr(grid, "BLOCK_CELLS", 20 * 96)
+    tv, pairing = tv_phi(u0, g), dual_pairing(u0, v)
+    calls, depth = [], [0]
+    for op in ("_grad_forward_raw", "_grad_backward_raw"):
+        def counted(*args, _fn=getattr(grid, op), _op=op, **kwargs):
+            # the backward kernel runs the forward one on the reflected
+            # slab; only the outermost call is a stencil of its own
+            if not depth[0]:
+                calls.append(_op)
+            depth[0] += 1
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
         monkeypatch.setattr(grid, op, counted)
-        monkeypatch.setattr(certificate, op, counted)
     rep = check_certificate(u0, f, v, 3.0, g)
-    assert sorted(calls) == ["backward_gradient", "forward_gradient"]
-    monkeypatch.undo()
+    blocks = len(list(grid._row_blocks(96, 96, 0)))
+    assert blocks == 5
+    assert calls == ["_grad_forward_raw", "_grad_backward_raw"] * blocks
     # the same sums as the two separate calls, bit for bit
-    assert rep.tv_value == tv_phi(u0, g)
-    assert rep.tv_pairing_gap == tv_phi(u0, g) - dual_pairing(u0, v)
+    assert rep.tv_value == tv
+    assert rep.tv_pairing_gap == tv - pairing
+
+
+def test_block_loops_build_no_grid_objects(monkeypatch):
+    # inputs are validated once, on entry; the blocks work on raw slabs
+    u0, f, v = circle_case(3.0, 64)
+    monkeypatch.setattr(grid, "BLOCK_CELLS", 8 * 64)
+    built = []
+    for cls in (GridImage, DualField):
+        def counted(self, _init=cls.__post_init__):
+            built.append(type(self).__name__)
+            _init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    rep = check_certificate(u0, f, v, 3.0, L1)
+    tv_phi(u0, L1)
+    dual_pairing(u0, v)
+    tv_phi_dual_gap(u0, v, L1)
+    assert built == []
+    assert rep.passed
 
 
 def _whole_grid_jump_cells(values, tol=1e-9):
@@ -327,6 +368,11 @@ def test_check_certificate_validates_grids():
     for lam in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             check_certificate(u0, u0, v, lam, L1)
+    # a one-row grid has no stencil; the check says so before any block
+    row = GridImage(np.zeros((1, 8)), 1.0)
+    with pytest.raises(ValueError, match="at least 2x2"):
+        check_certificate(row, row, DualField(np.zeros((1, 8, 2)), 1.0),
+                          1.0, L1)
 
 
 @pytest.mark.parametrize("margin", [0, 1, 2])

@@ -268,21 +268,49 @@ def test_certify_file_inputs_pass(tmp_path):
                "--lambda", "2", "--spacing", "0.5") == 0
 
 
-def test_certify_non_finite_field_fails(tmp_path):
-    # an inf entry fails condition (ii): exit 3 with a report, not exit 1
+def _certify_field(tmp_path, values):
+    """Runs certify on u0 = f = 0 against the field `values` at spacing 1;
+    returns the exit code and the report."""
     from wulff_tvl1.fileio import write_field
     from wulff_tvl1.grid import DualField
     u0 = tmp_path / "u0.pgm"
     v = tmp_path / "v.raw"
     out = tmp_path / "cert.json"
-    write_pgm(u0, GridImage(np.zeros((8, 8)), 1.0))
+    write_pgm(u0, GridImage(np.zeros(values.shape[:2]), 1.0))
+    write_field(v, DualField(values, 1.0))
+    code = run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
+               "--lambda", "2", "--spacing", "1.0", "--output", str(out))
+    return code, json.loads(out.read_text())
+
+
+def test_certify_non_finite_field_fails(tmp_path):
+    # an inf entry fails condition (ii): exit 3 with a report, not exit 1
     values = np.zeros((8, 8, 2))
     values[4, 4, 0] = math.inf
-    write_field(v, DualField(values, 1.0))
-    assert run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
-               "--lambda", "2", "--spacing", "1.0", "--output", str(out)) == 3
-    report = json.loads(out.read_text())
+    code, report = _certify_field(tmp_path, values)
+    assert code == 3
     assert report["conditions"]["ii_bounded_divergence"] is False
+
+
+def test_certify_overflowing_divergence_fails(tmp_path):
+    # a finite field whose differences overflow fails (ii) the same way
+    code, report = _certify_field(tmp_path, np.full((16, 16, 2), 1e308))
+    assert code == 3
+    assert report["conditions"]["i_wulff_membership"] is False
+    assert report["conditions"]["ii_bounded_divergence"] is False
+    for key in ("div_inf_norm", "div_bound_residual", "div_residual_above",
+                "div_residual_below"):
+        assert report[key] == math.inf, key
+    assert report["excluded_fraction"] == 1.0
+
+
+def test_non_p5_pgm_is_a_configuration_error(tmp_path, capsys):
+    plain = tmp_path / "plain.pgm"
+    plain.write_bytes(b"P2\n2 2\n255\n0 255 0 255\n")
+    assert run("denoise", "--input", str(plain), "--lambda", "2",
+               "--output-prefix", str(tmp_path / "o")) == 1
+    assert "only binary (P5) PGM" in capsys.readouterr().err
+    assert not (tmp_path / "o_report.json").exists()
 
 
 def test_zero_spacing_is_a_configuration_error(tmp_path):

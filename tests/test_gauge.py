@@ -78,8 +78,17 @@ def test_asymmetric_planes_match_the_axis_formulas(name, rng):
 def test_pnorm_other_dimensions(dim, p, rng):
     y = rng.normal(size=(6, 7, dim))
     np.testing.assert_allclose(_pnorm(y, p), reference_pnorm(y, p), rtol=1e-14)
-    np.testing.assert_allclose(Gauge.p_norm(p, dim=dim)(y[0, 0]),
-                               reference_pnorm(y[0, 0], p), rtol=1e-14)
+    g = Gauge.p_norm(p, dim=dim)
+    np.testing.assert_allclose(g(y[0, 0]), reference_pnorm(y[0, 0], p),
+                               rtol=1e-14)
+    # the extremal direction attains the dual (a cube vertex for p = inf)
+    eta = dual_extremal(g, y[0, 0])
+    assert float(g(eta)) == pytest.approx(1.0, rel=1e-14)
+    assert float(y[0, 0] @ eta) == pytest.approx(float(g.dual(y[0, 0])),
+                                                 rel=1e-14)
+    if dim != 2:
+        with pytest.raises(ValueError, match="2-D only"):
+            g.wulff()
 
 
 def test_positive_homogeneity(any_gauge, rng):
@@ -174,6 +183,8 @@ def test_dual_extremal_examples():
 def test_dual_extremal_rejects_zero(any_gauge):
     with pytest.raises(ValueError):
         dual_extremal(any_gauge, np.zeros(2))
+    with pytest.raises(ValueError, match="single vector"):
+        dual_extremal(any_gauge, np.ones((3, 2)))
 
 
 def test_dual_extremal_achieves_equality(any_gauge, rng):
@@ -601,6 +612,12 @@ def test_invalid_constructions():
         Gauge.p_norm(0.5)
     with pytest.raises(ValueError):
         Gauge.weighted(2, [1.0, -1.0])
+    with pytest.raises(ValueError, match="exponent"):
+        Gauge.weighted(0.5, [1.0, 1.0])
+    with pytest.raises(ValueError, match="3 distinct"):
+        Gauge.polyhedral([[1, 0], [-1, 1], [1, 0]])
+    with pytest.raises(ValueError, match="2-D only"):
+        Gauge.polyhedral([[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         Gauge.asymmetric([1.0, 0.5])  # |a| >= 1
     with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from wulff_tvl1 import grid
 from wulff_tvl1.gauge import Gauge, _polygon_halfspaces
 from wulff_tvl1.grid import (DualField, GridImage, _div_adjoint_raw,
                              _div_forward_raw, _grad_backward_raw,
-                             _grad_forward_raw, backward_gradient, cell_centers, coarea_check, divergence,
+                             _grad_forward_raw, backward_gradient, cell_centers,
+                             coarea_check, divergence, dual_pairing,
                              energy_decompose, forward_divergence,
                              forward_gradient, level_set, raster_convex_polygon,
                              raster_disk, reflect, tv_phi, tv_phi_dual_gap)
@@ -112,12 +113,32 @@ def test_kernels_match_the_slice_formulas_in_every_layout(shape, rng):
                 assert res is out and np.ascontiguousarray(out).tobytes() == div
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GridImage(np.array([[0.0, math.inf], [0.0, 0.0]])),
+    lambda: GridImage(np.array([[0.0, math.nan], [0.0, 0.0]])),
+    lambda: GridImage(np.zeros(4)),
+    lambda: GridImage(np.zeros((2, 2, 2))),
+    lambda: GridImage(np.zeros((2, 2)), 0.0),
+    lambda: DualField(np.zeros((2, 2))),
+    lambda: DualField(np.zeros((2, 2, 3))),
+    lambda: DualField(np.zeros((2, 2, 2)), -1.0),
+    lambda: DualField(np.zeros((2, 2, 2)), math.inf),
+], ids=["image-inf", "image-nan", "image-1d", "image-3d", "image-spacing-0",
+        "field-2d", "field-3-components", "field-spacing-negative",
+        "field-spacing-inf"])
+def test_fields_validate_on_construction(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_gradient_rejects_degenerate_grid():
     with pytest.raises(ValueError):
         forward_gradient(GridImage(np.zeros((1, 5)), 1.0))
     for shape in ((1, 5), (5, 1), (1, 1)):
         with pytest.raises(ValueError):
             backward_gradient(GridImage(np.zeros(shape), 1.0))
+        with pytest.raises(ValueError):
+            tv_phi(GridImage(np.zeros(shape), 1.0), L1)
         with pytest.raises(ValueError):
             divergence(DualField(np.zeros(shape + (2,)), 1.0))
         with pytest.raises(ValueError):
@@ -256,6 +277,9 @@ def test_dual_gap_examples(rng):
 
     v = GridImage(rng.normal(size=(6, 6)), 0.5)
     assert tv_phi_dual_gap(v, p, L1) == pytest.approx(tv_phi(v, L1))
+    # one pass of both stencils gives the two sums bit for bit
+    q = DualField(L2.project_minus_wulff(rng.normal(size=(6, 6, 2))), 0.5)
+    assert tv_phi_dual_gap(v, q, L2) == tv_phi(v, L2) - dual_pairing(v, q)
 
 
 def test_dual_gap_nonnegative_for_feasible_fields(any_gauge, rng):

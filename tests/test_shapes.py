@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wulff_tvl1.gauge import Gauge
+from wulff_tvl1.projection import _polygon_edges, _project_convex_polygon
 from wulff_tvl1.shapes import (ConvexPolygon, circle_example,
                                circle_optimality_threshold,
                                hausdorff_distance, isoperimetric_constant,
@@ -172,6 +173,41 @@ def test_opening_idempotent(rng):
             continue
         twice = opening_by_wulff(once, 0.3, L1)
         assert hausdorff_distance(once, twice) <= 1e-9
+
+
+def _sampled_hausdorff(P, Q, samples=64):
+    """The Hausdorff distance over `samples` points per edge of each
+    polygon, vertices included."""
+    ts = np.arange(samples) / samples
+
+    def directed(A, B):
+        v = A.vertices
+        pts = v[:, None, :] + ts[None, :, None] * (np.roll(v, -1, 0) - v)[:, None, :]
+        pts = pts.reshape(-1, 2)
+        near = _project_convex_polygon(pts, _polygon_edges(B.vertices),
+                                       np.empty_like(pts))
+        return float(np.max(np.linalg.norm(pts - near, axis=-1)))
+
+    return max(directed(P, Q), directed(Q, P))
+
+
+def test_hausdorff_distance_is_attained_at_vertices(rng):
+    # the distance to a convex polygon is convex, so edge points never beat
+    # the vertices: the vertex-only distance equals the sampled one exactly
+    pairs = [(ConvexPolygon(random_convex_polygon(rng, scale=s1) + c1),
+              ConvexPolygon(random_convex_polygon(rng, scale=s2)))
+             for s1, s2, c1 in zip(rng.uniform(0.3, 2, 200),
+                                   rng.uniform(0.3, 2, 200),
+                                   rng.normal(size=(200, 2)))]
+    # near-parallel faces: the top edges meet at a 1e-9 angle
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tilted = square + [[0.0, 0.0], [0.0, 0.0], [0.0, 1e-9], [0.0, 0.0]]
+    pairs.append((ConvexPolygon(square), ConvexPolygon(tilted)))
+    for P, Q in pairs:
+        assert hausdorff_distance(P, Q) == _sampled_hausdorff(P, Q)
+        assert hausdorff_distance(Q, P) == hausdorff_distance(P, Q)
+    # the raised vertex's height above the square, as rounded
+    assert hausdorff_distance(*pairs[-1]) == (1.0 + 1e-9) - 1.0
 
 
 def test_opening_may_be_empty():

@@ -630,6 +630,13 @@ def test_contrast_invariance_rescaling():
         assert rep.energy_scale_error <= rep.gap_budget + 1e-6
 
 
+def test_contrast_invariance_needs_a_positive_factor():
+    f = GridImage(np.zeros((8, 8)), 0.5)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            check_contrast_invariance(f, 2.0, L1, c)
+
+
 def test_contrast_invariance_zero_input():
     f = GridImage(np.zeros((16, 16)), 0.5)
     rep = check_contrast_invariance(f, 2.0, L1, 3.0,
