@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wulff_tvl1 import certificate, grid
+from wulff_tvl1 import grid
 from wulff_tvl1.certificate import (BOUNDARY_MARGIN, TIE_BAND,
                                     CertificateReport, _dilate,
                                     build_circle_certificate,
