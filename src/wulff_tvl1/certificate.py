@@ -168,16 +168,16 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
     ok_cells = 0
     for lo, hi, s0, s1 in _row_blocks(height, width, m + 1) if finite else ():
         block = slice(lo - s0, hi - s0)
+        # overflow: an inf in div_b fails (ii), in div_b - div_f it excludes
+        # the cell; agreeing one-sided stencils bound a kept cell's smearing
         with np.errstate(over="ignore", invalid="ignore"):
             div_b = _div_adjoint_raw(v.values[s0:s1], spacing)[block]
             div_f = _div_forward_raw(v.values[s0:s1], spacing)[block]
-        finite = math.isfinite(div_b.max()) and math.isfinite(div_b.min())
-        if not finite:
-            break
-        # agreement of the two one-sided stencils bounds the kink smearing a
-        # surviving cell can carry, so included residuals stay O(spacing)
-        stencil_ok, block_max = _div_bound_cells(div_b, div_f, spacing, lo,
-                                                 height)
+            finite = math.isfinite(div_b.max()) and math.isfinite(div_b.min())
+            if not finite:
+                break
+            stencil_ok, block_max = _div_bound_cells(div_b, div_f, spacing,
+                                                     lo, height)
         ok_cells += np.count_nonzero(stencil_ok)
         div_inf = max(div_inf, block_max)
 

@@ -47,32 +47,50 @@ def test_nan_dual_maximum_fails_membership(monkeypatch):
     assert not rep.conditions["i_wulff_membership"] and not rep.passed
 
 
-def _one_entry(bad):
+def _one_entry(bad, violation):
     v = np.zeros((8, 8, 2))
     v[4, 4, 0] = bad
-    return v, L1, False
+    return v, L1, violation
 
 
-@pytest.mark.parametrize("v, g, in_w", [
-    _one_entry(math.inf), _one_entry(-math.inf), _one_entry(math.nan),
-    (np.full((8, 8, 2), 1e308), L1, False),
+@pytest.mark.parametrize("v, g, violation", [
+    _one_entry(math.inf, math.inf), _one_entry(-math.inf, math.inf),
+    _one_entry(math.nan, math.nan),
+    (np.full((8, 8, 2), 1e308), L1, 1e308),
     # finite and inside -W (phi_dual = 1), but its divergence overflows
     (1e308 * (-1.0) ** np.arange(8)[None, :, None] * np.ones((8, 8, 2)),
-     Gauge.weighted(1, [1e308, 1e308]), True),
+     Gauge.weighted(1, [1e308, 1e308]), 0.0),
 ], ids=["inf", "-inf", "nan", "overflow", "overflow-inside-W"])
-def test_non_finite_field_fails_bounded_divergence(v, g, in_w):
+def test_non_finite_field_fails_bounded_divergence(v, g, violation):
     # (ii) holds when the backward divergence is finite in every cell: a
     # non-finite entry of v fails it, and so does a finite v whose
     # divergence overflows; the check reports it instead of raising
     u0 = GridImage(np.zeros((8, 8)), 0.5)
     rep = check_certificate(u0, u0, DualField(v, 0.5), 1.0, g)
-    assert rep.conditions["i_wulff_membership"] == in_w
+    # a non-finite entry keeps a non-finite violation of (i)
+    assert math.isfinite(rep.wulff_violation) == math.isfinite(violation)
+    assert rep.wulff_violation == violation or math.isnan(violation)
+    assert rep.conditions["i_wulff_membership"] == (violation == 0.0)
     assert not rep.conditions["ii_bounded_divergence"] and not rep.passed
     for key in ("div_inf_norm", "div_bound_residual", "div_residual_above",
                 "div_residual_below"):
         assert getattr(rep, key) == math.inf, key
     assert rep.excluded_fraction == 1.0
     assert not rep.strict_uniqueness_hint
+
+
+def test_overflowing_stencil_disagreement_excludes_the_cell():
+    # both one-sided divergences are finite (+-1e308), so (ii) holds, but
+    # their difference overflows: an inf disagreement excludes the cell,
+    # and the check reports without a RuntimeWarning
+    v = np.zeros((8, 8, 2))
+    v[:, 1::2, 0] = 1e308
+    u0 = GridImage(np.zeros((8, 8)), 1.0)
+    rep = check_certificate(u0, u0, DualField(v, 1.0), 1.0,
+                            Gauge.weighted(1, [1e308, 1e308]))
+    assert rep.conditions["i_wulff_membership"]
+    assert rep.conditions["ii_bounded_divergence"]
+    assert rep.excluded_fraction == 1.0 and rep.div_inf_norm == 0.0
 
 
 def test_check_certificate_sets_uniqueness_hint():
