@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .gauge import (Gauge, WulffShape, dual_extremal, eval_dual, eval_gauge,
                     project_minus_wulff, wulff_shape)
-from .grid import (DualField, GridImage, LevelSet, coarea_check, divergence,
+from .grid import (DualField, GridImage, coarea_check, divergence,
                    energy_decompose, forward_gradient, level_set, reflect,
                    tv_phi, tv_phi_dual_gap)
 from .shapes import (CircleExampleResult, ConvexPolygon, circle_example,
@@ -26,7 +26,7 @@ __all__ = [
     "__version__",
     "Gauge", "WulffShape", "eval_gauge", "eval_dual", "dual_extremal",
     "wulff_shape", "project_minus_wulff",
-    "GridImage", "DualField", "LevelSet", "forward_gradient", "divergence",
+    "GridImage", "DualField", "forward_gradient", "divergence",
     "tv_phi", "tv_phi_dual_gap", "level_set", "coarea_check",
     "energy_decompose", "reflect",
     "ConvexPolygon", "CircleExampleResult", "trivial_threshold",

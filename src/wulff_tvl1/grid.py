@@ -10,10 +10,12 @@ the rasterisers):
 * forward_gradient uses forward differences with a one-sided zero at the
   right/top boundary; divergence is its exact negative adjoint (backward
   differences), so <Du, p> = -<u, div p> holds to machine precision;
+* GridImage and DualField values are row-major float arrays of at least
+  2x2 cells from construction, so no function re-checks a field;
 * the raw kernels take the x-differences in one pass over the flattened
-  plane whenever its strides allow (the row-wrap entries fall in a
-  boundary column that is overwritten), and skip the division at unit
-  spacing, which is exact; the bytes equal the 2-D slice formulas;
+  plane (the row-wrap entries fall in a boundary column that is
+  overwritten), and skip the division at unit spacing, which is exact;
+  the bytes equal the 2-D slice formulas;
 * point reflection of the grid swaps the forward and the backward stencil,
   so backward_gradient and forward_divergence are not written out: each
   runs the matching forward-stencil kernel (forward_gradient, divergence)
@@ -45,7 +47,6 @@ from .gauge import Gauge
 __all__ = [
     "GridImage",
     "DualField",
-    "LevelSet",
     "forward_gradient",
     "backward_gradient",
     "divergence",
@@ -72,9 +73,10 @@ class GridImage:
     spacing: float = 1.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("GridImage values must be 2-D")
+        _check_stencil_grid(self)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("GridImage values must be finite")
         if not 0 < self.spacing < math.inf:
@@ -102,9 +104,10 @@ class DualField:
     spacing: float = 1.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.ndim != 3 or self.values.shape[-1] != 2:
             raise ValueError("DualField values must have shape (H, W, 2)")
+        _check_stencil_grid(self)
         if not 0 < self.spacing < math.inf:
             raise ValueError("spacing must be positive and finite")
 
@@ -124,19 +127,17 @@ class DualField:
                                          for lo, hi, _, _ in blocks)))
 
 
-@dataclass
-class LevelSet:
-    """Binary image {u > threshold} (strict inequality)."""
-
-    image: GridImage
-    threshold: float
-
-
 FEASIBILITY_TOL = 1e-9  # slack on phi_dual(p) <= 1 for membership in -W
 
 
 BLOCK_CELLS = 1 << 16  # cells per row block; grids up to 256^2 are one block
 BOUNDARY_MARGIN = 2    # cells: the certificate's window frame and jump margin
+DIV_TOL_SPACINGS = 3.0  # the certificate's default tolerance, in spacings
+
+
+def _check_stencil_grid(field) -> None:
+    if field.height < 2 or field.width < 2:
+        raise ValueError("grid must be at least 2x2")
 
 
 def _check_same_grid(a, b):
@@ -158,11 +159,13 @@ def _row_blocks(height: int, width: int, halo: int):
 # difference operators (raw kernels + validated wrappers)
 # ----------------------------------------------------------------------
 
-def _flat(a: np.ndarray) -> np.ndarray | None:
-    """a (2-D) as a 1-D view in row-major order, or None when its strides
-    allow none (Fortran order, say); reshape then never copies."""
+def _flat(a: np.ndarray) -> np.ndarray:
+    """a (2-D) as a 1-D view in row-major order; ValueError when its
+    strides allow none (Fortran order, say), so reshape never copies."""
     rows, cols = a.strides
-    return a.reshape(-1) if rows == a.shape[1] * cols else None
+    if rows != a.shape[1] * cols:
+        raise ValueError("plane has no row-major view")
+    return a.reshape(-1)
 
 
 def _grad_forward_raw(v: np.ndarray, spacing: float,
@@ -170,10 +173,7 @@ def _grad_forward_raw(v: np.ndarray, spacing: float,
     if out is None:
         out = np.zeros(v.shape + (2,))
     vf, xf = _flat(v), _flat(out[..., 0])
-    if vf is None or xf is None:
-        np.subtract(v[:, 1:], v[:, :-1], out=out[:, :-1, 0])
-    else:  # one pass; the row-wrap differences land in the last column
-        np.subtract(vf[1:], vf[:-1], out=xf[:-1])
+    np.subtract(vf[1:], vf[:-1], out=xf[:-1])  # row wraps: last column
     out[:, -1, 0] = 0.0
     np.subtract(v[1:, :], v[:-1, :], out=out[:-1, :, 1])
     out[-1, :, 1] = 0.0
@@ -201,10 +201,7 @@ def _div_adjoint_raw(p: np.ndarray, spacing: float,
     if out is None:
         out = np.empty(p.shape[:2])
     pf, of = _flat(px), _flat(out)
-    if pf is None or of is None:
-        np.subtract(px[:, 1:-1], px[:, :-2], out=out[:, 1:-1])
-    else:  # one pass; the first and last columns are set next
-        np.subtract(pf[1:-1], pf[:-2], out=of[1:-1])
+    np.subtract(pf[1:-1], pf[:-2], out=of[1:-1])  # end columns set next
     out[:, 0] = px[:, 0]
     out[:, -1] = -px[:, -2]
     out[:-1] += py[:-1]
@@ -242,34 +239,25 @@ def _div_bound_cells(div_b: np.ndarray, div_f: np.ndarray, spacing: float,
     return ok, float(np.max(np.abs(div_b, out=div_f), where=ok, initial=0.0))
 
 
-def _check_stencil_grid(field) -> None:
-    if field.height < 2 or field.width < 2:
-        raise ValueError("grid must be at least 2x2")
-
-
 def forward_gradient(u: GridImage) -> DualField:
     """Forward differences / spacing, zero at the right/top boundary."""
-    _check_stencil_grid(u)
     return DualField(_grad_forward_raw(u.values, u.spacing), u.spacing)
 
 
 def backward_gradient(u: GridImage) -> DualField:
     """Backward differences / spacing, zero at the left/bottom boundary."""
-    _check_stencil_grid(u)
     return DualField(_grad_backward_raw(u.values, u.spacing), u.spacing)
 
 
 def divergence(p: DualField) -> GridImage:
     """Exact negative adjoint of forward_gradient:
     <forward_gradient(u), p> + <u, divergence(p)> = 0 for all u, p."""
-    _check_stencil_grid(p)
     return GridImage(_div_adjoint_raw(p.values, p.spacing), p.spacing)
 
 
 def forward_divergence(p: DualField) -> GridImage:
     """Exact negative adjoint of backward_gradient (forward differences of
     the components)."""
-    _check_stencil_grid(p)
     return GridImage(_div_forward_raw(p.values, p.spacing), p.spacing)
 
 
@@ -277,23 +265,23 @@ def forward_divergence(p: DualField) -> GridImage:
 # anisotropic total variation
 # ----------------------------------------------------------------------
 
-def _stencil_means(u: GridImage, g: Gauge | None = None,
-                  p: DualField | None = None) -> tuple[float, float]:
-    """(tv_phi(u, g), dual_pairing(u, p)), 0.0 for an argument left out,
-    from one forward and one backward gradient kernel call per row block.
+def _stencil_means(values: np.ndarray, spacing: float, g: Gauge | None = None,
+                   p_values: np.ndarray | None = None) -> tuple[float, float]:
+    """(tv_phi, dual_pairing) of the image `values` against g and the field
+    `p_values`, 0.0 for an argument left out, from one forward and one
+    backward gradient kernel call per row block.
     A block's gradients are taken on its slab with one halo row each side,
     so they equal the whole-grid gradients bit for bit."""
-    _check_stencil_grid(u)
     tv, pairing = [0.0, 0.0], [0.0, 0.0]
-    for lo, hi, s0, s1 in _row_blocks(u.height, u.width, 1):
-        slab = u.values[s0:s1]
+    for lo, hi, s0, s1 in _row_blocks(*values.shape, 1):
+        slab = values[s0:s1]
         for k, gradient in enumerate((_grad_forward_raw, _grad_backward_raw)):
-            d = gradient(slab, u.spacing)[lo - s0:hi - s0]
+            d = gradient(slab, spacing)[lo - s0:hi - s0]
             if g is not None:
                 tv[k] += g(d).sum()
-            if p is not None:
-                pairing[k] += np.einsum("ijk,ijk->", d, p.values[lo:hi])
-    area = u.spacing**2
+            if p_values is not None:
+                pairing[k] += np.einsum("ijk,ijk->", d, p_values[lo:hi])
+    area = spacing**2
     return (float(0.5 * (tv[0] + tv[1]) * area),
             float(0.5 * (pairing[0] + pairing[1]) * area))
 
@@ -302,7 +290,7 @@ def tv_phi(u: GridImage, g: Gauge) -> float:
     """Discrete TV: spacing^2 times the mean of the gauge over the forward
     and backward gradient stencils (they agree for separable gauges), summed
     by row blocks: on more than one block the last bit can differ."""
-    return _stencil_means(u, g=g)[0]
+    return _stencil_means(u.values, u.spacing, g)[0]
 
 
 def dual_pairing(u: GridImage, p: DualField) -> float:
@@ -310,7 +298,7 @@ def dual_pairing(u: GridImage, p: DualField) -> float:
     stencils, summed by row blocks like tv_phi; bounded by tv_phi(u)
     whenever p is pointwise in -W."""
     _check_same_grid(u, p)
-    return _stencil_means(u, p=p)[1]
+    return _stencil_means(u.values, u.spacing, p_values=p.values)[1]
 
 
 def tv_phi_dual_gap(u: GridImage, p: DualField, g: Gauge) -> float:
@@ -320,7 +308,7 @@ def tv_phi_dual_gap(u: GridImage, p: DualField, g: Gauge) -> float:
     if not violation <= FEASIBILITY_TOL:  # NaN is no feasible field
         raise ValueError(f"dual field violates the -W constraint by {violation:.3e}")
     _check_same_grid(u, p)
-    tv, pairing = _stencil_means(u, g, p)
+    tv, pairing = _stencil_means(u.values, u.spacing, g, p.values)
     return tv - pairing
 
 
@@ -328,8 +316,9 @@ def tv_phi_dual_gap(u: GridImage, p: DualField, g: Gauge) -> float:
 # level sets, coarea, energy decomposition
 # ----------------------------------------------------------------------
 
-def level_set(u: GridImage, t: float) -> LevelSet:
-    return LevelSet(GridImage((u.values > t).astype(float), u.spacing), t)
+def level_set(u: GridImage, t: float) -> GridImage:
+    """The binary image {u > t} (strict inequality)."""
+    return GridImage((u.values > t).astype(float), u.spacing)
 
 
 def _level_weights(levels: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -367,10 +356,10 @@ def energy_decompose(u: GridImage, f: GridImage, lam: float, g: Gauge,
     for t, w in zip(levels, weights):
         if w == 0.0:
             continue
-        ut = level_set(u, t).image
-        ft = level_set(f, t).image
-        sym_diff = float(np.abs(ut.values - ft.values).sum()) * area
-        integrated += w * (tv_phi(ut, g) + lam * sym_diff)
+        ut = (u.values > t).astype(float)
+        ft = (f.values > t).astype(float)
+        sym_diff = float(np.abs(ut - ft).sum()) * area
+        integrated += w * (_stencil_means(ut, u.spacing, g)[0] + lam * sym_diff)
     return float(total), float(integrated)
 
 

@@ -106,10 +106,11 @@ def _project_l1_ball(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarra
     its error is a rounding of r, not of |x|; only those points are
     gathered.
 
-    Otherwise, with c = 1 / w, the closed form z = sign(x) max(|x| - mu c,
-    0), where mu >= 0 solves sum_i c_i max(|x_i| - mu c_i, 0) = 1 (Condat
-    2016, 2-D case).  That sum is the largest of its linear pieces over the
-    sets of active coordinates, so mu is the largest of their roots."""
+    Otherwise a = |x| of a point outside goes to the nearest point of the
+    edge from (w_1, 0) to (0, w_2): with d = w_1 a_1 - w_2 a_2 clipped to
+    [-w_2^2, w_1^2], z = (w_1 (w_2^2 + d), w_2 (w_1^2 - d)) / (w_1^2 + w_2^2)
+    with x's signs.  Terms of size |x| meet only in d, whose error moves z
+    along the edge: z lies on it to a rounding, however far x is."""
     if x.shape[-1] != 2 or len(w) != 2:
         raise ValueError("the l1-ball projection is 2-D only")
     x0 = x[..., 0]
@@ -132,15 +133,16 @@ def _project_l1_ball(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarra
         z0[outside] = (s + d) * 0.5
         z1[outside] = (s - d) * 0.5
         return out
-    a0 = np.abs(x0)
-    a1 = np.abs(x1)
-    c0, c1 = 1.0 / w
-    mu = np.maximum((c0 * a0 - 1.0) / (c0 * c0), (c1 * a1 - 1.0) / (c1 * c1),
-                    out=np.empty(x.shape[:-1]))  # an array even for one vector
-    np.maximum(mu, (c0 * a0 + c1 * a1 - 1.0) / (c0 * c0 + c1 * c1), out=mu)
-    np.maximum(mu, 0.0, out=mu)
-    np.copysign(np.maximum(a0 - mu * c0, 0.0), x0, out=z0)
-    np.copysign(np.maximum(a1 - mu * c1, 0.0), x1, out=z1)
+    w0, w1 = w
+    outside = np.greater(np.abs(x0) / w0 + np.abs(x1) / w1, 1.0,
+                         out=np.empty(x.shape[:-1], bool))  # 0-d for one vector
+    if out is not x:
+        np.copyto(out, x)
+    s0, s1 = x0[outside], x1[outside]
+    d = np.clip(w0 * np.abs(s0) - w1 * np.abs(s1), -w1 * w1, w0 * w0)
+    n = w0 * w0 + w1 * w1
+    z0[outside] = np.copysign(w0 * (w1 * w1 + d) / n, s0)
+    z1[outside] = np.copysign(w1 * (w0 * w0 - d) / n, s1)
     return out
 
 

@@ -80,7 +80,7 @@ import numpy as np
 from .gauge import Gauge
 # _grad_backward_raw, divergence, forward_gradient: unused here, kept for
 # tracers that patch them by name
-from .grid import (DualField, GridImage, _check_same_grid, _check_stencil_grid,
+from .grid import (DIV_TOL_SPACINGS, DualField, GridImage, _check_same_grid,
                    _div_adjoint_raw, _div_bound_cells, _div_forward_raw,
                    _grad_backward_raw, _grad_forward_raw, divergence,
                    forward_gradient, level_set, tv_phi)
@@ -302,7 +302,7 @@ def _meets_div_bound(div_p: np.ndarray, p: np.ndarray, lam: float,
     p with backward divergence div_p; buf receives the forward one."""
     _, div_inf = _div_bound_cells(div_p, _div_forward_raw(p, spacing, out=buf),
                                   spacing, 0, p.shape[0])
-    return max(0.0, div_inf - lam) <= 3.0 * spacing
+    return max(0.0, div_inf - lam) <= DIV_TOL_SPACINGS * spacing
 
 
 def solve(f: GridImage, lam: float, g: Gauge,
@@ -311,7 +311,6 @@ def solve(f: GridImage, lam: float, g: Gauge,
     field that witnesses it."""
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
-    _check_stencil_grid(f)
     cfg = cfg or SolverConfig()
     tau, sigma = cfg.steps_for(f.spacing)
 
@@ -354,7 +353,7 @@ def solve(f: GridImage, lam: float, g: Gauge,
 
 def threshold_binary(result: SolveResult, t: float = 0.5) -> GridImage:
     """Binary minimiser {u > t}; the canonical output when f was binary."""
-    return level_set(result.u, t).image
+    return level_set(result.u, t)
 
 
 def canonical_minimiser(result: SolveResult, f: GridImage) -> GridImage:
@@ -387,8 +386,8 @@ def check_contrast_invariance(f: GridImage, lam: float, g: Gauge, c: float,
 
     span = float(f.values.max() - f.values.min())
     t = float(f.values.min()) + quantile * span
-    set_base = level_set(base.u, t).image.values
-    set_scaled = level_set(scaled.u, c * t).image.values
+    set_base = level_set(base.u, t).values
+    set_scaled = level_set(scaled.u, c * t).values
     sym = float(np.abs(set_base - set_scaled).sum())
     denom = max(float(set_base.sum()), 1.0)
 

@@ -386,11 +386,9 @@ def test_check_certificate_validates_grids():
     for lam in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             check_certificate(u0, u0, v, lam, L1)
-    # a one-row grid has no stencil; the check says so before any block
-    row = GridImage(np.zeros((1, 8)), 1.0)
+    # a one-row grid has no stencil: no field of one can be built
     with pytest.raises(ValueError, match="at least 2x2"):
-        check_certificate(row, row, DualField(np.zeros((1, 8, 2)), 1.0),
-                          1.0, L1)
+        GridImage(np.zeros((1, 8)), 1.0)
 
 
 @pytest.mark.parametrize("margin", [0, 1, 2])

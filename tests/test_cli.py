@@ -368,19 +368,23 @@ def test_degenerate_grid_option_is_a_configuration_error(tmp_path, argv):
 @pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)],
                          ids=["1x8", "8x1", "1x1"])
 def test_certify_degenerate_grid_is_a_configuration_error(tmp_path, shape):
-    from wulff_tvl1.fileio import write_field
-    from wulff_tvl1.grid import DualField
+    # no field of this shape can be built, so the files are written as bytes
+    height, width = shape
     u0 = tmp_path / "u0.pgm"
     v = tmp_path / "v.raw"
-    write_pgm(u0, GridImage(np.zeros(shape), 1.0))
-    write_field(v, DualField(np.zeros(shape + (2,)), 1.0))
+    u0.write_bytes(f"P5\n{width} {height}\n255\n".encode() + bytes(height * width))
+    v.write_bytes(np.zeros(shape + (2,)).astype("<f8").tobytes())
+    Path(f"{v}.json").write_text(json.dumps(
+        {"width": width, "height": height, "spacing": 1.0, "components": 2}))
+    report = tmp_path / "report.json"
     assert run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
-               "--lambda", "2", "--spacing", "1.0") == 1
+               "--lambda", "2", "--spacing", "1.0", "--output", str(report)) == 1
+    assert not report.exists()
 
 
 def test_denoise_single_cell_input_is_a_configuration_error(tmp_path):
     cell = tmp_path / "cell.pgm"
-    write_pgm(cell, GridImage(np.ones((1, 1)), 1.0))
+    cell.write_bytes(b"P5\n1 1\n255\n\xff")
     assert run("denoise", "--input", str(cell), "--lambda", "2",
                "--output-prefix", str(tmp_path / "o")) == 1
     assert not (tmp_path / "o_report.json").exists()

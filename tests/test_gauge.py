@@ -272,18 +272,16 @@ def test_projection_nonexpansive(any_gauge, rng):
     assert np.all(num <= den + 1e-12)
 
 
-def assert_variational_inequality(g: Gauge, x: np.ndarray, px: np.ndarray,
-                                  slack=0.0):
+def assert_variational_inequality(g: Gauge, x: np.ndarray, px: np.ndarray):
     # P(x) is the projection onto -W iff <x - P(x), z - P(x)> <= 0 for every
-    # z in -W; z = d / phi_dual(d) samples the boundary of -W exactly.
-    # `slack` bounds |P(x) - exact| per point, beyond the 1e-12 allowed
+    # z in -W; z = d / phi_dual(d) samples the boundary of -W exactly
     theta = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
     d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     z = d / eval_dual(g, d)[:, None]
     r = x - px
     lhs = r @ z.T - np.einsum("ij,ij->i", r, px)[:, None]
     norm_r = np.linalg.norm(r, axis=-1)
-    bound = 1e-12 * (1.0 + norm_r) + slack * norm_r
+    bound = 1e-12 * (1.0 + norm_r)
     assert np.all(lhs <= bound[:, None])
 
 
@@ -311,12 +309,8 @@ def l1_ball_weights(g: Gauge) -> np.ndarray:
 def test_projection_hard_inputs(g, rng):
     # q-norm balls that are very flat, nearly square or nearly a diamond,
     # and the l1 balls of the inf-norm kinds: points on and next to the axes
-    # (down to subnormal offsets), the origin, far points, points within
-    # 1e-12 of the boundary and interior points.  The closed form of the
-    # l1 ball with unequal weights subtracts terms of size |x|, so there
-    # each point may also miss the exact projection by a few ulp of |x|;
-    # with equal weights the points outside are built from the clipped
-    # rotated coordinates, and need no such slack
+    # (down to subnormal offsets), the origin, far points (up to 1e12),
+    # points within 1e-12 of the boundary and interior points
     theta = rng.uniform(0.0, 2.0 * math.pi, 200)
     d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     boundary = d / eval_dual(g, d)[:, None]
@@ -325,18 +319,15 @@ def test_projection_hard_inputs(g, rng):
     axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     off_axes = axes[:, ::-1] * np.array([[5e-324], [-1e-300], [1e-150], [-1e-12]])
     outside = np.concatenate([
-        axes * 3.0, axes * 1e6, axes * 3.0 + off_axes, axes * 1e6 + off_axes, 1e6 * d,
+        axes * 3.0, axes * 1e6, axes * 3.0 + off_axes, axes * 1e6 + off_axes,
+        1e6 * d, 1e9 * d, 1e12 * d,
         boundary + jitter, boundary * rng.uniform(1.0, 4.0, size=(200, 1))])
     interior = np.concatenate([boundary * rng.uniform(0.0, 0.999, size=(200, 1)),
                                axes * 1e-3, [[0.0, 0.0]]])
     x = np.concatenate([outside, interior])
     px = project_minus_wulff(g, x)
-    ulps = 0.0
-    if math.isinf(g.p) and g.kind == "weighted" and g.weights[0] != g.weights[1]:
-        ulps = 4.0 * np.finfo(float).eps * np.abs(x).max(axis=-1)
-    assert_variational_inequality(g, x, px, slack=ulps)
-    # an error of `ulps` in each coordinate moves phi_dual by ulps phi_dual(1, 1)
-    assert np.all(eval_dual(g, px) <= 1.0 + 1e-12 + ulps * g.dual(np.ones(2)))
+    assert_variational_inequality(g, x, px)
+    assert np.all(eval_dual(g, px) <= 1.0 + 1e-12)
     assert np.array_equal(px[len(outside):], interior)
     with pytest.raises(ValueError):
         project_minus_wulff(g, np.ones((4, 3)))
@@ -375,9 +366,9 @@ def closed_form_l1_ball(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("g", INF_NORM_KINDS, ids=INF_NORM_IDS)
 def test_inf_norm_projection_matches_the_closed_form(g, rng):
-    # the rotated box of equal weights and the closed form of unequal ones
-    # agree with the closed form to a few ulp of (1 + |x|), near, far and
-    # next to the axes
+    # the rotated box of equal weights and the edge projection of unequal
+    # ones agree with Condat's closed form to a few ulp of (1 + |x|), near,
+    # far and next to the axes
     w = l1_ball_weights(g)
     axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     x = np.concatenate([rng.normal(size=(2000, 2)) * scale

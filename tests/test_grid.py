@@ -76,9 +76,10 @@ def _div_by_slices(p: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def _layouts(a: np.ndarray) -> list:
-    """a in C and Fortran order, reflected, and (for fields) as planar
-    (2, H, W) storage and as a plane of a wider field; equal values."""
-    out = [a.copy(), np.asfortranarray(a), a[::-1, ::-1].copy()[::-1, ::-1]]
+    """a in C order, reflected, and (for fields) as planar (2, H, W)
+    storage and as a plane of a wider field: the row-major layouts the
+    kernels take, with equal values."""
+    out = [a.copy(), a[::-1, ::-1].copy()[::-1, ::-1]]
     if a.ndim == 3:
         planar = np.ascontiguousarray(np.moveaxis(a, -1, 0))
         out += [np.moveaxis(planar, 0, -1),
@@ -123,26 +124,71 @@ def test_kernels_match_the_slice_formulas_in_every_layout(shape, rng):
     lambda: DualField(np.zeros((2, 2, 3))),
     lambda: DualField(np.zeros((2, 2, 2)), -1.0),
     lambda: DualField(np.zeros((2, 2, 2)), math.inf),
+    lambda: GridImage(np.zeros((1, 5))),
+    lambda: GridImage(np.zeros((5, 1))),
+    lambda: GridImage(np.zeros((1, 1))),
+    lambda: DualField(np.zeros((1, 5, 2))),
+    lambda: DualField(np.zeros((5, 1, 2))),
+    lambda: DualField(np.zeros((1, 1, 2))),
 ], ids=["image-inf", "image-nan", "image-1d", "image-3d", "image-spacing-0",
         "field-2d", "field-3-components", "field-spacing-negative",
-        "field-spacing-inf"])
+        "field-spacing-inf", "image-1x5", "image-5x1", "image-1x1",
+        "field-1x5", "field-5x1", "field-1x1"])
 def test_fields_validate_on_construction(make):
+    # a stencil needs two rows and two columns: no field has fewer, so no
+    # operator re-checks one
     with pytest.raises(ValueError):
         make()
 
 
-def test_gradient_rejects_degenerate_grid():
-    with pytest.raises(ValueError):
-        forward_gradient(GridImage(np.zeros((1, 5)), 1.0))
-    for shape in ((1, 5), (5, 1), (1, 1)):
-        with pytest.raises(ValueError):
-            backward_gradient(GridImage(np.zeros(shape), 1.0))
-        with pytest.raises(ValueError):
-            tv_phi(GridImage(np.zeros(shape), 1.0), L1)
-        with pytest.raises(ValueError):
-            divergence(DualField(np.zeros(shape + (2,)), 1.0))
-        with pytest.raises(ValueError):
-            forward_divergence(DualField(np.zeros(shape + (2,)), 1.0))
+def _operator_bytes(u: GridImage, p: DualField, g: Gauge) -> list:
+    """The bytes of every public grid operator on u and p."""
+    arrays = [forward_gradient(u).values, backward_gradient(u).values,
+              divergence(p).values, forward_divergence(p).values,
+              level_set(u, 0.1).values, reflect(u).values]
+    floats = [tv_phi(u, g), dual_pairing(u, p), tv_phi_dual_gap(u, p, g),
+              p.max_dual_value(g), u.l1_norm(),
+              *energy_decompose(u, reflect(u), 1.5, g, [-0.5, 0.1, 0.7])]
+    return [a.tobytes() for a in arrays] + [np.float64(x).tobytes() for x in floats]
+
+
+def test_fields_are_row_major_in_every_layout(rng):
+    # a Fortran-ordered or strided input gives the C array's bytes from
+    # every operator: the constructors store row-major copies
+    v = rng.normal(size=(9, 14))
+    q = rng.normal(size=(9, 14, 2))
+    q /= 1.0 + np.abs(q).sum(axis=-1, keepdims=True)  # inside -W of the inf-norm
+    g = Gauge.p_norm(math.inf)
+    ref = _operator_bytes(GridImage(v, 0.3), DualField(q, 0.3), g)
+    planar = np.moveaxis(np.moveaxis(q, -1, 0).copy(), 0, -1)  # (2, H, W) storage
+    for a, b in [(np.asfortranarray(v), np.asfortranarray(q)),
+                 (np.repeat(v, 2, axis=1)[:, ::2], np.repeat(q, 2, axis=1)[:, ::2]),
+                 (np.repeat(v, 3, axis=0)[::3], planar),
+                 (v[::-1].copy()[::-1], q[:, ::-1].copy()[:, ::-1])]:
+        assert not (a.flags.c_contiguous or b.flags.c_contiguous)
+        u, p = GridImage(a, 0.3), DualField(b, 0.3)
+        assert u.values.flags.c_contiguous and p.values.flags.c_contiguous
+        assert _operator_bytes(u, p, g) == ref
+    # a C-ordered float64 array is stored as it is, not copied
+    assert np.shares_memory(GridImage(v).values, v)
+    assert np.shares_memory(DualField(q).values, q)
+
+
+def test_kernels_refuse_a_plane_without_a_row_major_view(rng):
+    # the kernels write through flat views; where a plane has none they
+    # raise rather than write into a silent copy
+    v = np.asfortranarray(rng.normal(size=(4, 6)))
+    with pytest.raises(ValueError, match="row-major"):
+        grid._flat(v)
+    with pytest.raises(ValueError, match="row-major"):
+        _grad_forward_raw(v, 1.0)
+    with pytest.raises(ValueError, match="row-major"):
+        _grad_forward_raw(v.copy(order="C"), 1.0, out=np.empty((2, 6, 4)).T)
+    with pytest.raises(ValueError, match="row-major"):
+        _div_adjoint_raw(np.asfortranarray(rng.normal(size=(4, 6, 2))), 1.0)
+    with pytest.raises(ValueError, match="row-major"):
+        _div_adjoint_raw(rng.normal(size=(4, 6, 2)), 1.0, out=np.empty((6, 4)).T)
+    assert np.shares_memory(grid._flat(v.T), v)
 
 
 def test_backward_stencils_3x4_instance():
@@ -329,10 +375,10 @@ def test_blocked_dual_maximum_keeps_a_nan(row, monkeypatch):
 
 def test_level_set_examples(rng):
     u = GridImage(rng.integers(0, 2, size=(6, 6)).astype(float), 1.0)
-    assert np.array_equal(level_set(u, 0.5).image.values, u.values)
-    assert np.all(level_set(u, -1.0).image.values == 1.0)
+    assert np.array_equal(level_set(u, 0.5).values, u.values)
+    assert np.all(level_set(u, -1.0).values == 1.0)
     # strict inequality: thresholding at the maximum empties the set
-    assert not np.any(level_set(u, float(u.values.max())).image.values)
+    assert not np.any(level_set(u, float(u.values.max())).values)
 
 
 def test_coarea_binary_single_level(rng):
@@ -383,6 +429,9 @@ def test_energy_decompose_integer_exact(rng):
         f = GridImage(rng.integers(0, 3, size=(8, 8)).astype(float), 0.4)
         total, integrated = energy_decompose(u, f, 1.5, L1, [0.5, 1.5])
         assert total == pytest.approx(integrated, abs=1e-12)
+        # levels outside [min, max] carry no weight: the same floats
+        assert energy_decompose(u, f, 1.5, L1, [-3.0, 0.5, 1.5, 7.0]) == (
+            total, integrated)
 
 
 def test_levels_must_be_valid():

@@ -32,12 +32,18 @@ def test_trivial_threshold_values():
     assert trivial_threshold(1, 3) == 3.0
     with pytest.raises(ValueError):
         trivial_threshold(0.0, 2)
+    with pytest.raises(ValueError):
+        trivial_threshold(1, 0)
 
 
 def test_polygon_tv_unit_square():
     sq = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
     assert polygon_tv_phi(sq, L1) == pytest.approx(4.0)
     assert polygon_tv_phi(sq, L2) == pytest.approx(4.0)
+    assert polygon_tv_phi(ConvexPolygon(np.empty((0, 2))), L1) == 0.0
+    # a repeated vertex leaves an edge without a normal
+    with pytest.raises(ValueError, match="degenerate polygon edge"):
+        polygon_tv_phi(ConvexPolygon([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]]), L1)
 
 
 def test_polygon_tv_disk_l1():
@@ -151,6 +157,8 @@ def test_opening_identity_cases():
     assert hausdorff_distance(opening_by_wulff(C, 0.0, L1), C) == 0.0
     # the large square is open with respect to the smaller square
     assert hausdorff_distance(opening_by_wulff(C, 1.0, L1), C) <= 1e-12
+    with pytest.raises(ValueError):
+        opening_by_wulff(C, -1.0, L1)
 
 
 def test_opening_disk_matches_clipped_disk():
@@ -213,6 +221,8 @@ def test_hausdorff_distance_is_attained_at_vertices(rng):
 def test_opening_may_be_empty():
     tiny = ConvexPolygon([[0.1, 0], [0, 0.1], [-0.1, 0], [0, -0.1]])
     assert opening_by_wulff(tiny, 1.0, L1).is_empty
+    with pytest.raises(ValueError):
+        hausdorff_distance(opening_by_wulff(tiny, 1.0, L1), tiny)
 
 
 def test_minkowski_sum_of_squares():
