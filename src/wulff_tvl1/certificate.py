@@ -32,7 +32,8 @@ Condition (ii) fails when the backward divergence of v is not finite in
 some cell, as for a finite v whose differences overflow, and when the
 violation of (i) is not (a non-finite v, or a dual gauge that overflows);
 (a)-(c) then report inf with every cell excluded.  grid._div_bound_cells,
-which the solver's stop guard calls too, picks the cells of (a).
+which the solver's stop guard calls too, picks the cells of (a); (a)
+fails when it picks none, as a maximum over no cell would read 0.
 
 check_certificate runs over row blocks of at most grid.BLOCK_CELLS cells
 (2^16: one block up to 256^2).  Each block reads a slab with a halo of
@@ -192,6 +193,7 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         div_inf = res_above = res_below = math.inf
         ok_cells = 0
     div_bound_residual = max(0.0, div_inf - lam)
+    evaluated = bool(ok_cells)  # else (a) would hold over no cell
 
     tv, pairing = _stencil_means(u0.values, spacing, g, v.values)
     pairing_gap = tv - pairing
@@ -201,7 +203,7 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         "i_wulff_membership": wulff_violation <= FEASIBILITY_TOL,
         "ii_bounded_divergence": finite,
         "iii_tv_pairing": abs(pairing_gap) <= pairing_tol,
-        "a_div_bound": div_bound_residual <= tol,
+        "a_div_bound": evaluated and div_bound_residual <= tol,
         "b_div_equals_lambda_above": res_above <= tol,
         "c_div_equals_minus_lambda_below": res_below <= tol,
     }
@@ -219,7 +221,7 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         conditions=conditions,
         passed=all(conditions.values()),
         # the strict divergence bound holds with margin, hence uniqueness
-        strict_uniqueness_hint=bool(div_inf < lam - tol),
+        strict_uniqueness_hint=bool(evaluated and div_inf < lam - tol),
         note=("cellwise check at resolution spacing; default tolerance "
               "3*spacing from the first-order divergence stencils; kink cells "
               "(one-sided stencils disagreeing by more than one spacing), a "

@@ -223,9 +223,16 @@ class Gauge:
         sums of the discrete TV agree."""
         return self.kind in ("p-norm", "weighted") and self.p == 1.0
 
+    def _components(self, y) -> np.ndarray:
+        """y as a float array with dim components on its last axis."""
+        y = np.asarray(y, dtype=float)
+        if y.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected {self.dim} components, got shape {y.shape}")
+        return y
+
     def __call__(self, y) -> np.ndarray:
         """phi(y); y has shape (..., dim)."""
-        y = np.asarray(y, dtype=float)
+        y = self._components(y)
         if self.kind == "p-norm":
             return _pnorm(y, self.p)
         if self.kind == "weighted":
@@ -239,7 +246,7 @@ class Gauge:
     def dual(self, x) -> np.ndarray:
         """phi_dual(x) = max { x.y : phi(y) <= 1 }, the Minkowski
         functional of -W."""
-        x = np.asarray(x, dtype=float)
+        x = self._components(x)
         if self.kind == "p-norm":
             return _pnorm(x, _conjugate_exponent(self.p))
         if self.kind == "weighted":
@@ -315,31 +322,36 @@ class Gauge:
         asymmetric kinds shifted by a) and the l1 ball (p = inf; a box in
         rotated coordinates when both weights are equal), safeguarded
         Newton for the weighted q-norm ball of any other p, and the nearest
-        point of the most-violated edge for polygons.  The result is written
-        into `out` (x itself, or an array of x's shape that shares no memory
-        with it) and returned; by default into a new array in x's memory
-        layout.  Points in -W come back unchanged.  All but the clip and the
-        disk are 2-D only."""
-        x = np.asarray(x, dtype=float)
+        point of the most-violated edge for polygons.  x has dim components
+        on its last axis.  The result goes into a new C-ordered array, or
+        into `out`: x itself, or an array of x's shape sharing no memory
+        with it whose component planes have row-major views (C order, or
+        planar (2, H, W) storage); the l1-ball, q-ball and polygon kinds
+        raise ValueError on any other out.  Points in -W come back
+        unchanged.  All but the clip and the disk are 2-D only."""
+        x = self._components(x)
         if out is None:
-            out = np.empty_like(x)
+            out = np.empty(x.shape)
         if self.kind == "asymmetric":  # -W is the unit disk centred at a
             return _project_shifted_disk(x, self.shift, out)
-        if self.kind == "polyhedral":
-            return _project_convex_polygon(x, self._minus_wulff_edges, out)
-        p = self.p
-        w = self.weights if self.kind == "weighted" else None
+        p, w = self.p, self.weights  # both None for polygons
         if p == 1.0:  # -W is the box |x_i| <= w_i
             bound = w if w is not None else 1.0
             return np.clip(x, -bound, bound, out=out)
+        if p == 2.0 and w is None:
+            return _project_unit_disk(x, out)
+        if self.dim != 2:
+            raise ValueError("the projection onto -W is 2-D only for this gauge")
+        if out is not x:  # the other routines project in place
+            np.copyto(out, x)
+        if self.kind == "polyhedral":
+            return _project_convex_polygon(out, self._minus_wulff_edges)
         if w is None:
-            if p == 2.0:
-                return _project_unit_disk(x, out)
             w = np.ones(2)
         if math.isinf(p):  # -W is the ball sum |x_i| / w_i <= 1
-            return _project_l1_ball(x, w, out)
+            return _project_l1_ball(out, w)
         # -W is the ball sum |x_i / w_i|^q <= 1 with 1/p + 1/q = 1
-        return _project_q_ball(x, _conjugate_exponent(p), w, out)
+        return _project_q_ball(out, _conjugate_exponent(p), w)
 
 
 def _encode_exponent(p: float):

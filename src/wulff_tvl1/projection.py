@@ -7,14 +7,16 @@ equal weights a square turned 45 degrees, clipped as a box in the rotated
 coordinates x_1 + x_2 and x_1 - x_2), safeguarded Newton on one boundary
 parameter per point for weighted q-norm balls (every other p, ellipses
 included), and the nearest point of the most-violated edge for convex
-polygons.  The box of p = 1 is a clip.  Each routine writes its result
-into an array `out` of x's shape that the caller passes, which may be x
-itself, returns it, and leaves points of the set unchanged.  The q-ball
-and polygon routines look for the points outside only among those
-that a cheap test cannot place inside: for a polygon about 0, the points
-outside its inscribed disk.  The polygon routine takes the polygon's edge
-data, which a gauge builds once.  The plane-wise p-norm and the polygon
-half-spaces, which the gauge evaluators share, live here too.
+polygons.  The box of p = 1 is a clip.  The disk routines write into an
+`out` of x's shape; the others project one array in place through its
+two component planes, 1-D views that `_planes` takes without a copy or
+refuses.  `Gauge.project_minus_wulff` checks and copies for all of them.
+Points of the set come back unchanged.  The q-ball and polygon routines
+look for the points outside only among those that a cheap test cannot
+place inside: for a polygon about 0, the points outside its inscribed
+disk.  The polygon routine takes the polygon's edge data, which a gauge
+builds once.  The plane-wise p-norm and the polygon half-spaces, which
+the gauge evaluators share, live here too.
 """
 
 from __future__ import annotations
@@ -76,6 +78,16 @@ def _polygon_edges(vertices: np.ndarray) -> PolygonEdges:
                         float(offsets.min()))
 
 
+def _planes(a: np.ndarray) -> np.ndarray:
+    """The two component planes of a (..., 2) array as the rows of a (2, N)
+    view; ValueError when a's strides give none (Fortran order or (H, 2, W)
+    storage, say), so that no routine writes into a copy."""
+    planes = np.moveaxis(a, -1, 0).reshape(2, -1)
+    if a.size and not np.may_share_memory(planes, a):
+        raise ValueError("array has no row-major component planes")
+    return planes
+
+
 def _project_unit_disk(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     scale = np.maximum(_pnorm(x, 2.0), 1.0)[..., None]
     return np.divide(x, scale, out=out)
@@ -96,8 +108,9 @@ def _project_shifted_disk(x: np.ndarray, centre: np.ndarray,
     return out
 
 
-def _project_l1_ball(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Projection onto { z : |z_1| / w_1 + |z_2| / w_2 <= 1 } (w > 0).
+def _project_l1_ball(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Projection of x, in place, onto { z : |z_1| / w_1 + |z_2| / w_2 <= 1 }
+    (w > 0).
 
     With w_1 = w_2 = r the ball is the box |s|, |d| <= r in the rotated
     coordinates s = x_1 + x_2, d = x_1 - x_2.  Points in the ball come back
@@ -111,39 +124,27 @@ def _project_l1_ball(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarra
     [-w_2^2, w_1^2], z = (w_1 (w_2^2 + d), w_2 (w_1^2 - d)) / (w_1^2 + w_2^2)
     with x's signs.  Terms of size |x| meet only in d, whose error moves z
     along the edge: z lies on it to a rounding, however far x is."""
-    if x.shape[-1] != 2 or len(w) != 2:
-        raise ValueError("the l1-ball projection is 2-D only")
-    x0 = x[..., 0]
-    x1 = x[..., 1]
-    z0 = out[..., 0]  # 0-d arrays for one vector, so every out= works
-    z1 = out[..., 1]
+    x0, x1 = _planes(x)
     if w[0] == w[1]:
         r = w[0]
-        # [i, ...] keeps 0-d arrays for one vector
-        rotated = np.empty((3,) + x.shape[:-1])
-        s, d, t = (rotated[i, ...] for i in range(3))
+        s, d, t = np.empty((3, x0.size))
         np.add(x0, x1, out=s)
         np.subtract(x0, x1, out=d)
         outside = np.abs(s, out=t) > r
         outside |= np.abs(d, out=t) > r
-        if out is not x:
-            np.copyto(out, x)
         s = np.clip(s[outside], -r, r)
         d = np.clip(d[outside], -r, r)
-        z0[outside] = (s + d) * 0.5
-        z1[outside] = (s - d) * 0.5
-        return out
+        x0[outside] = (s + d) * 0.5
+        x1[outside] = (s - d) * 0.5
+        return x
     w0, w1 = w
-    outside = np.greater(np.abs(x0) / w0 + np.abs(x1) / w1, 1.0,
-                         out=np.empty(x.shape[:-1], bool))  # 0-d for one vector
-    if out is not x:
-        np.copyto(out, x)
+    outside = np.abs(x0) / w0 + np.abs(x1) / w1 > 1.0
     s0, s1 = x0[outside], x1[outside]
     d = np.clip(w0 * np.abs(s0) - w1 * np.abs(s1), -w1 * w1, w0 * w0)
     n = w0 * w0 + w1 * w1
-    z0[outside] = np.copysign(w0 * (w1 * w1 + d) / n, s0)
-    z1[outside] = np.copysign(w1 * (w0 * w0 - d) / n, s1)
-    return out
+    x0[outside] = np.copysign(w0 * (w1 * w1 + d) / n, s0)
+    x1[outside] = np.copysign(w1 * (w0 * w0 - d) / n, s1)
+    return x
 
 
 def _q_ball_arc(tau: np.ndarray, q: float, p: float):
@@ -234,36 +235,14 @@ def _nearest_on_q_arc(a_u: np.ndarray, a_v: np.ndarray, w_u: float, w_v: float,
     return w_u * y_u, w_v * y_v
 
 
-def _copy_with_planes(x: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x copied into out (unless out is x) and out's two component planes as
-    writable 1-D views; in place of an out whose strides give no plane a
-    flat view, a C-order copy of x, which _written_to returns in out."""
-    if out is not x:
-        np.copyto(out, x)
-    for order in "CF":
-        planes = np.moveaxis(out, -1, 0).reshape(2, -1, order=order)
-        if np.may_share_memory(planes, out):
-            return out, planes
-    work = np.array(x, order="C")  # also for any empty x: it shares no memory
-    return work, np.moveaxis(work, -1, 0).reshape(2, -1)
-
-
-def _written_to(out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    if work is not out:
-        np.copyto(out, work)
-    return out
-
-
-def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """Projection onto { z : |z_1 / w_1|^q + |z_2 / w_2|^q <= 1 }, 1 < q < inf.
-    Points in the ball are returned unchanged.  By symmetry a point outside
+def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray) -> np.ndarray:
+    """Projection of x, in place, onto
+    { z : |z_1 / w_1|^q + |z_2 / w_2|^q <= 1 }, 1 < q < inf.
+    Points in the ball are left unchanged.  By symmetry a point outside
     is projected as a = |x| onto the first-quadrant arc; the sign of the
     optimality condition at the arc's midpoint tells which coordinate u has
     (z_u / w_u)^q <= 1/2 at the solution."""
-    if x.shape[-1] != 2 or len(w) != 2:
-        raise ValueError("the q-norm ball projection is 2-D only")
-    work, planes = _copy_with_planes(x, out)
+    planes = _planes(x)
     a = np.abs(planes)
     r0, r1 = a[0] / w[0], a[1] / w[1]
     mid = 2.0 ** (-1.0 / q)
@@ -284,25 +263,23 @@ def _project_q_ball(x: np.ndarray, q: float, w: np.ndarray,
         z_u, z_v = _nearest_on_q_arc(a[u, group], a[v, group], w[u], w[v], q)
         planes[u, cells] = np.copysign(z_u, planes[u, cells])
         planes[v, cells] = np.copysign(z_v, planes[v, cells])
-    return _written_to(out, work)
+    return x
 
 
-def _project_convex_polygon(x: np.ndarray, polygon: PolygonEdges,
-                            out: np.ndarray) -> np.ndarray:
-    """Projection onto a CCW convex polygon, given by its edge data.  A
-    point outside goes to the nearest point of its most-violated edge, the
-    edge of largest excess n_e.x - b_e.  That is exact: in an edge's region
-    the distance is the largest excess, and in a vertex's region the largest
-    excess belongs to one of the vertex's two edges, whose clipped segment
-    projection lands on the vertex.
+def _project_convex_polygon(x: np.ndarray, polygon: PolygonEdges) -> np.ndarray:
+    """Projection of x, in place, onto a CCW convex polygon, given by its
+    edge data.  A point outside goes to the nearest point of its
+    most-violated edge, the edge of largest excess n_e.x - b_e.  That is
+    exact: in an edge's region the distance is the largest excess, and in a
+    vertex's region the largest excess belongs to one of the vertex's two
+    edges, whose clipped segment projection lands on the vertex.
 
     When 0 lies strictly inside (r = min_e b_e > 0), a point with
     |x|^2 < (r (1 - 1e-12))^2 is inside, as n_e.x <= |x| <= b_e for every
     edge; the margin keeps rounding from passing a point that the excess
     test would send outside.  Only the other points, the candidates, go
-    through the excess test, so the full-grid work is the copy and that one
-    pre-filter."""
-    work, planes = _copy_with_planes(x, out)
+    through the excess test, so the full-grid work is that one pre-filter."""
+    planes = _planes(x)
     x0, x1 = planes
     normals, offsets, starts, edges, length2, inradius = polygon
     if inradius > 0.0:
@@ -326,7 +303,7 @@ def _project_convex_polygon(x: np.ndarray, polygon: PolygonEdges,
         np.maximum(largest, excess, out=largest)
     outside = candidates[largest > 1e-12]
     if outside.size == 0:  # as in about half the calls of a solve
-        return _written_to(out, work)
+        return x
     x0 = x0[outside]
     x1 = x1[outside]
     # one row per edge, so each broadcast pass runs along the points
@@ -346,4 +323,4 @@ def _project_convex_polygon(x: np.ndarray, polygon: PolygonEdges,
     t[end] = 0.0
     planes[0, outside] = a0[edge] + t * d0[edge]
     planes[1, outside] = a1[edge] + t * d1[edge]
-    return _written_to(out, work)
+    return x

@@ -270,7 +270,7 @@ def hausdorff_distance(P: ConvexPolygon, Q: ConvexPolygon) -> float:
         raise ValueError("Hausdorff distance needs nonempty polygons")
 
     def directed(A: np.ndarray, B: PolygonEdges) -> float:
-        gaps = A - _project_convex_polygon(A, B, np.empty_like(A))
+        gaps = A - _project_convex_polygon(A.copy(), B)
         return float(np.max(np.linalg.norm(gaps, axis=-1)))
 
     edges_p, edges_q = _polygon_edges(P.vertices), _polygon_edges(Q.vertices)

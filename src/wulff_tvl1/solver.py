@@ -135,9 +135,7 @@ class SolveResult:
     u: GridImage
     p: DualField
     energy_trace: np.ndarray = field(repr=False)
-    final_gap: float = math.nan            # raw primal-dual gap
-    final_gap_normalized: float = math.nan
-    lower_bound: float = math.nan          # final_gap = energy_forward - this
+    lower_bound: float = math.nan          # the dual value of the returned p
     iterations: int = 0
     stop_reason: str = "cap"               # "gap", "stalled" or "cap"
 
@@ -148,6 +146,14 @@ class SolveResult:
     @property
     def energy_forward(self) -> float:  # the energy final_gap bounds
         return float(self.energy_trace[-1])
+
+    @property
+    def final_gap(self) -> float:  # raw primal-dual gap
+        return max(self.energy_forward - self.lower_bound, 0.0)
+
+    @property
+    def final_gap_normalized(self) -> float:
+        return self.final_gap / (1.0 + abs(self.energy_forward))
 
 
 def energy(u: GridImage, f: GridImage, lam: float, g: Gauge) -> float:
@@ -299,10 +305,11 @@ def _binary_energy(b: np.ndarray, fv: np.ndarray, lam: float, c0: float,
 def _meets_div_bound(div_p: np.ndarray, p: np.ndarray, lam: float,
                      spacing: float, buf: np.ndarray) -> bool:
     """Condition (a) of check_certificate at its default tolerance 3 h, for
-    p with backward divergence div_p; buf receives the forward one."""
-    _, div_inf = _div_bound_cells(div_p, _div_forward_raw(p, spacing, out=buf),
-                                  spacing, 0, p.shape[0])
-    return max(0.0, div_inf - lam) <= DIV_TOL_SPACINGS * spacing
+    p with backward divergence div_p, over at least one cell; buf receives
+    the forward one."""
+    ok, div_inf = _div_bound_cells(div_p, _div_forward_raw(p, spacing, out=buf),
+                                   spacing, 0, p.shape[0])
+    return ok.any() and max(0.0, div_inf - lam) <= DIV_TOL_SPACINGS * spacing
 
 
 def solve(f: GridImage, lam: float, g: Gauge,
@@ -338,13 +345,10 @@ def solve(f: GridImage, lam: float, g: Gauge,
             break
     del u, p  # views of the workspace, which closing the run frees
     run.close()
-    gap = max(best_energy - best_dual, 0.0)
     return SolveResult(
         u=GridImage(best_u, f.spacing),
         p=DualField(best_p, f.spacing),
         energy_trace=np.array(trace),
-        final_gap=gap,
-        final_gap_normalized=gap / (1.0 + abs(best_energy)),
         lower_bound=best_dual,
         iterations=iterations,
         stop_reason="gap" if gap_met else "stalled" if stalled else "cap",

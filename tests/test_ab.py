@@ -42,9 +42,10 @@ def fake_tree(root: Path, name: str, wall: float, src_lines: int) -> Path:
     (tree / "src" / "pkg").mkdir(parents=True)
     (tree / "src" / "pkg" / "m.py").write_text("x = 1\n" * src_lines)
     (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 25, "end_to_end": [
-        {"name": "wall_s", "better": "lower"}, {"name": "setup_s", "better": "lower"},
-        {"name": "peak_rss_mb", "better": "lower"},
-        {"name": "ops_ok_frac", "better": "higher"}]}))
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        {"name": "ops_ok_frac", "better": "higher", "bound": 0.1}]}))
     return tree
 
 
@@ -68,18 +69,22 @@ def test_pairs_alternate_and_the_claim_is_judged(ab, tmp_path):
     assert wall["median_delta"] == pytest.approx(-0.5)
     rss = record["summary"]["disk-l1"]["peak_rss_mb"]
     assert rss["change_better_pairs"] == 0 and rss["ties"] == 10
+    assert wall["regression"] == {"verdict": "within",
+                                  "worse_by": pytest.approx(0.5 - 1.0), "bound": 0.25}
+    assert rss["regression"] == {"verdict": "within", "worse_by": 0.0, "bound": 0.1}
     assert record["claim"]["met"]
     assert record["src_py_lines"] == {"parent": 10, "change": 7,
                                       "by_module": {"pkg/m.py": [10, 7]}}
 
 
-def test_gain_rule(ab):
-    def runs(parent, change):
-        return [{"workload": "w", "side": side, "seed": i, "metrics": {"wall_s": v}}
-                for i, pair in enumerate(zip(parent, change))
-                for side, v in zip(("parent", "change"), pair)]
+def runs(parent, change, metric="wall_s"):
+    return [{"workload": "w", "side": side, "seed": i, "metrics": {metric: v}}
+            for i, pair in enumerate(zip(parent, change))
+            for side, v in zip(("parent", "change"), pair)]
 
-    better = {"wall_s": "lower"}
+
+def test_gain_rule(ab):
+    better = {"wall_s": {"better": "lower", "bound": 0.25}}
     # nine of ten pairs won, medians 1.0 -> 0.9 apart by more than the IQR
     parent = [1.0] * 10
     change = [0.9] * 9 + [1.1]
@@ -96,3 +101,28 @@ def test_gain_rule(ab):
     summary = ab.summarize(runs(parent, change), better)
     assert summary["w"]["wall_s"]["parent"]["iqr"] == pytest.approx(0.45)
     assert not ab.claim_result(summary, "w", "wall_s")["met"]
+
+
+@pytest.mark.parametrize("metric, better, parent, change, verdict, worse_by", [
+    # the change median 0.1 s slower, inside the 0.25 s bound
+    ("wall_s", "lower", [1.0] * 10, [1.1] * 10, "within", 0.1),
+    ("wall_s", "lower", [1.0] * 10, [1.3] * 10, "worse", 0.3),
+    # the parent's IQR (0.45 s) is wider than the bound and the runs overlap
+    ("wall_s", "lower", [1.0 + 0.1 * i for i in range(10)],
+     [0.99 + 0.1 * i for i in range(10)], "unresolved", -0.01),
+    # ... unless every change run beats every parent run
+    ("wall_s", "lower", [1.0 + 0.1 * i for i in range(10)], [0.9] * 10, "within", -0.55),
+    # a higher-is-better metric: lower is worse
+    ("ops_ok_frac", "higher", [1.0] * 10, [0.8] * 10, "worse", 0.2),
+    ("ops_ok_frac", "higher", [0.5 + 0.05 * i for i in range(10)], [1.0] * 10,
+     "within", -0.275),
+    ("ops_ok_frac", "higher", [0.5 + 0.05 * i for i in range(10)],
+     [0.5 + 0.05 * i for i in range(10)], "unresolved", 0.0),
+])
+def test_regression_verdict(ab, metric, better, parent, change, verdict, worse_by):
+    bound = 0.25 if metric == "wall_s" else 0.1
+    summary = ab.summarize(runs(parent, change, metric),
+                           {metric: {"better": better, "bound": bound}})
+    got = summary["w"][metric]["regression"]
+    assert got == {"verdict": verdict, "worse_by": pytest.approx(worse_by),
+                   "bound": bound}

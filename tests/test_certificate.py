@@ -91,6 +91,28 @@ def test_overflowing_stencil_disagreement_excludes_the_cell():
     assert rep.conditions["i_wulff_membership"]
     assert rep.conditions["ii_bounded_divergence"]
     assert rep.excluded_fraction == 1.0 and rep.div_inf_norm == 0.0
+    assert not rep.conditions["a_div_bound"] and not rep.passed
+
+
+@pytest.mark.parametrize("u0, v, lam, g", [
+    # a 4x4 grid lies inside the 2-cell window frame
+    (np.zeros((4, 4)), np.full((4, 4, 2), 0.9), 0.01, Gauge.p_norm(1)),
+    # every cell's one-sided stencils disagree by an overflow
+    (np.zeros((8, 8)), np.stack([np.tile([0.0, 1e308], (8, 4)), np.zeros((8, 8))],
+                                axis=-1), 1.0, Gauge.weighted(1, [1e308, 1e308])),
+], ids=["inside-the-frame", "every-cell-a-kink"])
+def test_a_check_over_no_cell_fails_the_divergence_bound(u0, v, lam, g):
+    # the maxima of (a)-(c) over no evaluated cell read 0; the verdict must
+    # not rest on them, so (a) fails and with it the certificate
+    u0 = GridImage(u0, 1.0)
+    rep = check_certificate(u0, u0, DualField(v, 1.0), lam, g)
+    assert rep.excluded_fraction == 1.0 and rep.div_bound_residual == 0.0
+    assert rep.conditions == {
+        "i_wulff_membership": True, "ii_bounded_divergence": True,
+        "iii_tv_pairing": True, "a_div_bound": False,
+        "b_div_equals_lambda_above": True,
+        "c_div_equals_minus_lambda_below": True}
+    assert not rep.passed and not rep.strict_uniqueness_hint
 
 
 def test_check_certificate_sets_uniqueness_hint():
@@ -267,6 +289,7 @@ def _whole_grid_check(u0, f, v, lam, g):
     included = div_b[stencil_ok]
     div_inf = float(np.max(np.abs(included))) if included.size else 0.0
     div_bound_residual = max(0.0, div_inf - lam)
+    evaluated = bool(stencil_ok.any())
     boundary = _whole_grid_dilate(_whole_grid_jump_cells(u0.values)
                                   | _whole_grid_jump_cells(f.values), m)
     above = (u0.values - f.values > TIE_BAND) & ~boundary & stencil_ok
@@ -284,7 +307,7 @@ def _whole_grid_check(u0, f, v, lam, g):
         "i_wulff_membership": wulff_violation <= FEASIBILITY_TOL,
         "ii_bounded_divergence": bool(np.all(np.isfinite(div_b))),
         "iii_tv_pairing": abs(pairing_gap) <= tol * max(1.0, tv),
-        "a_div_bound": div_bound_residual <= tol,
+        "a_div_bound": evaluated and div_bound_residual <= tol,
         "b_div_equals_lambda_above": res_above <= tol,
         "c_div_equals_minus_lambda_below": res_below <= tol,
     }
@@ -295,7 +318,7 @@ def _whole_grid_check(u0, f, v, lam, g):
         tolerance=tol, band=TIE_BAND,
         excluded_fraction=float(1.0 - stencil_ok.mean()),
         conditions=conditions, passed=all(conditions.values()),
-        strict_uniqueness_hint=bool(div_inf < lam - tol))
+        strict_uniqueness_hint=evaluated and div_inf < lam - tol)
 
 
 def _seam_case(height, width, rows, g, rng):

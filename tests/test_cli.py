@@ -268,7 +268,7 @@ def test_certify_file_inputs_pass(tmp_path):
                "--lambda", "2", "--spacing", "0.5") == 0
 
 
-def _certify_field(tmp_path, values):
+def _certify_field(tmp_path, values, lam="2"):
     """Runs certify on u0 = f = 0 against the field `values` at spacing 1;
     returns the exit code and the report."""
     from wulff_tvl1.fileio import write_field
@@ -279,8 +279,18 @@ def _certify_field(tmp_path, values):
     write_pgm(u0, GridImage(np.zeros(values.shape[:2]), 1.0))
     write_field(v, DualField(values, 1.0))
     code = run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
-               "--lambda", "2", "--spacing", "1.0", "--output", str(out))
+               "--lambda", lam, "--spacing", "1.0", "--output", str(out))
     return code, json.loads(out.read_text())
+
+
+def test_certify_with_no_evaluated_cell_fails(tmp_path):
+    # a 4x4 grid lies inside the 2-cell window frame: condition (a) is
+    # evaluated at no cell, so it fails rather than pass over none
+    code, report = _certify_field(tmp_path, np.full((4, 4, 2), 0.9), lam="0.01")
+    assert code == 3
+    assert report["excluded_fraction"] == 1.0
+    assert report["conditions"]["a_div_bound"] is False
+    assert [k for k, ok in report["conditions"].items() if not ok] == ["a_div_bound"]
 
 
 def test_certify_non_finite_field_fails(tmp_path):

@@ -451,8 +451,8 @@ def test_polygon_projection_uses_the_most_violated_edge(rng):
     def check(edges, x, project):
         with np.errstate(invalid="ignore", over="ignore"):
             got = project(x)
-            unfiltered = _project_convex_polygon(x, edges._replace(inradius=0.0),
-                                                np.empty_like(x))
+            unfiltered = _project_convex_polygon(x.copy(),
+                                                 edges._replace(inradius=0.0))
         assert got.tobytes() == unfiltered.tobytes()
         finite = np.isfinite(x).all(axis=-1)
         ref = all_edges_polygon_projection(x[finite], edges.starts)
@@ -479,7 +479,7 @@ def test_polygon_projection_uses_the_most_violated_edge(rng):
         assert edges.inradius < 0.0
         x = np.concatenate([rng.normal(size=(5000, 2)) * 3.0 + vertices.mean(axis=0),
                             polygon_edge_cases(vertices)])
-        check(edges, x, lambda x: _project_convex_polygon(x, edges, np.empty_like(x)))
+        check(edges, x, lambda x: _project_convex_polygon(x.copy(), edges))
     for _ in range(10):
         vertices = random_convex_polygon(rng, scale=2.0)
         vertices -= vertices.mean(axis=0)  # 0 strictly inside
@@ -529,35 +529,38 @@ def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:
         return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
     if layout == "rows":  # (H, 2, W) storage: no flat view of a plane
         return np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    if layout == "strided":  # every other row of a taller array
+        return np.repeat(x, 2, axis=0)[::2]
     return x.copy()
 
 
-def _has_layout(x: np.ndarray, layout: str) -> bool:
-    if layout == "fortran":
-        return x.flags.f_contiguous
-    if layout == "planar":
-        return x.transpose(2, 0, 1).flags.c_contiguous
-    if layout == "rows":  # kept, or C-contiguous where a plane has no flat view
-        return x.transpose(0, 2, 1).flags.c_contiguous or x.flags.c_contiguous
-    return x.flags.c_contiguous
+def _projects_in_place(g: Gauge) -> bool:
+    """The l1-ball (p = inf), q-ball and polygon projections, which work in
+    place on component planes; the clip and the disks write into any out."""
+    return g.kind == "polyhedral" or (g.kind != "asymmetric" and g.p != 1.0
+                                      and (g.p != 2.0 or g.kind == "weighted"))
 
 
-@pytest.mark.parametrize("layout", ["c", "fortran", "planar", "rows"])
+IN_PLACE = sorted(n for n, g in GAUGE_ZOO.items() if _projects_in_place(g))
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "planar", "rows", "strided"])
 def test_kernels_ignore_the_memory_layout(any_gauge, layout, rng):
-    # the solver keeps its fields as component planes; a projection that
-    # wrote through a reshape of a non-C input used to return it unprojected
+    # a projection copies x into a new C-ordered array, whatever x's layout
+    # (one that wrote through a reshape of a non-C input used to return it
+    # unprojected); the evaluators read any layout
     x = rng.normal(scale=1.5, size=(16, 12, 2))
     ref = project_minus_wulff(any_gauge, x)
     xl = _in_layout(x, layout)
     px = project_minus_wulff(any_gauge, xl)
-    assert px.tobytes() == ref.tobytes()
-    assert _has_layout(px, layout)
+    assert px.tobytes() == ref.tobytes() and px.flags.c_contiguous
     assert np.array_equal(xl, x)
     assert float(np.max(eval_dual(any_gauge, px))) <= 1.0 + 1e-12
     assert any_gauge(xl).tobytes() == any_gauge(x).tobytes()
     assert any_gauge.dual(xl).tobytes() == any_gauge.dual(x).tobytes()
     for empty in (np.zeros((0, 2)), _in_layout(np.zeros((3, 0, 2)), layout)):
-        assert project_minus_wulff(any_gauge, empty).shape == empty.shape
+        pe = project_minus_wulff(any_gauge, empty)
+        assert pe.shape == empty.shape and pe.flags.c_contiguous
         assert any_gauge(empty).shape == any_gauge.dual(empty).shape == empty.shape[:-1]
 
 
@@ -565,22 +568,63 @@ def test_kernels_ignore_the_memory_layout(any_gauge, layout, rng):
 def test_projection_into_out_matches_a_new_array(any_gauge, layout, rng):
     # out=x (as the solver projects its dual buffer) and out= another buffer
     # give the bytes of the call that allocates, non-finite points included;
-    # a "rows" out has no flat component plane, so the q-ball and polygon
-    # routines work in a copy and write it back
+    # an out in (H, 2, W) storage, which has no row-major component plane,
+    # goes only to the clip and the disks (the others refuse it, below)
     points = np.concatenate([rng.normal(scale=1.5, size=(300, 2)),
                              polygon_edge_cases(-any_gauge.wulff(16).vertices)])
     field = np.resize(points, (len(points) // 2 + 1, 2, 2))  # two columns
     x = _in_layout(field, layout)
+    out_layout = "c" if layout == "rows" and _projects_in_place(any_gauge) else layout
     with np.errstate(all="ignore"):
         ref = any_gauge.project_minus_wulff(field)
         new = any_gauge.project_minus_wulff(x)
-        other = _in_layout(np.zeros_like(field), layout)
+        other = _in_layout(np.zeros_like(field), out_layout)
         into_other = any_gauge.project_minus_wulff(x, out=other)
-        own = _in_layout(field, layout)
+        own = _in_layout(field, out_layout)
         into_own = any_gauge.project_minus_wulff(own, out=own)
     assert into_other is other and into_own is own
     assert ref.tobytes() == new.tobytes() == other.tobytes() == own.tobytes()
     assert np.array_equal(x, field, equal_nan=True)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "rows"])
+@pytest.mark.parametrize("name", IN_PLACE)
+def test_an_out_without_row_major_planes_is_refused(name, layout, rng):
+    # the in-place routines take 1-D views of the component planes; where
+    # out's strides give none they raise rather than fill out through a copy
+    g = GAUGE_ZOO[name]
+    x = rng.normal(scale=1.5, size=(16, 12, 2))
+    with pytest.raises(ValueError, match="row-major"):
+        g.project_minus_wulff(x, out=_in_layout(np.zeros_like(x), layout))
+    own = _in_layout(x, layout)
+    with pytest.raises(ValueError, match="row-major"):
+        g.project_minus_wulff(own, out=own)
+    assert np.array_equal(own, x)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 3), (5, 1), (3,), ()])
+def test_a_wrong_component_count_is_refused(any_gauge, shape):
+    # a 2-D gauge takes two components on the last axis.  Without the check
+    # the square's projection of (4, 3) fives read the 12 numbers as two
+    # planes of 6 and returned all ones, the asymmetric disk left the third
+    # column of (3, 3) fives as np.empty_like found it, and the square
+    # evaluated (5, 5, 5) on its first two components
+    x = np.full(shape, 5.0)
+    for call in (any_gauge, any_gauge.dual, any_gauge.project_minus_wulff):
+        with pytest.raises(ValueError, match="expected 2 components"):
+            call(x)
+
+
+def test_the_in_place_projections_are_2d_only():
+    for g in (Gauge.p_norm(math.inf, dim=3), Gauge.p_norm(3, dim=3),
+              Gauge.weighted(2, [1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError, match="2-D only"):
+            g.project_minus_wulff(np.zeros((4, 3)))
+    # the clip and the disk take any dimension
+    assert np.array_equal(Gauge.p_norm(1, dim=3).project_minus_wulff([2.0, -0.5, -3.0]),
+                          [1.0, -0.5, -1.0])
+    assert np.array_equal(Gauge.p_norm(2, dim=3).project_minus_wulff([0.0, 3.0, 4.0]),
+                          [0.0, 0.6, 0.8])
 
 
 def test_json_round_trip(any_gauge, rng):

@@ -192,8 +192,7 @@ def _sampled_hausdorff(P, Q, samples=64):
         v = A.vertices
         pts = v[:, None, :] + ts[None, :, None] * (np.roll(v, -1, 0) - v)[:, None, :]
         pts = pts.reshape(-1, 2)
-        near = _project_convex_polygon(pts, _polygon_edges(B.vertices),
-                                       np.empty_like(pts))
+        near = _project_convex_polygon(pts.copy(), _polygon_edges(B.vertices))
         return float(np.max(np.linalg.norm(pts - near, axis=-1)))
 
     return max(directed(P, Q), directed(Q, P))

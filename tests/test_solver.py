@@ -200,6 +200,22 @@ def test_final_gap_is_the_returned_pairs_gap(name):
     f = raster_disk(32, 32, 3.0 / 32, radius=1.0, supersample=4, binary=True)
     res = solve(f, 3.0, g, SolverConfig(max_iterations=300))
     assert (res.final_gap, res.final_gap_normalized) == reference_gap(res, f, 3.0, g)
+    # the result stores what it measured and derives the gap from it
+    assert res.final_gap == max(res.energy_forward - res.lower_bound, 0.0)
+    with pytest.raises(AttributeError):
+        res.final_gap = 0.0
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 9), (9, 4), (9, 9)])
+def test_the_stop_guard_is_condition_a(shape):
+    # the guard evaluates condition (a) on the cells the certificate picks;
+    # over none (4 rows or columns lie inside the 2-cell frame) both fail
+    p = np.full(shape + (2,), 0.9)
+    f = GridImage(np.zeros(shape), 1.0)
+    guard = solver._meets_div_bound(_div_adjoint_raw(p, 1.0), p, 0.01, 1.0,
+                                    np.empty(shape))
+    rep = check_certificate(f, f, DualField(p, 1.0), 0.01, L1)
+    assert guard == rep.conditions["a_div_bound"] == (min(shape) > 4)
 
 
 def test_gap_stop_returns_the_pair_that_met_the_tolerance():

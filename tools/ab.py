@@ -14,9 +14,14 @@ workload's pairs all run before the next workload's.
 
 The output has BENCH_15.json's shape: every run (end-to-end metrics,
 operation counts and the set-up samples), and per workload and metric each
-side's median, inclusive quartiles and IQR, the pairs the change won (ties
-count for neither side) and the median over pairs of change minus parent.
---claim adds whether that metric meets the gain rule: ten pairs, the
+side's median, inclusive quartiles, IQR and range, the pairs the change won
+(ties count for neither side), the median over pairs of change minus
+parent, and the no-regression verdict against the metric's bound in
+BENCHMARK.json, read in the metric's own unit: worse_by is the change
+median minus the parent's, signed so that positive is worse; "worse" when
+it exceeds the bound, else "unresolved" when the parent's IQR is wider
+than the bound and not every change run beats every parent run, else
+"within".  --claim adds whether that metric meets the gain rule: ten pairs, the
 change better in at least nine of them, and the medians further apart than
 the parent's IQR.  Lines of src/**/*.py are counted in both trees.
 """
@@ -86,12 +91,30 @@ def side_stats(values: list) -> dict:
     q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                  if len(values) > 1 else values * 3)
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
-            "iqr": q3 - q1, "n": len(values)}
+            "iqr": q3 - q1, "min": min(values), "max": max(values),
+            "n": len(values)}
 
 
-def summarize(runs: list, better: dict) -> dict:
-    """Per workload and metric: both sides' statistics and the pair counts.
-    `better` maps a metric to "lower" or "higher"."""
+def regression(parent: dict, change: dict, sign: float, bound: float) -> dict:
+    """The no-regression verdict from both sides' statistics; sign is 1 for
+    a lower-is-better metric and -1 otherwise."""
+    worse_by = sign * (change["median"] - parent["median"])
+    # every change run beats every parent run
+    separated = (change["max"] < parent["min"] if sign > 0
+                 else change["min"] > parent["max"])
+    if worse_by > bound:
+        verdict = "worse"
+    elif parent["iqr"] > bound and not separated:
+        verdict = "unresolved"
+    else:
+        verdict = "within"
+    return {"verdict": verdict, "worse_by": worse_by, "bound": bound}
+
+
+def summarize(runs: list, metrics: dict) -> dict:
+    """Per workload and metric: both sides' statistics, the pair counts and
+    the no-regression verdict.  `metrics` maps a metric to its
+    BENCHMARK.json entry: "better" ("lower" or "higher") and "bound"."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -100,16 +123,19 @@ def summarize(runs: list, better: dict) -> dict:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
         pairs = [p for p in pairs.values() if len(p) == 2]
         summary[workload] = {}
-        for metric, direction in better.items():
-            sign = 1.0 if direction == "lower" else -1.0
+        for metric, spec in metrics.items():
+            sign = 1.0 if spec["better"] == "lower" else -1.0
             deltas = [p["change"][metric] - p["parent"][metric] for p in pairs]
+            parent = side_stats([p["parent"][metric] for p in pairs])
+            change = side_stats([p["change"][metric] for p in pairs])
             summary[workload][metric] = {
-                "parent": side_stats([p["parent"][metric] for p in pairs]),
-                "change": side_stats([p["change"][metric] for p in pairs]),
+                "parent": parent,
+                "change": change,
                 "change_better_pairs": sum(sign * d < 0 for d in deltas),
                 "ties": sum(d == 0 for d in deltas),
                 "pairs": len(pairs),
                 "median_delta": statistics.median(deltas),
+                "regression": regression(parent, change, sign, spec["bound"]),
             }
     return summary
 
@@ -155,8 +181,7 @@ def main(argv=None) -> int:
         if not (tree / "perfbench" / "run.py").is_file():
             raise SystemExit(f"{tree}: no perfbench/run.py")
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]
-              if m["name"] in METRICS}
+    metrics = {m["name"]: m for m in declared["end_to_end"] if m["name"] in METRICS}
     seconds = declared["run_seconds"]
     runs = []
     for workload in args.workload:
@@ -169,7 +194,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()),
                       flush=True)
-    summary = summarize(runs, better)
+    summary = summarize(runs, metrics)
     lines = {side: src_lines(tree) for side, tree in trees.items()}
     record = {
         "about": args.about,
