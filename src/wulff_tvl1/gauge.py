@@ -262,7 +262,7 @@ class Gauge:
     def dual_extremal(self, x) -> np.ndarray:
         """eta with phi(eta) = 1 and x.eta = phi_dual(x); for vertex-type
         unit balls ties go to the lowest index in the stored list."""
-        x = np.asarray(x, dtype=float)
+        x = self._components(x)
         if x.ndim != 1:
             raise ValueError("dual_extremal takes a single vector")
         if not np.any(x):

@@ -610,7 +610,8 @@ def test_a_wrong_component_count_is_refused(any_gauge, shape):
     # column of (3, 3) fives as np.empty_like found it, and the square
     # evaluated (5, 5, 5) on its first two components
     x = np.full(shape, 5.0)
-    for call in (any_gauge, any_gauge.dual, any_gauge.project_minus_wulff):
+    for call in (any_gauge, any_gauge.dual, any_gauge.project_minus_wulff,
+                 any_gauge.dual_extremal):
         with pytest.raises(ValueError, match="expected 2 components"):
             call(x)
 

@@ -21,9 +21,9 @@ BENCHMARK.json, read in the metric's own unit: worse_by is the change
 median minus the parent's, signed so that positive is worse; "worse" when
 it exceeds the bound, else "unresolved" when the parent's IQR is wider
 than the bound and not every change run beats every parent run, else
-"within".  --claim adds whether that metric meets the gain rule: ten pairs, the
-change better in at least nine of them, and the medians further apart than
-the parent's IQR.  Lines of src/**/*.py are counted in both trees.
+"within".  --claim adds whether that metric meets the gain rule: ten
+pairs, the change better in at least nine of them, and the medians further
+apart than the parent's IQR.  Lines of src/**/*.py are counted in both trees.
 """
 
 from __future__ import annotations
