@@ -36,16 +36,20 @@ which the solver's stop guard calls too, picks the cells of (a); (a)
 fails when it picks none, as a maximum over no cell would read 0.
 
 check_certificate runs over row blocks of at most grid.BLOCK_CELLS cells
-(2^16: one block up to 256^2).  Each block reads a slab with a halo of
-BOUNDARY_MARGIN + 1 = 3 rows on each side, enough for the divergences (one
-row) and for the dilated jump cells (the margin plus the row a difference
-reaches), and the frame is placed in grid rows.  Blocks merge by max and
-by counting, so every residual, the excluded fraction and the verdict
-equal a whole-grid evaluation bit for bit; TV and the pairing are the
-blocked sums of grid.tv_phi and grid.dual_pairing.  The inputs are
-checked once, on entry, and the blocks run the raw kernels on slabs,
-holding a few dozen block-sized temporaries (about 0.5 MB each at 2^16
-cells) besides the inputs, not full-grid arrays.
+(2^16: one block up to 256^2), with the frame placed in grid rows.  Each
+part of a block reads only the halo it needs: the two divergences of v a
+slab with one row on each side, the one row their stencils read; the
+(b)/(c) exclusion masks (jump cells of u0 and f, their dilation by the
+margin, the kept cells) a slab of BOUNDARY_MARGIN + 1 = 3 rows on each
+side, the margin plus the row a difference reaches.  Those masks are built
+only in blocks that hold a cell with |u0 - f| > TIE_BAND, the only cells
+(b) and (c) read.  Blocks merge by max and by counting, so every residual,
+the excluded fraction and the verdict equal a whole-grid evaluation bit
+for bit; TV and the pairing are the blocked sums of grid.tv_phi and
+grid.dual_pairing, taken before the blocks.  The inputs are checked once,
+on entry, and the blocks run the raw kernels on slabs, holding block-sized
+temporaries (about 0.5 MB each at 2^16 cells) besides the inputs, not
+full-grid arrays.
 """
 
 from __future__ import annotations
@@ -127,8 +131,10 @@ def _jump_cells(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Cells adjacent to a jump of the image (either one-sided difference
     nonzero)."""
     jump = np.zeros(values.shape, dtype=bool)
-    dx = np.abs(np.diff(values, axis=1)) > tol
-    dy = np.abs(np.diff(values, axis=0)) > tol
+    dx = np.diff(values, axis=1)
+    dx = np.abs(dx, out=dx) > tol
+    dy = np.diff(values, axis=0)
+    dy = np.abs(dy, out=dy) > tol
     jump[:, :-1] |= dx
     jump[:, 1:] |= dx
     jump[:-1, :] |= dy
@@ -160,6 +166,8 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         raise ValueError("tolerance must be finite and >= 0")
 
     wulff_violation = float(np.maximum(v.max_dual_value(g) - 1.0, 0.0))
+    # before the blocks, so that no block's arrays outlive them into the sums
+    tv, pairing = _stencil_means(u0.values, spacing, g, v.values)
     finite = math.isfinite(wulff_violation)  # else (ii) fails outright
 
     height, width = u0.values.shape
@@ -167,12 +175,15 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
     div_inf = res_above = res_below = 0.0
     ok_cells = 0
     for lo, hi, s0, s1 in _row_blocks(height, width, m + 1) if finite else ():
-        block = slice(lo - s0, hi - s0)
+        # the divergences read one row each side of the block
+        t0 = max(lo - 1, 0)
+        block = slice(lo - t0, hi - t0)
+        slab = v.values[t0:hi + 1]
         # overflow: an inf in div_b fails (ii), in div_b - div_f it excludes
         # the cell; agreeing one-sided stencils bound a kept cell's smearing
         with np.errstate(over="ignore", invalid="ignore"):
-            div_b = _div_adjoint_raw(v.values[s0:s1], spacing)[block]
-            div_f = _div_forward_raw(v.values[s0:s1], spacing)[block]
+            div_b = _div_adjoint_raw(slab, spacing)[block]
+            div_f = _div_forward_raw(slab, spacing)[block]
             finite = math.isfinite(div_b.max()) and math.isfinite(div_b.min())
             if not finite:
                 break
@@ -181,21 +192,25 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         ok_cells += np.count_nonzero(stencil_ok)
         div_inf = max(div_inf, block_max)
 
+        # u0 - f into div_f, scratch since _div_bound_cells
+        d = np.subtract(u0.values[lo:hi], f.values[lo:hi], out=div_f)
+        above = d > TIE_BAND
+        below = d < -TIE_BAND  # f - u0 > TIE_BAND: f - u0 is exactly -d
+        if not (above.any() or below.any()):
+            continue  # (b) and (c) read no cell of this block
+        # the dilated jump cells read the margin plus the row a difference
+        # reaches, the 3-row halo of the block's slab
         boundary = _dilate(_jump_cells(u0.values[s0:s1])
-                           | _jump_cells(f.values[s0:s1]), m)[block]
+                           | _jump_cells(f.values[s0:s1]), m)[lo - s0:hi - s0]
         kept = ~boundary & stencil_ok
-        u, fv = u0.values[lo:hi], f.values[lo:hi]
-        above = (u - fv > TIE_BAND) & kept
-        below = (fv - u > TIE_BAND) & kept
-        res_above = _abs_max(div_b[above] - lam, res_above)
-        res_below = _abs_max(div_b[below] + lam, res_below)
+        res_above = _abs_max(div_b[above & kept] - lam, res_above)
+        res_below = _abs_max(div_b[below & kept] + lam, res_below)
     if not finite:  # (ii) fails: no residual is evaluated, no cell kept
         div_inf = res_above = res_below = math.inf
         ok_cells = 0
     div_bound_residual = max(0.0, div_inf - lam)
     evaluated = bool(ok_cells)  # else (a) would hold over no cell
 
-    tv, pairing = _stencil_means(u0.values, spacing, g, v.values)
     pairing_gap = tv - pairing
     pairing_tol = tol * max(1.0, tv)
 

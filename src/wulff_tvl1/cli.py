@@ -70,7 +70,11 @@ def _write_json(path, obj) -> None:
 def _read_image(path: str, spacing: float | None) -> GridImage:
     sidecar = Path(str(path) + ".json")
     if spacing is None and sidecar.exists():
-        spacing = json.loads(sidecar.read_text()).get("spacing", 1.0)
+        meta = json.loads(sidecar.read_text())
+        spacing = meta.get("spacing", 1.0) if isinstance(meta, dict) else None
+        if type(spacing) not in (int, float):  # bool and None included
+            raise ValueError(f"{sidecar} must hold a JSON object whose "
+                             "spacing, if given, is a number")
     return read_pgm(path, spacing=1.0 if spacing is None else spacing)
 
 

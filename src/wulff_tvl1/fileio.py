@@ -66,7 +66,8 @@ def read_pgm(path, spacing: float = 1.0) -> GridImage:
     top = int(data.max())
     if top > maxval:
         raise ValueError(f"PGM sample {top} exceeds maxval {maxval}")
-    values = data.reshape(height, width).astype(float) / maxval
+    # one float array: the bytes of astype(float) / maxval
+    values = np.divide(data.reshape(height, width), maxval, dtype=float)
     return GridImage(values, spacing)
 
 

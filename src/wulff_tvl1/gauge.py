@@ -34,7 +34,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .projection import (PolygonEdges, _pnorm, _polygon_edges,
+from .projection import (PolygonEdges, _planes, _pnorm, _polygon_edges,
                          _polygon_halfspaces, _project_convex_polygon,
                          _project_l1_ball, _project_q_ball,
                          _project_shifted_disk, _project_unit_disk)
@@ -327,8 +327,9 @@ class Gauge:
         into `out`: x itself, or an array of x's shape sharing no memory
         with it whose component planes have row-major views (C order, or
         planar (2, H, W) storage); the l1-ball, q-ball and polygon kinds
-        raise ValueError on any other out.  Points in -W come back
-        unchanged.  All but the clip and the disk are 2-D only."""
+        raise ValueError on any other out and leave it untouched.  Points
+        in -W come back unchanged.  All but the clip and the disk are 2-D
+        only."""
         x = self._components(x)
         if out is None:
             out = np.empty(x.shape)
@@ -342,7 +343,8 @@ class Gauge:
             return _project_unit_disk(x, out)
         if self.dim != 2:
             raise ValueError("the projection onto -W is 2-D only for this gauge")
-        if out is not x:  # the other routines project in place
+        if out is not x:  # the other routines project in place, so an out
+            _planes(out)  # they refuse is refused before x is copied in
             np.copyto(out, x)
         if self.kind == "polyhedral":
             return _project_convex_polygon(out, self._minus_wulff_edges)

@@ -268,19 +268,21 @@ def forward_divergence(p: DualField) -> GridImage:
 def _stencil_means(values: np.ndarray, spacing: float, g: Gauge | None = None,
                    p_values: np.ndarray | None = None) -> tuple[float, float]:
     """(tv_phi, dual_pairing) of the image `values` against g and the field
-    `p_values`, 0.0 for an argument left out, from one forward and one
-    backward gradient kernel call per row block.
-    A block's gradients are taken on its slab with one halo row each side,
-    so they equal the whole-grid gradients bit for bit."""
+    `p_values`, 0.0 for an argument left out, from one forward-gradient call
+    per row block on its slab with one halo row each side; b - a is exactly
+    -(a - b), so that buffer shifted one cell holds the backward ones."""
     tv, pairing = [0.0, 0.0], [0.0, 0.0]
     for lo, hi, s0, s1 in _row_blocks(*values.shape, 1):
-        slab = values[s0:s1]
-        for k, gradient in enumerate((_grad_forward_raw, _grad_backward_raw)):
-            d = gradient(slab, spacing)[lo - s0:hi - s0]
+        d = _grad_forward_raw(values[s0:s1], spacing)
+        block, dx, dy = d[lo - s0:hi - s0], _flat(d[..., 0]), _flat(d[..., 1])
+        for k in (0, 1):
+            if k:  # one cell back in x and in y, zero in the first column/row
+                dx[1:], dy[d.shape[1]:] = dx[:-1], dy[:-d.shape[1]]
+                d[:, 0, 0] = d[0, :, 1] = 0.0
             if g is not None:
-                tv[k] += g(d).sum()
+                tv[k] += g(block).sum()
             if p_values is not None:
-                pairing[k] += np.einsum("ijk,ijk->", d, p_values[lo:hi])
+                pairing[k] += np.einsum("ijk,ijk->", block, p_values[lo:hi])
     area = spacing**2
     return (float(0.5 * (tv[0] + tv[1]) * area),
             float(0.5 * (pairing[0] + pairing[1]) * area))
@@ -288,8 +290,9 @@ def _stencil_means(values: np.ndarray, spacing: float, g: Gauge | None = None,
 
 def tv_phi(u: GridImage, g: Gauge) -> float:
     """Discrete TV: spacing^2 times the mean of the gauge over the forward
-    and backward gradient stencils (they agree for separable gauges), summed
-    by row blocks: on more than one block the last bit can differ."""
+    and backward stencils (equal for separable gauges), summed by row blocks
+    (the last bit can differ on more than one).  One forward-gradient call
+    per block gives both: b - a = -(a - b), so the backward is a shift."""
     return _stencil_means(u.values, u.spacing, g)[0]
 
 

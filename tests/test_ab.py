@@ -77,6 +77,15 @@ def test_pairs_alternate_and_the_claim_is_judged(ab, tmp_path):
                                       "by_module": {"pkg/m.py": [10, 7]}}
 
 
+def test_modules_on_one_side_only_are_counted(ab):
+    # a module the change deletes reads 0 on the change side, one it adds
+    # 0 on the parent side; unchanged modules are left out
+    parent = {"pkg/kept.py": 5, "pkg/gone.py": 7, "pkg/edited.py": 3}
+    change = {"pkg/kept.py": 5, "pkg/new.py": 2, "pkg/edited.py": 4}
+    assert ab.by_module(parent, change) == {
+        "pkg/edited.py": [3, 4], "pkg/gone.py": [7, 0], "pkg/new.py": [0, 2]}
+
+
 def runs(parent, change, metric="wall_s"):
     return [{"workload": "w", "side": side, "seed": i, "metrics": {metric: v}}
             for i, pair in enumerate(zip(parent, change))

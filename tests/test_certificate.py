@@ -226,7 +226,8 @@ def test_check_certificate_takes_each_gradient_once(name, monkeypatch):
     rep = check_certificate(u0, f, v, 3.0, g)
     blocks = len(list(grid._row_blocks(96, 96, 0)))
     assert blocks == 5
-    assert calls == ["_grad_forward_raw", "_grad_backward_raw"] * blocks
+    # one forward kernel per block; its buffer, shifted, is the backward one
+    assert calls == ["_grad_forward_raw"] * blocks
     # the same sums as the two separate calls, bit for bit
     assert rep.tv_value == tv
     assert rep.tv_pairing_gap == tv - pairing
@@ -349,6 +350,26 @@ def _seam_case(height, width, rows, g, rng):
     return GridImage(u0, 0.5), GridImage(f, 0.5), DualField(v, 0.5)
 
 
+def _tie_block_case(height, width, rows, g, rng):
+    """u0 - f just over the tie band in blocks 1, 5, 9, ... (left half
+    above, right half below) and just under it elsewhere, so only those
+    blocks hold (b)/(c) cells; the steps between blocks are under the 1e-9
+    jump tolerance.  In the even blocks u0 and f both rise by 0.5 between
+    rows 1 and 2 and fall back between rows -3 and -2 (for blocks of 5
+    rows or more): jumps in blocks with no (b)/(c) cell that reach one row
+    into the neighbouring block only through its 3-row halo.  v is
+    _seam_case's field."""
+    r = np.arange(height)[:, None]
+    c = np.arange(width)[None, :]
+    k, i = r // rows, r % rows
+    band = np.where(k % 4 == 1, TIE_BAND + 2e-10, TIE_BAND - 2e-10)
+    delta = band * np.where(c < width // 2, 1.0, -1.0)
+    bump = (k % 2 == 0) & (i >= 2) & (i <= rows - 3)
+    f = np.broadcast_to(0.5 * bump, (height, width))
+    _, _, v = _seam_case(height, width, rows, g, rng)
+    return GridImage(f + delta, 0.5), GridImage(f, 0.5), v
+
+
 @pytest.mark.parametrize("rows", [1, 3, 7])
 @pytest.mark.parametrize("shape", [(300, 257), (37, 5), (17, 2)])
 @pytest.mark.parametrize("name", ["l1", "hexagon", "asymmetric", "p3"])
@@ -356,27 +377,32 @@ def test_blocked_check_matches_the_whole_grid_check(name, shape, rows,
                                                     monkeypatch):
     g = GAUGE_ZOO[name]
     height, width = shape
-    u0, f, v = _seam_case(height, width, rows, g, np.random.default_rng(rows))
     lam = 0.3
-    ref = _whole_grid_check(u0, f, v, lam, g)
-    monkeypatch.setattr(grid, "BLOCK_CELLS", rows * width)
-    assert len(list(grid._row_blocks(height, width, 0))) >= 3
-    rep = check_certificate(u0, f, v, lam, g)
-    for key in ("wulff_violation", "div_inf_norm", "div_bound_residual",
-                "div_residual_above", "div_residual_below",
-                "excluded_fraction", "conditions", "passed",
-                "strict_uniqueness_hint"):
-        assert getattr(rep, key) == getattr(ref, key), key
-    assert rep.tv_value == pytest.approx(ref.tv_value, rel=1e-12)
-    # the gap is a difference of two sums of the size of TV
-    assert abs(rep.tv_pairing_gap - ref.tv_pairing_gap) <= 1e-12 * ref.tv_value
-    assert rep.tv_value == tv_phi(u0, g)
-    assert rep.tv_pairing_gap == tv_phi(u0, g) - dual_pairing(u0, v)
-    if width > 2 * BOUNDARY_MARGIN + 1:
-        # the large grid exercises every exclusion and both signed sets
-        assert 0.0 < ref.excluded_fraction < 1.0
-        assert ref.wulff_violation > 0.0
-        assert ref.div_residual_above > 0.0 and ref.div_residual_below > 0.0
+    for case in (_seam_case, _tie_block_case):
+        u0, f, v = case(height, width, rows, g, np.random.default_rng(rows))
+        ref = _whole_grid_check(u0, f, v, lam, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(grid, "BLOCK_CELLS", rows * width)
+            assert len(list(grid._row_blocks(height, width, 0))) >= 3
+            rep = check_certificate(u0, f, v, lam, g)
+            tv, pairing = tv_phi(u0, g), dual_pairing(u0, v)
+        for key in ("wulff_violation", "div_inf_norm", "div_bound_residual",
+                    "div_residual_above", "div_residual_below",
+                    "excluded_fraction", "conditions", "passed",
+                    "strict_uniqueness_hint"):
+            assert getattr(rep, key) == getattr(ref, key), (case.__name__, key)
+        assert rep.tv_value == pytest.approx(ref.tv_value, rel=1e-12)
+        # the gap is a difference of two sums of the size of TV
+        assert abs(rep.tv_pairing_gap - ref.tv_pairing_gap) <= 1e-12 * ref.tv_value
+        assert rep.tv_value == tv
+        assert rep.tv_pairing_gap == tv - pairing
+        if width > 2 * BOUNDARY_MARGIN + 1:
+            # the large grid exercises both signed sets, and _seam_case
+            # every exclusion
+            assert ref.div_residual_above > 0.0 and ref.div_residual_below > 0.0
+            if case is _seam_case:
+                assert 0.0 < ref.excluded_fraction < 1.0
+                assert ref.wulff_violation > 0.0
 
 
 def test_blocked_check_sees_jumps_through_the_halo(monkeypatch):

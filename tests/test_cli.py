@@ -339,6 +339,29 @@ def test_zero_spacing_is_a_configuration_error(tmp_path):
                    "--lambda", "2", "--spacing", spacing) == 1
 
 
+@pytest.mark.parametrize("sidecar", ["[1]", '"0.5"', "null",
+                                     '{"spacing": "0.5"}', '{"spacing": null}',
+                                     '{"spacing": true}'])
+def test_a_malformed_image_sidecar_is_a_configuration_error(tmp_path, capsys,
+                                                           sidecar):
+    # a sidecar that is not an object raised AttributeError out of main,
+    # and a string spacing exited with a message that named no file
+    from wulff_tvl1.fileio import write_field
+    from wulff_tvl1.grid import DualField
+    image = tmp_path / "d.pgm"
+    v = tmp_path / "v.raw"
+    write_pgm(image, GridImage(np.zeros((16, 16)), 1.0))
+    write_field(v, DualField(np.zeros((16, 16, 2)), 1.0))
+    Path(f"{image}.json").write_text(sidecar)
+    for argv in (["denoise", "--input", str(image), "--lambda", "2",
+                  "--output-prefix", str(tmp_path / "o")],
+                 ["certify", "--u0", str(image), "--f", str(image),
+                  "--v", str(v), "--lambda", "2"]):
+        assert run(*argv) == 1
+        assert f"{image}.json must hold a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "o_report.json").exists()
+
+
 def test_unwritable_output_is_an_io_error(tmp_path):
     disk = tmp_path / "disk.pgm"
     run("synth", "disk", "--size", "16", "--output", str(disk))

@@ -30,6 +30,17 @@ def test_pgm_deterministic_bytes(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("maxval, dtype", [(255, np.uint8), (200, np.uint8),
+                                           (65535, ">u2"), (1000, ">u2")])
+def test_pgm_samples_convert_as_float_over_maxval(tmp_path, rng, maxval, dtype):
+    # the values are the bytes of astype(float) / maxval
+    samples = rng.integers(0, maxval + 1, size=(7, 5)).astype(dtype)
+    path = tmp_path / "s.pgm"
+    path.write_bytes(f"P5\n5 7\n{maxval}\n".encode() + samples.tobytes())
+    ref = samples.astype(float) / maxval
+    assert read_pgm(path).values.tobytes() == ref.tobytes()
+
+
 def test_pgm_rejects_bad_maxval(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", GridImage(np.zeros((2, 2)), 1.0), maxval=1000)

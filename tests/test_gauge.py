@@ -591,11 +591,14 @@ def test_projection_into_out_matches_a_new_array(any_gauge, layout, rng):
 @pytest.mark.parametrize("name", IN_PLACE)
 def test_an_out_without_row_major_planes_is_refused(name, layout, rng):
     # the in-place routines take 1-D views of the component planes; where
-    # out's strides give none they raise rather than fill out through a copy
+    # out's strides give none they raise rather than fill out through a
+    # copy, and the refused out keeps its contents
     g = GAUGE_ZOO[name]
     x = rng.normal(scale=1.5, size=(16, 12, 2))
+    out = _in_layout(np.zeros_like(x), layout)
     with pytest.raises(ValueError, match="row-major"):
-        g.project_minus_wulff(x, out=_in_layout(np.zeros_like(x), layout))
+        g.project_minus_wulff(x, out=out)
+    assert not out.any()
     own = _in_layout(x, layout)
     with pytest.raises(ValueError, match="row-major"):
         g.project_minus_wulff(own, out=own)

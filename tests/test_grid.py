@@ -369,6 +369,45 @@ def test_blocked_dual_maximum_keeps_a_nan(row, monkeypatch):
         tv_phi_dual_gap(GridImage(np.zeros((8, 8)), 1.0), p, L1)
 
 
+def _two_kernel_means(values, spacing, g, p_values):
+    """_stencil_means as a forward and a backward gradient kernel call per
+    row block give it: the reference for the shifted buffer."""
+    tv, pairing = [0.0, 0.0], [0.0, 0.0]
+    for lo, hi, s0, s1 in grid._row_blocks(*values.shape, 1):
+        slab = values[s0:s1]
+        for k, gradient in enumerate((_grad_forward_raw, _grad_backward_raw)):
+            d = gradient(slab, spacing)[lo - s0:hi - s0]
+            tv[k] += g(d).sum()
+            pairing[k] += np.einsum("ijk,ijk->", d, p_values[lo:hi])
+    area = spacing**2
+    return (float(0.5 * (tv[0] + tv[1]) * area),
+            float(0.5 * (pairing[0] + pairing[1]) * area))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 40])
+def test_one_gradient_call_gives_both_stencil_sums(any_gauge, rows, rng,
+                                                   monkeypatch):
+    # the backward differences are the forward ones one cell back, so the
+    # shifted buffer gives the two-kernel sums bit for bit: with equal
+    # neighbours, +-0.0 entries (whose differences differ in the sign of
+    # zero only) and a jump on every block seam
+    height, width = 23, 9
+    monkeypatch.setattr(grid, "BLOCK_CELLS", rows * width)
+    u = np.round(rng.normal(size=(height, width)), 1)
+    u += 3.0 * (np.arange(height) // rows % 2)[:, None]
+    u[rng.random(u.shape) < 0.2] = 0.0
+    u[rng.random(u.shape) < 0.2] = -0.0
+    p = any_gauge.project_minus_wulff(rng.normal(size=(height, width, 2)))
+    p[rng.random(p.shape) < 0.2] = -0.0
+    for spacing in (1.0, 0.3):
+        ref = _two_kernel_means(u, spacing, any_gauge, p)
+        got = grid._stencil_means(u, spacing, any_gauge, p)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        image, field = GridImage(u, spacing), DualField(p, spacing)
+        assert tv_phi(image, any_gauge) == ref[0]
+        assert dual_pairing(image, field) == ref[1]
+
+
 # ----------------------------------------------------------------------
 # level sets, coarea, decomposition
 # ----------------------------------------------------------------------

@@ -23,7 +23,8 @@ it exceeds the bound, else "unresolved" when the parent's IQR is wider
 than the bound and not every change run beats every parent run, else
 "within".  --claim adds whether that metric meets the gain rule: ten
 pairs, the change better in at least nine of them, and the medians further
-apart than the parent's IQR.  Lines of src/**/*.py are counted in both trees.
+apart than the parent's IQR.  Lines of src/**/*.py are counted in both trees,
+per module, a module that one tree lacks counting 0 there.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def git_commit(tree: Path) -> str | None:
 def src_lines(tree: Path) -> dict:
     return {str(p.relative_to(tree / "src")): len(p.read_bytes().splitlines())
             for p in sorted((tree / "src").rglob("*.py"))}
+
+
+def by_module(parent: dict, change: dict) -> dict:
+    """[parent, change] line counts of each module whose count differs,
+    0 on the side that lacks it: a module the change deletes is listed too."""
+    counts = {name: [parent.get(name, 0), change.get(name, 0)]
+              for name in sorted(parent.keys() | change.keys())}
+    return {name: pair for name, pair in counts.items() if pair[0] != pair[1]}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -207,9 +216,7 @@ def main(argv=None) -> int:
         "src_py_lines": {
             "parent": sum(lines["parent"].values()),
             "change": sum(lines["change"].values()),
-            "by_module": {name: [lines["parent"].get(name, 0), n]
-                          for name, n in lines["change"].items()
-                          if n != lines["parent"].get(name, 0)},
+            "by_module": by_module(lines["parent"], lines["change"]),
         },
         "runs": runs,
         "summary": summary,
