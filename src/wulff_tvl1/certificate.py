@@ -36,16 +36,15 @@ which the solver's stop guard calls too, picks the cells of (a); (a)
 fails when it picks none, as a maximum over no cell would read 0.
 
 check_certificate runs over row blocks of at most grid.BLOCK_CELLS cells
-(2^16: one block up to 256^2), with the frame placed in grid rows.  Each
-part of a block reads only the halo it needs: the two divergences of v a
-slab with one row on each side, the one row their stencils read; the
-(b)/(c) exclusion masks (jump cells of u0 and f, their dilation by the
-margin, the kept cells) a slab of BOUNDARY_MARGIN + 1 = 3 rows on each
-side, the margin plus the row a difference reaches.  Those masks are built
-only in blocks that hold a cell with |u0 - f| > TIE_BAND, the only cells
-(b) and (c) read.  Blocks merge by max and by counting, so every residual,
-the excluded fraction and the verdict equal a whole-grid evaluation bit
-for bit; TV and the pairing are the blocked sums of grid.tv_phi and
+(2^16: one block up to 256^2), with the frame placed in grid rows.  A
+block takes the two divergences of v on a slab with the one halo row their
+stencils read.  Only a block with a cell where |u0 - f| > TIE_BAND, the
+cells (b) and (c) read, builds their exclusion masks (jump cells of u0 and
+f, their dilation, the kept cells), on a slab with a halo of
+BOUNDARY_MARGIN + 1 = 3 rows: the margin plus the row a difference
+reaches.  Blocks merge by max and by counting, so every residual, the
+excluded fraction and the verdict equal a whole-grid evaluation bit for
+bit; TV and the pairing are the blocked sums of grid.tv_phi and
 grid.dual_pairing, taken before the blocks.  The inputs are checked once,
 on entry, and the blocks run the raw kernels on slabs, holding block-sized
 temporaries (about 0.5 MB each at 2^16 cells) besides the inputs, not
@@ -175,7 +174,7 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
     div_inf = res_above = res_below = 0.0
     ok_cells = 0
     for lo, hi, s0, s1 in _row_blocks(height, width, m + 1) if finite else ():
-        # the divergences read one row each side of the block
+        # the divergences' stencils read one row each side of the block
         t0 = max(lo - 1, 0)
         block = slice(lo - t0, hi - t0)
         slab = v.values[t0:hi + 1]
@@ -198,8 +197,6 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
         below = d < -TIE_BAND  # f - u0 > TIE_BAND: f - u0 is exactly -d
         if not (above.any() or below.any()):
             continue  # (b) and (c) read no cell of this block
-        # the dilated jump cells read the margin plus the row a difference
-        # reaches, the 3-row halo of the block's slab
         boundary = _dilate(_jump_cells(u0.values[s0:s1])
                            | _jump_cells(f.values[s0:s1]), m)[lo - s0:hi - s0]
         kept = ~boundary & stencil_ok
