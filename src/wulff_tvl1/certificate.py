@@ -35,20 +35,28 @@ violation of (i) is not (a non-finite v, or a dual gauge that overflows);
 which the solver's stop guard calls too, picks the cells of (a); (a)
 fails when it picks none, as a maximum over no cell would read 0.
 
-check_certificate runs over row blocks of at most grid.BLOCK_CELLS cells
-(2^16: one block up to 256^2), with the frame placed in grid rows.  A
-block takes the two divergences of v on a slab with the one halo row their
-stencils read.  Only a block with a cell where |u0 - f| > TIE_BAND, the
-cells (b) and (c) read, builds their exclusion masks (jump cells of u0 and
-f, their dilation, the kept cells), on a slab with a halo of
-BOUNDARY_MARGIN + 1 = 3 rows: the margin plus the row a difference
-reaches.  Blocks merge by max and by counting, so every residual, the
+check_certificate makes one pass over row blocks of at most
+grid.BLOCK_CELLS cells (2^16: one block up to 256^2), with the frame placed
+in grid rows, and reads u0, f and v only through rows(lo, hi): GridImage
+and DualField hand out views, the fileio readers read the rows from their
+files.  A block reads v with the one halo row its stencils read, and u0
+and f with a halo of BOUNDARY_MARGIN + 1 = 3 rows: the margin plus the row
+a difference reaches.  It adds its largest dual-gauge value to (i) and its
+partial sums to TV and the pairing (grid._stencil_block: the sums of
+grid.tv_phi and grid.dual_pairing, block for block), and while (i) and
+(ii) hold it takes the two divergences of v and the cells of (a).  Only a
+block with a cell where |u0 - f| > TIE_BAND, the cells (b) and (c) read,
+builds their exclusion masks (jump cells of u0 and f, their dilation, the
+kept cells).  Blocks merge by max and by counting, so every residual, the
 excluded fraction and the verdict equal a whole-grid evaluation bit for
-bit; TV and the pairing are the blocked sums of grid.tv_phi and
-grid.dual_pairing, taken before the blocks.  The inputs are checked once,
-on entry, and the blocks run the raw kernels on slabs, holding block-sized
-temporaries (about 0.5 MB each at 2^16 cells) besides the inputs, not
-full-grid arrays.
+bit.  The inputs' grids are checked once, on entry (a file's when it is
+opened).  The slabs read from files go into three buffers of a block and
+two halos, and the gradient and then the divergences into a fourth,
+allocated once per check and reused block after block: fresh arrays per
+block page-fault on every block (about 9500 faults per 1536^2 check from
+files, against 1300).  With the other temporaries (about 0.5 MB each at
+2^16 cells) a check holds no full-grid array, so from files its memory
+does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -63,10 +71,10 @@ from .gauge import Gauge
 # divergence, dual_pairing, forward_divergence, tv_phi: unused here, kept
 # for tracers that patch them by name
 from .grid import (BOUNDARY_MARGIN, DIV_TOL_SPACINGS, FEASIBILITY_TOL,
-                   DualField, GridImage, _check_same_grid, _div_adjoint_raw,
-                   _div_bound_cells, _div_forward_raw, _row_blocks,
-                   _stencil_means, cell_centers, divergence, dual_pairing,
-                   forward_divergence, tv_phi)
+                   DualField, GridImage, _Grid, _block_rows, _check_same_grid,
+                   _div_adjoint_raw, _div_bound_cells, _div_forward_raw,
+                   _row_blocks, _stencil_block, _stencil_totals, cell_centers,
+                   divergence, dual_pairing, forward_divergence, tv_phi)
 from .solver import SolveResult, SolverConfig, canonical_minimiser, solve
 
 __all__ = [
@@ -146,11 +154,23 @@ def _abs_max(values: np.ndarray, start: float) -> float:
     return max(start, float(np.max(np.abs(values)))) if values.size else start
 
 
-def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
-                      g: Gauge, tol: float | None = None) -> CertificateReport:
+def _slab_reader(source, shape: tuple):
+    """source.rows for a grid, which hands out views; for a file reader,
+    rows read into the leading rows of one buffer of `shape`, reused from
+    block to block."""
+    if isinstance(source, _Grid):
+        return source.rows
+    buf = np.empty(shape)
+    return lambda lo, hi: source.rows(lo, hi, out=buf[:hi - lo])
+
+
+def check_certificate(u0, f, v, lam: float, g: Gauge,
+                      tol: float | None = None) -> CertificateReport:
     """Evaluates conditions (i)-(iii), (a)-(c) cellwise and reports every
     residual with the tolerance it was compared against.
 
+    u0 and f are GridImage objects or fileio.PgmReader, v a DualField or a
+    fileio.FieldReader: the check reads each through rows(lo, hi) only.
     The default tolerance 3 * spacing matches the first-order accuracy of
     the divergence stencils.
     """
@@ -164,44 +184,65 @@ def check_certificate(u0: GridImage, f: GridImage, v: DualField, lam: float,
     if not 0 <= tol < math.inf:
         raise ValueError("tolerance must be finite and >= 0")
 
-    wulff_violation = float(np.maximum(v.max_dual_value(g) - 1.0, 0.0))
-    # before the blocks, so that no block's arrays outlive them into the sums
-    tv, pairing = _stencil_means(u0.values, spacing, g, v.values)
-    finite = math.isfinite(wulff_violation)  # else (ii) fails outright
-
-    height, width = u0.values.shape
+    height, width = u0.height, u0.width
     m = BOUNDARY_MARGIN
+    dual_max = -math.inf
+    sums = [0.0] * 4  # of TV and the pairing, see grid._stencil_block
+    finite = True  # (i) and (ii) so far: while it holds, blocks are checked
     div_inf = res_above = res_below = 0.0
     ok_cells = 0
-    for lo, hi, s0, s1 in _row_blocks(height, width, m + 1) if finite else ():
-        # the divergences' stencils read one row each side of the block
-        t0 = max(lo - 1, 0)
-        block = slice(lo - t0, hi - t0)
-        slab = v.values[t0:hi + 1]
+    # buffers of a block and two halos of m + 1 rows, reused block after
+    # block: a file reader's slabs, and `work` for the gradient, then the
+    # divergences
+    n = min(_block_rows(width) + 2 * (m + 1), height)
+    work = None
+    v_rows = _slab_reader(v, (n, width, 2))
+    u0_rows, f_rows = _slab_reader(u0, (n, width)), _slab_reader(f, (n, width))
+    for lo, hi, s0, s1 in _row_blocks(height, width, m + 1):
+        # the stencils read one row each side of the block, the masks m + 1
+        t0, t1 = max(lo - 1, 0), min(hi + 1, height)
+        block, rows = slice(lo - t0, hi - t0), slice(lo - s0, hi - s0)
+        # every row of every file is read, whatever the verdict
+        slab, u_slab, f_slab = v_rows(t0, t1), u0_rows(s0, s1), f_rows(s0, s1)
+        # np.maximum, unlike max, keeps a NaN from any block
+        dual_max = np.maximum(dual_max, np.max(g.dual(slab[block])))
+        # `work` comes after the first block's dual-gauge temporaries are
+        # freed: a one-block check then peaks as separate passes would
+        if work is None:
+            work = np.empty(2 * n * width)
+        kernel_out = work[:2 * (t1 - t0) * width]
+        # TV and the pairing run over every block, whatever the verdict
+        _stencil_block(u_slab[t0 - s0:t1 - s0], block, spacing, g,
+                       slab[block], sums, out=kernel_out.reshape(-1, width, 2))
+        finite = finite and math.isfinite(dual_max)  # else (ii) fails outright
+        if not finite:
+            continue
         # overflow: an inf in div_b fails (ii), in div_b - div_f it excludes
         # the cell; agreeing one-sided stencils bound a kept cell's smearing
+        div_b_out, div_f_out = kernel_out.reshape(2, -1, width)
         with np.errstate(over="ignore", invalid="ignore"):
-            div_b = _div_adjoint_raw(slab, spacing)[block]
-            div_f = _div_forward_raw(slab, spacing)[block]
+            div_b = _div_adjoint_raw(slab, spacing, div_b_out)[block]
+            div_f = _div_forward_raw(slab, spacing, div_f_out)[block]
             finite = math.isfinite(div_b.max()) and math.isfinite(div_b.min())
             if not finite:
-                break
+                continue
             stencil_ok, block_max = _div_bound_cells(div_b, div_f, spacing,
                                                      lo, height)
         ok_cells += np.count_nonzero(stencil_ok)
         div_inf = max(div_inf, block_max)
 
         # u0 - f into div_f, scratch since _div_bound_cells
-        d = np.subtract(u0.values[lo:hi], f.values[lo:hi], out=div_f)
+        d = np.subtract(u_slab[rows], f_slab[rows], out=div_f)
         above = d > TIE_BAND
         below = d < -TIE_BAND  # f - u0 > TIE_BAND: f - u0 is exactly -d
         if not (above.any() or below.any()):
             continue  # (b) and (c) read no cell of this block
-        boundary = _dilate(_jump_cells(u0.values[s0:s1])
-                           | _jump_cells(f.values[s0:s1]), m)[lo - s0:hi - s0]
+        boundary = _dilate(_jump_cells(u_slab) | _jump_cells(f_slab), m)[rows]
         kept = ~boundary & stencil_ok
         res_above = _abs_max(div_b[above & kept] - lam, res_above)
         res_below = _abs_max(div_b[below & kept] + lam, res_below)
+    wulff_violation = float(np.maximum(float(dual_max) - 1.0, 0.0))
+    tv, pairing = _stencil_totals(sums, spacing)
     if not finite:  # (ii) fails: no residual is evaluated, no cell kept
         div_inf = res_above = res_below = math.inf
         ok_cells = 0

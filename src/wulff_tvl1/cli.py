@@ -20,7 +20,9 @@ import numpy as np
 
 from . import __version__
 from .certificate import build_circle_certificate, check_certificate
-from .fileio import read_field, read_pgm, write_field, write_pgm
+# read_field: unused here, kept for tracers that patch it by name
+from .fileio import (FieldReader, PgmReader, read_field, read_pgm,
+                     write_field, write_pgm)
 from .gauge import Gauge
 from .grid import GridImage, raster_convex_polygon, raster_disk
 from .shapes import (circle_example, circle_optimality_threshold,
@@ -67,17 +69,6 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _read_image(path: str, spacing: float | None) -> GridImage:
-    sidecar = Path(str(path) + ".json")
-    if spacing is None and sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        spacing = meta.get("spacing", 1.0) if isinstance(meta, dict) else None
-        if type(spacing) not in (int, float):  # bool and None included
-            raise ValueError(f"{sidecar} must hold a JSON object whose "
-                             "spacing, if given, is a number")
-    return read_pgm(path, spacing=1.0 if spacing is None else spacing)
-
-
 def _write_image(path, image: GridImage, maxval: int = 255) -> None:
     write_pgm(path, image, maxval=maxval)
     _write_json(str(path) + ".json", {
@@ -91,7 +82,7 @@ def _write_image(path, image: GridImage, maxval: int = 255) -> None:
 
 def cmd_denoise(args) -> int:
     gauge = Gauge.from_json(args.gauge)
-    f = _read_image(args.input, args.spacing)
+    f = read_pgm(args.input, args.spacing)
     # --config overrides the flags for the keys it names; others raise
     cfg = SolverConfig(**{"max_iterations": args.max_iterations,
                           "gap_tolerance": args.gap_tolerance,
@@ -222,9 +213,10 @@ def cmd_certify(args) -> int:
             raise ValueError("need --u0, --f, --v and --lambda "
                              "(or --example-circle)")
         lam = args.lam
-        u0 = _read_image(args.u0, args.spacing)
-        f = _read_image(args.f, args.spacing)
-        v = read_field(args.v)
+        # streamed: the check reads the files by row blocks
+        u0 = PgmReader(args.u0, args.spacing)
+        f = PgmReader(args.f, args.spacing)
+        v = FieldReader(args.v)
     report = check_certificate(u0, f, v, lam, gauge, tol=args.tol)
 
     text = report.to_json_str()

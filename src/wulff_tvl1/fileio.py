@@ -3,18 +3,32 @@
 PGM stores values mapped linearly onto [0, 1] with maxval 255 or 65535
 (16-bit samples are big-endian per the format).  Vector fields are raw
 row-major float64 with a JSON sidecar holding the grid metadata.
+
+Each format has one reader, PgmReader and FieldReader.  Opening one reads
+and checks everything but the samples: the header or the sidecar, the
+grid and spacing rules of GridImage and DualField, and the file size.
+rows(lo, hi) then reads rows [lo, hi) alone, as float64 with the bits of a
+whole-file read, and a PGM's samples are checked against maxval as their
+rows are read; every error names the file.  read_pgm and read_field are
+rows(0, height) of a reader.  A PGM file may hold bytes past its payload
+(Netpbm allows several images per file); a field file holds exactly its
+height x width x 2 values.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .grid import DualField, GridImage
+from .grid import DualField, GridImage, _check_grid
 
-__all__ = ["write_pgm", "read_pgm", "write_field", "read_field"]
+__all__ = ["write_pgm", "read_pgm", "write_field", "read_field",
+           "PgmReader", "FieldReader"]
+
+_TOKEN_BYTES = 20  # longer than any PGM header token
 
 
 def write_pgm(path, image: GridImage, maxval: int = 65535) -> None:
@@ -30,45 +44,89 @@ def write_pgm(path, image: GridImage, maxval: int = 65535) -> None:
     Path(path).write_bytes(header + data)
 
 
-def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
-    """First `count` whitespace-delimited header tokens, skipping #-comments;
-    returns the tokens and the offset of the binary payload."""
-    tokens = []
-    i = 0
-    while len(tokens) < count:
-        while i < len(raw) and raw[i : i + 1].isspace():
-            i += 1
-        if raw[i : i + 1] == b"#":
-            while i < len(raw) and raw[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(raw) and not raw[i : i + 1].isspace():
-            i += 1
-        tokens.append(raw[start:i])
-    return tokens, i + 1
+def _sidecar(path: Path):
+    """The sidecar <path>.json and the JSON value it holds."""
+    sidecar = Path(f"{path}.json")
+    try:
+        return sidecar, json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{sidecar} is not valid JSON: {exc}") from None
 
 
-def read_pgm(path, spacing: float = 1.0) -> GridImage:
-    raw = Path(path).read_bytes()
-    tokens, offset = _read_pgm_tokens(raw, 4)
-    if tokens[0] != b"P5":
-        raise ValueError("only binary (P5) PGM is supported")
-    width, height, maxval = (int(t) for t in tokens[1:])
-    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
-        raise ValueError(f"PGM header {width}x{height}, maxval {maxval} "
-                         "is outside the format")
-    n = width * height
-    if maxval <= 255:
-        data = np.frombuffer(raw, dtype=np.uint8, count=n, offset=offset)
-    else:
-        data = np.frombuffer(raw, dtype=">u2", count=n, offset=offset)
-    top = int(data.max())
-    if top > maxval:
-        raise ValueError(f"PGM sample {top} exceeds maxval {maxval}")
-    # one float array: the bytes of astype(float) / maxval
-    values = np.divide(data.reshape(height, width), maxval, dtype=float)
-    return GridImage(values, spacing)
+def _pgm_header(fh, path: Path) -> list:
+    """The magic, width, height and maxval tokens, skipping #-comments
+    between tokens; leaves fh past the one whitespace byte after maxval."""
+    tokens, token = [], b""
+    while len(tokens) < 4:
+        c = fh.read(1)
+        if c == b"#" and not token:
+            fh.readline()
+        elif c and not c.isspace():
+            token += c
+            if len(token) > _TOKEN_BYTES:
+                raise ValueError(f"{path}: no PGM header")
+        elif token:
+            if not tokens and token != b"P5":
+                raise ValueError(f"{path}: only binary (P5) PGM is supported")
+            tokens.append(token)
+            token = b""
+        elif not c:
+            raise ValueError(f"{path}: the PGM header ends early")
+    return tokens
+
+
+class PgmReader:
+    """Rows of a binary PGM as float64 values in [0, 1].  spacing None
+    takes the spacing of the sidecar <path>.json when that file exists: a
+    JSON object whose spacing, if given, is a number (absent, 1.0)."""
+
+    def __init__(self, path, spacing: float | None = 1.0):
+        self.path = path = Path(path)
+        with open(path, "rb") as fh:
+            tokens = _pgm_header(fh, path)
+            self._offset = fh.tell()
+        try:
+            width, height, maxval = (int(t) for t in tokens[1:])
+        except ValueError:
+            raise ValueError(f"{path}: PGM header {tokens} is not numeric") from None
+        if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+            raise ValueError(f"{path}: PGM header {width}x{height}, maxval "
+                             f"{maxval} is outside the format")
+        self.width, self.height, self.maxval = width, height, maxval
+        self._dtype = np.dtype(np.uint8 if maxval <= 255 else ">u2")
+        have = max(path.stat().st_size - self._offset, 0) // self._dtype.itemsize
+        if have < width * height:
+            raise ValueError(f"{path}: PGM payload holds {have} of the "
+                             f"{width * height} samples of a {width}x{height} image")
+        if spacing is None:
+            spacing = 1.0
+            if Path(f"{path}.json").exists():
+                sidecar, meta = _sidecar(path)
+                spacing = meta.get("spacing", 1.0) if isinstance(meta, dict) else None
+                if type(spacing) not in (int, float):  # bool and None included
+                    raise ValueError(f"{sidecar} must hold a JSON object whose "
+                                     "spacing, if given, is a number")
+        self.spacing = spacing
+        _check_grid(self)
+
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows [lo, hi), 0 <= lo < hi <= height, as a (hi - lo, width)
+        float64 array, `out` when given: the bytes of astype(float) / maxval."""
+        data = np.fromfile(self.path, dtype=self._dtype,
+                           count=(hi - lo) * self.width,
+                           offset=self._offset + lo * self.width * self._dtype.itemsize)
+        top = int(data.max())
+        if top > self.maxval:
+            raise ValueError(f"{self.path}: PGM sample {top} exceeds maxval "
+                             f"{self.maxval}")
+        return np.divide(data.reshape(hi - lo, self.width), self.maxval,
+                         out=out, dtype=float)
+
+
+def read_pgm(path, spacing: float | None = 1.0) -> GridImage:
+    """PgmReader(path, spacing).rows(0, height) as a GridImage."""
+    reader = PgmReader(path, spacing)
+    return GridImage(reader.rows(0, reader.height), reader.spacing)
 
 
 def write_field(path, field: DualField) -> None:
@@ -85,11 +143,43 @@ def write_field(path, field: DualField) -> None:
         json.dumps(sidecar, sort_keys=True) + "\n")
 
 
+class FieldReader:
+    """Rows of a raw float64 field whose sidecar <path>.json is a JSON
+    object with integer width and height, components 2 and a number
+    spacing."""
+
+    def __init__(self, path):
+        self.path = path = Path(path)
+        sidecar, meta = _sidecar(path)
+        if not (isinstance(meta, dict)
+                and all(type(meta.get(k)) is int
+                        for k in ("width", "height", "components"))
+                and meta["components"] == 2
+                and type(meta.get("spacing")) in (int, float)):
+            raise ValueError(f"{sidecar} must hold a JSON object with integer "
+                             "width and height, components 2 and a number spacing")
+        self.width, self.height = meta["width"], meta["height"]
+        self.spacing = float(meta["spacing"])
+        _check_grid(self)
+        if path.stat().st_size != 16 * self.height * self.width:
+            raise ValueError(f"{path} does not hold {self.height}x{self.width}x2 "
+                             "float64 values")
+
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows [lo, hi), 0 <= lo < hi <= height, as a (hi - lo, width, 2)
+        float64 array, read into `out` (C-contiguous) when given."""
+        if out is None:
+            out = np.empty((hi - lo, self.width, 2))
+        with open(self.path, "rb") as fh:
+            fh.seek(16 * self.width * lo)
+            if fh.readinto(out.data.cast("B")) != out.nbytes:
+                raise ValueError(f"{self.path} ended before row {hi}")
+        if sys.byteorder != "little":  # the file holds little-endian values
+            out.byteswap(inplace=True)
+        return out
+
+
 def read_field(path) -> DualField:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    w, h, comps = meta["width"], meta["height"], meta["components"]
-    if path.stat().st_size != 8 * h * w * comps:
-        raise ValueError(f"{path} does not hold {h}x{w}x{comps} float64 values")
-    data = np.fromfile(path, dtype="<f8")
-    return DualField(data.reshape(h, w, comps), float(meta["spacing"]))
+    """FieldReader(path).rows(0, height) as a DualField."""
+    reader = FieldReader(path)
+    return DualField(reader.rows(0, reader.height), reader.spacing)

@@ -10,8 +10,6 @@ the rasterisers):
 * forward_gradient uses forward differences with a one-sided zero at the
   right/top boundary; divergence is its exact negative adjoint (backward
   differences), so <Du, p> = -<u, div p> holds to machine precision;
-* GridImage and DualField values are row-major float arrays of at least
-  2x2 cells from construction, so no function re-checks a field;
 * the raw kernels take the x-differences in one pass over the flattened
   plane (the row-wrap entries fall in a boundary column that is
   overwritten), and skip the division at unit spacing, which is exact;
@@ -25,13 +23,15 @@ the rasterisers):
   backward gradient stencils.  The two sums coincide for separable gauges
   (e.g. the 1-norm); the average is what makes the reflection identity
   TV(-u) = TV(u(-.)) exact for non-even gauges;
+* GridImage and DualField values are row-major float arrays of at least
+  2x2 cells from construction; inputs are validated there and by the
+  public functions only, and block loops run the raw kernels on slabs;
 * grid-wide sums and maxima (tv_phi, dual_pairing, max_dual_value) run
-  over row blocks of at most BLOCK_CELLS cells, each read with the halo
-  rows its stencils need, so no temporary is larger than one block.
-  Maxima are exact; sums over more than one block add the blocks' partial
-  sums, which can differ from a whole-grid sum in the last bit;
-* inputs are validated at the boundary only, by the constructors and the
-  public functions; block loops run the raw kernels on array slabs.
+  over row blocks of at most BLOCK_CELLS cells, each with the halo rows
+  its stencils need, so no temporary is larger than one block.  Maxima
+  are exact; sums over more than one block add the blocks' partial sums
+  (_stencil_block), which can differ from a whole-grid sum in the last
+  bit.  The certificate check reads grids and files alike by rows(lo, hi).
 """
 
 from __future__ import annotations
@@ -45,42 +45,19 @@ import numpy as np
 from .gauge import Gauge
 
 __all__ = [
-    "GridImage",
-    "DualField",
-    "forward_gradient",
-    "backward_gradient",
-    "divergence",
-    "forward_divergence",
-    "tv_phi",
-    "tv_phi_dual_gap",
-    "dual_pairing",
-    "level_set",
-    "coarea_check",
-    "energy_decompose",
-    "reflect",
-    "cell_centers",
-    "rasterize",
-    "raster_disk",
-    "raster_convex_polygon",
+    "GridImage", "DualField", "forward_gradient", "backward_gradient",
+    "divergence", "forward_divergence", "tv_phi", "tv_phi_dual_gap",
+    "dual_pairing", "level_set", "coarea_check", "energy_decompose", "reflect",
+    "cell_centers", "rasterize", "raster_disk", "raster_convex_polygon",
 ]
 
 
 @dataclass
-class GridImage:
-    """Scalar field on a uniform grid; values has shape (height, width)."""
+class _Grid:
+    """Values on a uniform grid of at least 2x2 cells, row-major float64."""
 
     values: np.ndarray
     spacing: float = 1.0
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("GridImage values must be 2-D")
-        _check_stencil_grid(self)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("GridImage values must be finite")
-        if not 0 < self.spacing < math.inf:
-            raise ValueError("spacing must be positive and finite")
 
     @property
     def height(self) -> int:
@@ -89,6 +66,23 @@ class GridImage:
     @property
     def width(self) -> int:
         return self.values.shape[1]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi), a view: the interface of the fileio readers."""
+        return self.values[lo:hi]
+
+
+@dataclass
+class GridImage(_Grid):
+    """Scalar field on a uniform grid; values has shape (height, width)."""
+
+    def __post_init__(self):
+        self.values = np.ascontiguousarray(self.values, dtype=float)
+        if self.values.ndim != 2:
+            raise ValueError("GridImage values must be 2-D")
+        _check_grid(self)
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("GridImage values must be finite")
 
     def l1_norm(self) -> float:
         """Riemann sum of |u|."""
@@ -96,28 +90,15 @@ class GridImage:
 
 
 @dataclass
-class DualField:
+class DualField(_Grid):
     """Vector field collocated with the cells; values has shape
     (height, width, 2) with components (x, y)."""
-
-    values: np.ndarray
-    spacing: float = 1.0
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.ndim != 3 or self.values.shape[-1] != 2:
             raise ValueError("DualField values must have shape (H, W, 2)")
-        _check_stencil_grid(self)
-        if not 0 < self.spacing < math.inf:
-            raise ValueError("spacing must be positive and finite")
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
+        _check_grid(self)
 
     def max_dual_value(self, g: Gauge) -> float:
         """max over cells of phi_dual(p); <= 1 means pointwise in -W."""
@@ -128,28 +109,35 @@ class DualField:
 
 
 FEASIBILITY_TOL = 1e-9  # slack on phi_dual(p) <= 1 for membership in -W
-
-
 BLOCK_CELLS = 1 << 16  # cells per row block; grids up to 256^2 are one block
 BOUNDARY_MARGIN = 2    # cells: the certificate's window frame and jump margin
 DIV_TOL_SPACINGS = 3.0  # the certificate's default tolerance, in spacings
 
 
-def _check_stencil_grid(field) -> None:
+def _check_grid(field) -> None:
+    """At least 2x2 cells and a positive finite spacing: the rules of every
+    grid and fileio reader."""
     if field.height < 2 or field.width < 2:
         raise ValueError("grid must be at least 2x2")
+    if not 0 < field.spacing < math.inf:
+        raise ValueError("spacing must be positive and finite")
 
 
 def _check_same_grid(a, b):
-    if a.values.shape[:2] != b.values.shape[:2] or a.spacing != b.spacing:
+    if (a.height, a.width, a.spacing) != (b.height, b.width, b.spacing):
         raise ValueError("grid shapes/spacings do not match")
 
 
+def _block_rows(width: int) -> int:
+    """Rows of a row block: at most BLOCK_CELLS cells, at least one row."""
+    return max(1, BLOCK_CELLS // width)
+
+
 def _row_blocks(height: int, width: int, halo: int):
-    """Yields (lo, hi, s0, s1) for consecutive row blocks [lo, hi) of at
-    most BLOCK_CELLS cells (at least one row), with the slab [s0, s1) that
-    adds up to `halo` rows on each side within the grid."""
-    rows = max(1, BLOCK_CELLS // width)
+    """Yields (lo, hi, s0, s1) for consecutive row blocks [lo, hi) of
+    _block_rows(width) rows (the last one fewer), with the slab [s0, s1)
+    that adds up to `halo` rows on each side within the grid."""
+    rows = _block_rows(width)
     for lo in range(0, height, rows):
         hi = min(lo + rows, height)
         yield lo, hi, max(lo - halo, 0), min(hi + halo, height)
@@ -265,34 +253,46 @@ def forward_divergence(p: DualField) -> GridImage:
 # anisotropic total variation
 # ----------------------------------------------------------------------
 
+def _stencil_block(slab: np.ndarray, rows: slice, spacing: float,
+                   g: Gauge | None, p_block: np.ndarray | None,
+                   sums: list, out: np.ndarray | None = None) -> None:
+    """Adds the sums of g and of the pairing with p_block over the forward
+    and the backward stencil of the block `rows` of `slab` (one halo row
+    each side within the grid) to sums[0:2] and sums[2:4].  One gradient
+    call, into `out`: b - a is exactly -(a - b), so shifted one cell, its
+    buffer holds the backward differences."""
+    d = _grad_forward_raw(slab, spacing, out=out)
+    block, dx, dy = d[rows], _flat(d[..., 0]), _flat(d[..., 1])
+    for k in (0, 1):
+        if k:  # one cell back in x and in y, zero in the first column/row
+            dx[1:], dy[d.shape[1]:] = dx[:-1], dy[:-d.shape[1]]
+            d[:, 0, 0] = d[0, :, 1] = 0.0
+        if g is not None:
+            sums[k] += g(block).sum()
+        if p_block is not None:
+            sums[2 + k] += np.einsum("ijk,ijk->", block, p_block)
+
+
+def _stencil_totals(sums: list, spacing: float) -> tuple[float, float]:
+    """(tv_phi, dual_pairing) from the sums of _stencil_block."""
+    return tuple(float(0.5 * (a + b) * spacing**2)
+                 for a, b in (sums[:2], sums[2:]))
+
+
 def _stencil_means(values: np.ndarray, spacing: float, g: Gauge | None = None,
                    p_values: np.ndarray | None = None) -> tuple[float, float]:
     """(tv_phi, dual_pairing) of the image `values` against g and the field
-    `p_values`, 0.0 for an argument left out, from one forward-gradient call
-    per row block on its slab with one halo row each side; b - a is exactly
-    -(a - b), so that buffer shifted one cell holds the backward ones."""
-    tv, pairing = [0.0, 0.0], [0.0, 0.0]
+    `p_values`, 0.0 for an argument left out, summed by row blocks."""
+    sums = [0.0] * 4
     for lo, hi, s0, s1 in _row_blocks(*values.shape, 1):
-        d = _grad_forward_raw(values[s0:s1], spacing)
-        block, dx, dy = d[lo - s0:hi - s0], _flat(d[..., 0]), _flat(d[..., 1])
-        for k in (0, 1):
-            if k:  # one cell back in x and in y, zero in the first column/row
-                dx[1:], dy[d.shape[1]:] = dx[:-1], dy[:-d.shape[1]]
-                d[:, 0, 0] = d[0, :, 1] = 0.0
-            if g is not None:
-                tv[k] += g(block).sum()
-            if p_values is not None:
-                pairing[k] += np.einsum("ijk,ijk->", block, p_values[lo:hi])
-    area = spacing**2
-    return (float(0.5 * (tv[0] + tv[1]) * area),
-            float(0.5 * (pairing[0] + pairing[1]) * area))
+        _stencil_block(values[s0:s1], slice(lo - s0, hi - s0), spacing, g,
+                       None if p_values is None else p_values[lo:hi], sums)
+    return _stencil_totals(sums, spacing)
 
 
 def tv_phi(u: GridImage, g: Gauge) -> float:
     """Discrete TV: spacing^2 times the mean of the gauge over the forward
-    and backward stencils (equal for separable gauges), summed by row blocks
-    (the last bit can differ on more than one).  One forward-gradient call
-    per block gives both: b - a = -(a - b), so the backward is a shift."""
+    and backward stencils (equal for separable gauges), by row blocks."""
     return _stencil_means(u.values, u.spacing, g)[0]
 
 

@@ -75,6 +75,27 @@ def test_pairs_alternate_and_the_claim_is_judged(ab, tmp_path):
     assert record["claim"]["met"]
     assert record["src_py_lines"] == {"parent": 10, "change": 7,
                                       "by_module": {"pkg/m.py": [10, 7]}}
+    # with or without .git, the digests name the code each side ran
+    assert record["src_sha256"] == {"parent": ab.src_sha256(parent),
+                                    "change": ab.src_sha256(change)}
+    assert record["src_sha256"]["parent"] != record["src_sha256"]["change"]
+
+
+def test_the_src_digest_follows_the_modules_and_their_paths(ab, tmp_path):
+    a = fake_tree(tmp_path, "a", 1.0, 3)
+    b = fake_tree(tmp_path, "b", 2.0, 3)
+    # other files of the tree, perfbench/ included, do not count
+    assert ab.src_sha256(a) == ab.src_sha256(b)
+    assert len(ab.src_sha256(a)) == 64
+    (b / "src" / "pkg" / "notes.txt").write_text("x")
+    assert ab.src_sha256(a) == ab.src_sha256(b)
+    before = ab.src_sha256(b)
+    (b / "src" / "pkg" / "m.py").rename(b / "src" / "pkg" / "n.py")
+    assert ab.src_sha256(b) != before
+    (b / "src" / "pkg" / "n.py").rename(b / "src" / "pkg" / "m.py")
+    assert ab.src_sha256(b) == before
+    (b / "src" / "pkg" / "m.py").write_text("x = 1\n" * 3 + "\n")
+    assert ab.src_sha256(b) != before
 
 
 def test_modules_on_one_side_only_are_counted(ab):

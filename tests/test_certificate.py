@@ -38,11 +38,20 @@ def test_trivial_zero_certificate():
 
 
 def test_nan_dual_maximum_fails_membership(monkeypatch):
-    # a NaN largest dual-gauge value is a NaN violation, not a zero one
-    monkeypatch.setattr(DualField, "max_dual_value", lambda self, g: math.nan)
+    # a NaN largest dual-gauge value is a NaN violation, not a zero one,
+    # also when a later block than the first holds it
+    monkeypatch.setattr(grid, "BLOCK_CELLS", 4 * 16)
+    blocks = []
+
+    def dual(self, x):
+        blocks.append(x.shape)
+        return np.full(x.shape[:-1], math.nan if len(blocks) == 3 else 0.0)
+
+    monkeypatch.setattr(Gauge, "dual", dual)
     u0 = GridImage(np.zeros((16, 16)), 0.5)
     rep = check_certificate(u0, u0, DualField(np.zeros((16, 16, 2)), 0.5),
                             1.0, L1)
+    assert blocks == [(4, 16, 2)] * 4
     assert math.isnan(rep.wulff_violation)
     assert not rep.conditions["i_wulff_membership"] and not rep.passed
 

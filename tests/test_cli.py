@@ -362,6 +362,85 @@ def test_a_malformed_image_sidecar_is_a_configuration_error(tmp_path, capsys,
     assert not (tmp_path / "o_report.json").exists()
 
 
+def test_an_image_sidecar_that_is_no_json_names_the_file(tmp_path, capsys):
+    # it used to exit with only "Expecting property name enclosed in double
+    # quotes: line 1 column 2 (char 1)"
+    from wulff_tvl1.fileio import write_field
+    from wulff_tvl1.grid import DualField
+    image = tmp_path / "d.pgm"
+    v = tmp_path / "v.raw"
+    write_pgm(image, GridImage(np.zeros((16, 16)), 1.0))
+    write_field(v, DualField(np.zeros((16, 16, 2)), 1.0))
+    Path(f"{image}.json").write_text("{spacing: 1")
+    for argv in (["denoise", "--input", str(image), "--lambda", "2",
+                  "--output-prefix", str(tmp_path / "o")],
+                 ["certify", "--u0", str(image), "--f", str(image),
+                  "--v", str(v), "--lambda", "2"]):
+        assert run(*argv) == 1
+        assert f"{image}.json is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "o_report.json").exists()
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ("{width: 16", "is not valid JSON"),
+    ("[1]", "must hold a JSON object"),
+    ('{"width": 16, "spacing": 1.0, "components": 2}', "must hold a JSON object"),
+    ('{"width": 16, "height": 16.0, "spacing": 1.0, "components": 2}',
+     "must hold a JSON object"),
+    ('{"width": 16, "height": true, "spacing": 1.0, "components": 2}',
+     "must hold a JSON object"),
+    ('{"width": 16, "height": 16, "spacing": 1.0}', "must hold a JSON object"),
+    ('{"width": 16, "height": 16, "spacing": 1.0, "components": 3}',
+     "must hold a JSON object"),
+    ('{"width": 16, "height": 16, "spacing": "x", "components": 2}',
+     "must hold a JSON object"),
+    ('{"width": 16, "height": 16, "components": 2}', "must hold a JSON object"),
+], ids=["not-json", "not-an-object", "no-height", "float-height",
+        "boolean-height", "no-components", "three-components",
+        "string-spacing", "no-spacing"])
+def test_a_malformed_field_sidecar_names_the_file(tmp_path, capsys, sidecar,
+                                                  message):
+    # these exited 1 with messages such as "'height'", "list indices must be
+    # integers or slices, not str" or "could not convert string to float"
+    from wulff_tvl1.fileio import write_field
+    from wulff_tvl1.grid import DualField
+    u0 = tmp_path / "u0.pgm"
+    v = tmp_path / "v.raw"
+    write_pgm(u0, GridImage(np.zeros((16, 16)), 1.0))
+    write_field(v, DualField(np.zeros((16, 16, 2)), 1.0))
+    Path(f"{v}.json").write_text(sidecar)
+    out = tmp_path / "cert.json"
+    assert run("certify", "--u0", str(u0), "--f", str(u0), "--v", str(v),
+               "--lambda", "2", "--output", str(out)) == 1
+    assert f"{v}.json {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_truncated_pgm_payload_names_the_file(tmp_path, capsys):
+    # numpy's "buffer is smaller than requested size" named no file
+    from wulff_tvl1.fileio import write_field
+    from wulff_tvl1.grid import DualField
+    good = tmp_path / "good.pgm"
+    short = tmp_path / "short.pgm"
+    v = tmp_path / "v.raw"
+    write_pgm(good, GridImage(np.zeros((16, 16)), 1.0), maxval=255)
+    short.write_bytes(good.read_bytes()[:-1])
+    write_field(v, DualField(np.zeros((16, 16, 2)), 1.0))
+    certify = ["certify", "--v", str(v), "--lambda", "2", "--spacing", "1"]
+    for argv in (["denoise", "--input", str(short), "--lambda", "2",
+                  "--output-prefix", str(tmp_path / "o")],
+                 certify + ["--u0", str(short), "--f", str(good)],
+                 certify + ["--u0", str(good), "--f", str(short)]):
+        assert run(*argv) == 1
+        assert (f"{short}: PGM payload holds 255 of the 256 samples"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "o_report.json").exists()
+    # bytes past the payload are allowed: Netpbm files may hold more images
+    long = tmp_path / "long.pgm"
+    long.write_bytes(good.read_bytes() + b"P5\n2 2\n255\n" + bytes(4))
+    assert run(*certify, "--u0", str(long), "--f", str(good)) == 0
+
+
 def test_unwritable_output_is_an_io_error(tmp_path):
     disk = tmp_path / "disk.pgm"
     run("synth", "disk", "--size", "16", "--output", str(disk))

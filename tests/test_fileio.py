@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wulff_tvl1.fileio import read_field, read_pgm, write_field, write_pgm
+from wulff_tvl1.fileio import (FieldReader, PgmReader, read_field, read_pgm,
+                               write_field, write_pgm)
 from wulff_tvl1.grid import DualField, GridImage
 
 
@@ -97,3 +98,32 @@ def test_field_rejects_short_and_long_files(tmp_path, rng):
         path.write_bytes(bad)
         with pytest.raises(ValueError):
             read_field(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"P5\n4 4", "the PGM header ends early"),
+    (b"P5\n4 x 255\n" + bytes(16), "is not numeric"),
+    (b"P5\n" + b"7" * 64, "no PGM header"),
+    (b"\x00\x01" * 64, "no PGM header"),
+    (b"P2\n2 2\n255\n0 1 2 3\n", r"only binary \(P5\) PGM"),
+], ids=["ends-early", "not-numeric", "token-too-long", "raw-bytes", "plain"])
+def test_pgm_header_errors_name_the_file(tmp_path, raw, message):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=message) as err:
+        PgmReader(path)
+    assert str(path) in str(err.value)
+
+
+def test_readers_check_the_grid_on_opening(tmp_path, rng):
+    # the rules of GridImage and DualField hold before any row is read
+    path = tmp_path / "v.raw"
+    write_field(path, DualField(rng.normal(size=(4, 3, 2)), spacing=0.5))
+    (tmp_path / "v.raw.json").write_text(
+        '{"width": 3, "height": 4, "spacing": 0.0, "components": 2}')
+    with pytest.raises(ValueError, match="spacing must be positive"):
+        FieldReader(path)
+    image = tmp_path / "u.pgm"
+    image.write_bytes(b"P5 8 1 255\n" + bytes(8))
+    with pytest.raises(ValueError, match="at least 2x2"):
+        PgmReader(image)

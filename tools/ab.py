@@ -24,12 +24,16 @@ than the bound and not every change run beats every parent run, else
 "within".  --claim adds whether that metric meets the gain rule: ten
 pairs, the change better in at least nine of them, and the medians further
 apart than the parent's IQR.  Lines of src/**/*.py are counted in both trees,
-per module, a module that one tree lacks counting 0 there.
+per module, a module that one tree lacks counting 0 there.  Each tree's
+commit is recorded when it is a git checkout, and the sha256 of its
+src/**/*.py (src_sha256) always, so a record names the code each side ran
+even from checkouts without .git.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -65,6 +69,17 @@ def git_commit(tree: Path) -> str | None:
 def src_lines(tree: Path) -> dict:
     return {str(p.relative_to(tree / "src")): len(p.read_bytes().splitlines())
             for p in sorted((tree / "src").rglob("*.py"))}
+
+
+def src_sha256(tree: Path) -> str:
+    """sha256 over src/**/*.py in path order: each module's path relative
+    to src/, its size and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(tree / 'src')}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def by_module(parent: dict, change: dict) -> dict:
@@ -210,6 +225,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "parent_commit": git_commit(trees["parent"]),
         "change_commit": git_commit(trees["change"]),
+        "src_sha256": {side: src_sha256(tree) for side, tree in trees.items()},
         "command": (f"python3 perfbench/run.py --workload W --seed S "
                     f"--seconds {seconds:g} --trace 0"),
         "seeds": {w: f"{args.seed}-{args.seed + PAIRS - 1}" for w in args.workload},
