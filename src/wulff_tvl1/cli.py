@@ -202,14 +202,13 @@ def cmd_certify(args) -> int:
         spacing = args.extent / args.size
         f = raster_disk(args.size, args.size, spacing, radius=1.0,
                         supersample=4, binary=True)
-        square = np.array([[ex.h, ex.h], [-ex.h, ex.h],
-                           [-ex.h, -ex.h], [ex.h, -ex.h]])
+        square = Gauge.p_norm(1).wulff().vertices * ex.h  # [-h, h]^2
         clip = raster_convex_polygon(square, args.size, args.size, spacing,
                                      supersample=4, binary=True)
         u0 = GridImage(f.values * clip.values, spacing)
         v = build_circle_certificate(lam, args.size, args.size, spacing)
     else:
-        if not (args.u0 and args.f and args.v and args.lam):
+        if None in (args.u0, args.f, args.v, args.lam):
             raise ValueError("need --u0, --f, --v and --lambda "
                              "(or --example-circle)")
         lam = args.lam

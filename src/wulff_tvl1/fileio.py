@@ -49,8 +49,18 @@ def _sidecar(path: Path):
     sidecar = Path(f"{path}.json")
     try:
         return sidecar, json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise ValueError(f"{sidecar} is not valid JSON: {exc}") from None
+
+
+def _sidecar_spacing(sidecar: Path, value) -> float:
+    """The spacing a sidecar gives: a JSON number, not a bool, that is
+    positive and finite as a float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{sidecar} must hold a JSON object whose spacing is a number")
+    if not 0 < value <= sys.float_info.max:  # exact for an int of any length
+        raise ValueError(f"{sidecar}: spacing must be positive and finite")
+    return float(value)
 
 
 def _pgm_header(fh, path: Path) -> list:
@@ -78,7 +88,8 @@ def _pgm_header(fh, path: Path) -> list:
 class PgmReader:
     """Rows of a binary PGM as float64 values in [0, 1].  spacing None
     takes the spacing of the sidecar <path>.json when that file exists: a
-    JSON object whose spacing, if given, is a number (absent, 1.0)."""
+    JSON object whose spacing, if given, is a positive finite number
+    (absent, 1.0)."""
 
     def __init__(self, path, spacing: float | None = 1.0):
         self.path = path = Path(path)
@@ -102,10 +113,8 @@ class PgmReader:
             spacing = 1.0
             if Path(f"{path}.json").exists():
                 sidecar, meta = _sidecar(path)
-                spacing = meta.get("spacing", 1.0) if isinstance(meta, dict) else None
-                if type(spacing) not in (int, float):  # bool and None included
-                    raise ValueError(f"{sidecar} must hold a JSON object whose "
-                                     "spacing, if given, is a number")
+                spacing = _sidecar_spacing(sidecar, meta.get("spacing", 1.0)
+                                           if isinstance(meta, dict) else None)
         self.spacing = spacing
         _check_grid(self)
 
@@ -145,8 +154,8 @@ def write_field(path, field: DualField) -> None:
 
 class FieldReader:
     """Rows of a raw float64 field whose sidecar <path>.json is a JSON
-    object with integer width and height, components 2 and a number
-    spacing."""
+    object with integer width and height, components 2 and a positive
+    finite number spacing."""
 
     def __init__(self, path):
         self.path = path = Path(path)
@@ -154,12 +163,11 @@ class FieldReader:
         if not (isinstance(meta, dict)
                 and all(type(meta.get(k)) is int
                         for k in ("width", "height", "components"))
-                and meta["components"] == 2
-                and type(meta.get("spacing")) in (int, float)):
+                and meta["components"] == 2):
             raise ValueError(f"{sidecar} must hold a JSON object with integer "
-                             "width and height, components 2 and a number spacing")
+                             "width and height and components 2")
         self.width, self.height = meta["width"], meta["height"]
-        self.spacing = float(meta["spacing"])
+        self.spacing = _sidecar_spacing(sidecar, meta.get("spacing"))
         _check_grid(self)
         if path.stat().st_size != 16 * self.height * self.width:
             raise ValueError(f"{path} does not hold {self.height}x{self.width}x2 "

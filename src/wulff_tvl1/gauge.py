@@ -36,8 +36,7 @@ import numpy as np
 
 from .projection import (PolygonEdges, _planes, _pnorm, _polygon_edges,
                          _polygon_halfspaces, _project_convex_polygon,
-                         _project_l1_ball, _project_q_ball,
-                         _project_shifted_disk, _project_unit_disk)
+                         _project_disk, _project_l1_ball, _project_q_ball)
 
 __all__ = [
     "Gauge",
@@ -60,10 +59,24 @@ def _conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _norm_ball_vertices(p: float, dim: int) -> np.ndarray:
+    """Vertices of the unit ball of |.|_p for p = 1 or inf; in 2-D the
+    diamond from (1, 0) and the box from (1, 1), counterclockwise."""
+    if p == 1.0:
+        eye = np.eye(dim)
+        return np.concatenate([eye, -eye])
+    if dim == 2:
+        return np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    grids = np.meshgrid(*([[1.0, -1.0]] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     """Andrew monotone chain; returns hull vertices in CCW order starting
     at the lexicographically smallest point."""
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if not np.isfinite(pts).all():
+        raise ValueError("polyhedral wulff_vertices must be finite")
     if len(pts) < 3:
         raise ValueError("polyhedral gauge needs at least 3 distinct vertices")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
@@ -122,6 +135,8 @@ class Gauge:
         p = float(p)
         if not (p >= 1.0):
             raise ValueError(f"p-norm exponent must be in [1, inf], got {p}")
+        if not (isinstance(dim, int) and dim >= 1):
+            raise ValueError(f"p-norm dim must be an integer >= 1, got {dim!r}")
         return cls(kind="p-norm", dim=dim, p=p)
 
     @classmethod
@@ -130,15 +145,17 @@ class Gauge:
         w = np.asarray(weights, dtype=float)
         if not (p >= 1.0):
             raise ValueError(f"exponent must be in [1, inf], got {p}")
-        if w.ndim != 1 or np.any(w <= 0):
-            raise ValueError("weights must be a 1-D positive array")
+        if w.ndim != 1 or not w.size or not np.all((0.0 < w) & (w < math.inf)):
+            raise ValueError("weights must be positive finite numbers, at least one")
         return cls(kind="weighted", dim=len(w), p=p, weights=w)
 
     @classmethod
     def polyhedral(cls, wulff_vertices) -> "Gauge":
-        hull = _convex_hull_ccw(np.asarray(wulff_vertices, dtype=float))
-        if hull.shape[1] != 2:
-            raise ValueError("polyhedral gauges are 2-D only")
+        vertices = np.asarray(wulff_vertices, dtype=float)
+        if vertices.ndim != 2 or vertices.shape[1] != 2:
+            raise ValueError("polyhedral gauges are 2-D only: wulff_vertices "
+                             "are (x, y) pairs")
+        hull = _convex_hull_ccw(vertices)
         _, offsets = _polygon_halfspaces(hull)
         if np.any(offsets <= 1e-12):
             raise ValueError("0 must lie strictly inside the Wulff polygon")
@@ -147,8 +164,8 @@ class Gauge:
     @classmethod
     def asymmetric(cls, a) -> "Gauge":
         a = np.asarray(a, dtype=float)
-        if np.linalg.norm(a) >= 1.0:
-            raise ValueError("asymmetric shift must satisfy |a|_2 < 1")
+        if a.ndim != 1 or not a.size or not np.linalg.norm(a) < 1.0:  # NaN too
+            raise ValueError("asymmetric shift a must be a vector with |a|_2 < 1")
         return cls(kind="asymmetric", dim=len(a), shift=a)
 
     # -- JSON interface -------------------------------------------------
@@ -162,7 +179,7 @@ class Gauge:
             raise ValueError(f"a gauge spec is a JSON object, got {spec!r}")
         kind = spec.get("kind")
         if kind == "p-norm":
-            return cls.p_norm(spec["p"], dim=int(spec.get("dim", 2)))
+            return cls.p_norm(spec["p"], dim=spec.get("dim", 2))
         if kind == "weighted":
             return cls.weighted(spec["p"], spec["weights"])
         if kind == "polyhedral":
@@ -200,17 +217,9 @@ class Gauge:
             # B is the polar of -W: one vertex n_e / b_e per edge of -W.
             edges = self._minus_wulff_edges
             return edges.normals / edges.offsets[:, None]
-        if self.separable:
-            eye = np.eye(self.dim)
-            verts = np.concatenate([eye, -eye], axis=0)
-        elif self.kind in ("p-norm", "weighted") and math.isinf(self.p):
-            if self.dim == 2:
-                verts = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-            else:
-                grids = np.meshgrid(*([[1.0, -1.0]] * self.dim), indexing="ij")
-                verts = np.stack([g.ravel() for g in grids], axis=-1)
-        else:
+        if self.p not in (1.0, math.inf):  # p is None for asymmetric kinds
             raise ValueError("no vertex list for smooth gauges")
+        verts = _norm_ball_vertices(self.p, self.dim)
         if self.kind == "weighted":
             verts = verts / self.weights
         return verts
@@ -290,27 +299,20 @@ class Gauge:
         vertex_count-gon for smooth ones (2-D only)."""
         if self.dim != 2:
             raise ValueError("polygonal Wulff shapes are available in 2-D only")
+        exact = self.kind == "polyhedral" or self.p in (1.0, math.inf)
+        w = self.weights if self.kind == "weighted" else 1.0
         if self.kind == "polyhedral":
             verts = self.wulff_vertices.copy()
-            exact = True
-        elif self.kind in ("p-norm", "weighted"):
-            q = _conjugate_exponent(self.p)
-            w = self.weights if self.kind == "weighted" else np.ones(2)
-            if q == 1.0:
-                verts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) * w
-                exact = True
-            elif math.isinf(q):
-                verts = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]) * w
-                exact = True
-            else:
-                theta = np.linspace(0.0, 2.0 * math.pi, vertex_count, endpoint=False)
-                d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-                verts = w * d / _pnorm(d, q)[:, None]
-                exact = False
-        else:  # asymmetric: unit disk centred at -a
+        elif exact:  # the unit ball of the conjugate norm, scaled by w
+            verts = _norm_ball_vertices(_conjugate_exponent(self.p), 2) * w
+        else:
             theta = np.linspace(0.0, 2.0 * math.pi, vertex_count, endpoint=False)
-            verts = -self.shift + np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            exact = False
+            circle = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+            if self.kind == "asymmetric":  # the unit disk centred at -a
+                verts = -self.shift + circle
+            else:
+                q = _conjugate_exponent(self.p)
+                verts = w * circle / _pnorm(circle, q)[:, None]
         radius = float(np.max(np.linalg.norm(verts, axis=-1)))
         return WulffShape(vertices=verts, bounding_radius=radius, exact=exact)
 
@@ -334,13 +336,13 @@ class Gauge:
         if out is None:
             out = np.empty(x.shape)
         if self.kind == "asymmetric":  # -W is the unit disk centred at a
-            return _project_shifted_disk(x, self.shift, out)
+            return _project_disk(x, out, self.shift)
         p, w = self.p, self.weights  # both None for polygons
         if p == 1.0:  # -W is the box |x_i| <= w_i
             bound = w if w is not None else 1.0
             return np.clip(x, -bound, bound, out=out)
         if p == 2.0 and w is None:
-            return _project_unit_disk(x, out)
+            return _project_disk(x, out)
         if self.dim != 2:
             raise ValueError("the projection onto -W is 2-D only for this gauge")
         if out is not x:  # the other routines project in place, so an out

@@ -1,16 +1,18 @@
 """Euclidean projections onto the convex sets that -W can be, for 2-D
 fields worked one component plane at a time.
 
-There is one routine per geometry: closed forms for the disk (p = 2, and
-centred at a for the asymmetric kinds) and the 2-D l1 ball (p = inf; with
-equal weights a square turned 45 degrees, clipped as a box in the rotated
-coordinates x_1 + x_2 and x_1 - x_2), safeguarded Newton on one boundary
-parameter per point for weighted q-norm balls (every other p, ellipses
-included), and the nearest point of the most-violated edge for convex
-polygons.  The box of p = 1 is a clip.  The disk routines write into an
-`out` of x's shape; the others project one array in place through its
-two component planes, 1-D views that `_planes` takes without a copy or
-refuses.  `Gauge.project_minus_wulff` checks and copies for all of them.
+There is one routine per geometry: closed forms for the disk (p = 2, about
+0 or, for the asymmetric kinds, about a) and the 2-D l1 ball (p = inf),
+safeguarded Newton on one boundary parameter per point for weighted
+q-norm balls (every other p, ellipses included), and the nearest point of
+the most-violated edge for convex polygons.  The box of p = 1 is a clip.
+The l1 ball has two branches, each faster than the alternative measured:
+with equal weights a square turned 45 degrees, clipped as a box in the
+rotated coordinates x_1 + x_2 and x_1 - x_2, and with unequal ones the
+nearest point of an edge.  The disk routine writes into an `out` of x's
+shape; the others project one array in place through its two component
+planes, 1-D views that `_planes` takes without a copy or refuses.
+`Gauge.project_minus_wulff` checks and copies for all of them.
 Points of the set come back unchanged.  The q-ball and polygon routines
 look for the points outside only among those that a cheap test cannot
 place inside: for a polygon about 0, the points outside its inscribed
@@ -88,23 +90,21 @@ def _planes(a: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _project_unit_disk(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    scale = np.maximum(_pnorm(x, 2.0), 1.0)[..., None]
-    return np.divide(x, scale, out=out)
-
-
-def _project_shifted_disk(x: np.ndarray, centre: np.ndarray,
-                          out: np.ndarray) -> np.ndarray:
-    """Projection onto the unit disk centred at `centre`, one component
-    plane at a time: the same arithmetic as
-    centre + _project_unit_disk(x - centre), without its broadcast passes."""
+def _project_disk(x: np.ndarray, out: np.ndarray,
+                  centre: np.ndarray | None = None) -> np.ndarray:
+    """centre + (x - centre) / max(|x - centre|, 1) into `out`, one component
+    plane at a time: the projection onto the unit ball about `centre`, or
+    about 0 with no centre, which leaves -0.0 entries their sign."""
     planes = [out[..., i] for i in range(x.shape[-1])]
-    for i, (plane, c) in enumerate(zip(planes, centre)):
-        np.subtract(x[..., i], c, out=plane)
-    scale = np.maximum(_pnorm(out, 2.0), 1.0)
-    for plane, c in zip(planes, centre):
-        plane /= scale
-        plane += c
+    if centre is not None:
+        for i, (plane, c) in enumerate(zip(planes, centre)):
+            np.subtract(x[..., i], c, out=plane)
+        x = out
+    scale = np.maximum(_pnorm(x, 2.0), 1.0)
+    for i, plane in enumerate(planes):
+        np.divide(x[..., i], scale, out=plane)
+        if centre is not None:
+            plane += centre[i]
     return out
 
 

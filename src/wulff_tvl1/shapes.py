@@ -161,8 +161,6 @@ def circle_optimality_threshold() -> float:
 def _clip_halfplane(vertices: np.ndarray, normal: np.ndarray,
                     offset: float) -> np.ndarray:
     """Sutherland-Hodgman clip of a convex polygon by n.x <= b."""
-    if len(vertices) == 0:
-        return vertices
     d = vertices @ normal - offset
     keep = d <= 1e-12
     if np.all(keep):
@@ -221,36 +219,23 @@ def minkowski_sum(P: ConvexPolygon, Q: ConvexPolygon) -> ConvexPolygon:
     return ConvexPolygon(_dedupe(verts))
 
 
-def erode_by_wulff(C: ConvexPolygon, s: float, g: Gauge) -> ConvexPolygon:
-    """C shrunk so that x + s*W fits inside: each face offset inward by
-    s * (support of W at its normal)."""
-    if C.is_empty or s < 0:
-        raise ValueError("need a nonempty polygon and s >= 0")
-    if s == 0:
-        return ConvexPolygon(C.vertices.copy())
-    wulff = g.wulff().vertices
-    normals, offsets = _polygon_halfspaces(C.vertices)
-    verts = C.vertices.copy()
-    for nvec, b in zip(normals, offsets):
-        support = float(np.max(wulff @ nvec))
-        verts = _clip_halfplane(verts, nvec, b - s * support)
-        if len(verts) < 3:
-            return ConvexPolygon(np.zeros((0, 2)))
-    return ConvexPolygon(verts)
-
-
 def opening_by_wulff(C: ConvexPolygon, s: float, g: Gauge) -> ConvexPolygon:
-    """Morphological opening of C by s * W: erosion then Minkowski dilation.
+    """Morphological opening of C by s * W: erosion, each face of C offset
+    inward by s * (support of W at its normal), then Minkowski dilation.
     May return the empty polygon."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     if s == 0 or C.is_empty:
         return ConvexPolygon(C.vertices.copy())
-    eroded = erode_by_wulff(C, s, g)
-    if eroded.is_empty:
-        return eroded
-    wulff = ConvexPolygon(g.wulff().vertices).scaled(s)
-    return minkowski_sum(eroded, wulff)
+    wulff = g.wulff().vertices
+    normals, offsets = _polygon_halfspaces(C.vertices)
+    verts = C.vertices
+    for nvec, b in zip(normals, offsets):
+        support = float(np.max(wulff @ nvec))
+        verts = _clip_halfplane(verts, nvec, b - s * support)
+        if len(verts) < 3:
+            return ConvexPolygon(np.zeros((0, 2)))
+    return minkowski_sum(ConvexPolygon(verts), ConvexPolygon(wulff).scaled(s))
 
 
 def shape_energy_ratio(P: ConvexPolygon, g: Gauge) -> float:

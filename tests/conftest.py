@@ -2,12 +2,13 @@
 
 The oracles here deliberately avoid the code paths they check: dual gauges
 are brute-forced over dense boundary samples, TV-L1 optima are found by
-exhaustive enumeration, and anisotropic perimeters by quadrature over the
-boundary normal.
+exhaustive enumeration or, for separable gauges, by one max flow, and
+anisotropic perimeters by quadrature over the boundary normal.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,45 @@ def brute_force_binary_optimum(f: GridImage, lam: float, g: Gauge) -> float:
         u = GridImage(np.array(bits).reshape(h, w), f.spacing)
         best = min(best, energy(u, f, lam, g))
     return best
+
+
+def max_flow_optimum(f: GridImage, lam: float, g: Gauge) -> float:
+    """Exact minimum of the forward-stencil energy for binary f and a
+    separable gauge phi(y) = c_0 |y_0| + c_1 |y_1|, as one s-t minimum cut
+    (Chambolle & Darbon, IJCV 2009).  Each pair of horizontal neighbours
+    gets two arcs of capacity h c_0, each vertical pair two of h c_1; a cell
+    with f = 1 gets an arc from the source and a cell with f = 0 one to the
+    sink, of capacity lam h^2.  The source side of a minimum cut is
+    {u = 1}, and by the coarea formula a binary u is optimal among all u.
+    The capacities are scaled to integers exactly, so the value is exact
+    up to its final rounding to float."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    c0, c1 = (float(c) for c in g(np.eye(2)))
+    h = Fraction(f.spacing)
+    caps = [h * Fraction(c0), h * Fraction(c1), Fraction(lam) * h * h]
+    scale = math.lcm(*(c.denominator for c in caps))
+    cx, cy, cell = (int(c * scale) for c in caps)
+    ids = np.arange(f.values.size).reshape(f.values.shape)
+    source, sink = f.values.size, f.values.size + 1
+    ones = np.flatnonzero(f.values == 1.0)
+    zeros = np.flatnonzero(f.values == 0.0)
+    if ones.size + zeros.size != f.values.size:
+        raise ValueError("the max-flow oracle needs a binary f")
+    arcs = [  # (tails, heads, capacity)
+        (ids[:, :-1], ids[:, 1:], cx), (ids[:, 1:], ids[:, :-1], cx),
+        (ids[:-1], ids[1:], cy), (ids[1:], ids[:-1], cy),
+        (np.full(ones.size, source), ones, cell), (zeros, np.full(zeros.size, sink), cell),
+    ]
+    tails = np.concatenate([t.ravel() for t, _, _ in arcs])
+    heads = np.concatenate([hd.ravel() for _, hd, _ in arcs])
+    if max(cx, cy, ones.size * cell) >= 2**31:  # the flow is at most the latter
+        raise ValueError("capacities beyond the int32 range of maximum_flow")
+    capacity = np.concatenate([np.full(t.size, c, dtype=np.int32) for t, _, c in arcs])
+    graph = coo_matrix((capacity, (tails, heads)), shape=(sink + 1,) * 2).tocsr()
+    flow = maximum_flow(graph, source, sink, method="dinic").flow_value
+    return float(Fraction(int(flow), scale))
 
 
 def boundary_integral_oracle(g: Gauge, radius: float = 1.0,
@@ -96,6 +136,26 @@ GAUGE_ZOO = {
         [[2, 0], [1, 2], [-1, 1], [-2, -1], [0, -2], [1.5, -1]]),
     "asymmetric": Gauge.asymmetric([0.5, 0.0]),
     "asymmetric-skew": Gauge.asymmetric([0.3, -0.4]),
+}
+
+
+# Gauge specs that JSON admits (NaN and Infinity included) and the
+# constructors refuse, each with the field its error names.  They were all
+# accepted, but for flat vertices and dim Infinity, which raised IndexError
+# and OverflowError out of the CLI.
+REFUSED_GAUGE_SPECS = {
+    "weights-nan": ('{"kind": "weighted", "p": 2, "weights": [NaN, 1]}', "weights"),
+    "weights-inf": ('{"kind": "weighted", "p": 2, "weights": [1, Infinity]}', "weights"),
+    "weights-empty": ('{"kind": "weighted", "p": 2, "weights": []}', "weights"),
+    "shift-nan": ('{"kind": "asymmetric", "a": [NaN, 0.2]}', "shift a"),
+    "vertex-inf": ('{"kind": "polyhedral", "wulff_vertices": '
+                   '[[Infinity, 1], [-1, 1], [-1, -1], [1, -1]]}', "wulff_vertices"),
+    "vertex-nan": ('{"kind": "polyhedral", "wulff_vertices": '
+                   '[[NaN, 1], [-1, 1], [-1, -1], [1, -1]]}', "wulff_vertices"),
+    "vertices-flat": ('{"kind": "polyhedral", "wulff_vertices": [1, 2, 3]}',
+                      "wulff_vertices"),
+    "dim-0": ('{"kind": "p-norm", "p": 2, "dim": 0}', "dim"),
+    "dim-inf": ('{"kind": "p-norm", "p": 2, "dim": Infinity}', "dim"),
 }
 
 

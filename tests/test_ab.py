@@ -75,6 +75,7 @@ def test_pairs_alternate_and_the_claim_is_judged(ab, tmp_path):
     assert record["claim"]["met"]
     assert record["src_py_lines"] == {"parent": 10, "change": 7,
                                       "by_module": {"pkg/m.py": [10, 7]}}
+    assert record["src_code_lines"] == record["src_py_lines"]  # all code
     # with or without .git, the digests name the code each side ran
     assert record["src_sha256"] == {"parent": ab.src_sha256(parent),
                                     "change": ab.src_sha256(change)}
@@ -96,6 +97,30 @@ def test_the_src_digest_follows_the_modules_and_their_paths(ab, tmp_path):
     assert ab.src_sha256(b) == before
     (b / "src" / "pkg" / "m.py").write_text("x = 1\n" * 3 + "\n")
     assert ab.src_sha256(b) != before
+
+
+def test_code_lines_leave_out_blank_lines_comments_and_docstrings(ab):
+    source = textwrap.dedent('''\
+        """Module docstring,
+        two lines."""
+        import os  # a comment after code
+
+
+        # a comment alone
+        class A:
+            """Class docstring."""
+            x = """a string, not a docstring,
+            over two lines"""
+
+            def f(self):
+                """Function
+                docstring."""
+                return (1 +
+                        2)
+        ''')
+    # import, class, both lines of x, def and both lines of the return
+    assert ab.code_lines(source) == 7
+    assert ab.code_lines("") == 0
 
 
 def test_modules_on_one_side_only_are_counted(ab):

@@ -17,6 +17,8 @@ from wulff_tvl1.grid import GridImage
 from wulff_tvl1.shapes import wulff_tv_and_area
 from wulff_tvl1.solver import SolverConfig, solve
 
+from conftest import REFUSED_GAUGE_SPECS
+
 
 def run(*argv):
     return main(list(argv))
@@ -244,6 +246,45 @@ def test_certify_example_circle_exit_codes(tmp_path):
     assert run("certify", "--example-circle", "2", "--size", "192") == 3
 
 
+@pytest.mark.parametrize("spec, field", REFUSED_GAUGE_SPECS.values(),
+                         ids=REFUSED_GAUGE_SPECS.keys())
+def test_a_refused_gauge_is_a_configuration_error(tmp_path, capsys, spec, field):
+    # NaN weights used to exit 2 from denoise, with a NaN energy and gap in
+    # the report, and 3 from certify, with a NaN tv_value
+    disk = tmp_path / "d.pgm"
+    run("synth", "disk", "--size", "16", "--output", str(disk))
+    capsys.readouterr()
+    for argv in (["denoise", "--input", str(disk), "--lambda", "3",
+                  "--output-prefix", str(tmp_path / "o")],
+                 ["certify", "--example-circle", "3", "--size", "16",
+                  "--output", str(tmp_path / "cert.json")]):
+        assert run(*argv, "--gauge", spec) == 1
+        assert field in capsys.readouterr().err
+    assert not (tmp_path / "o_report.json").exists()
+    assert not (tmp_path / "cert.json").exists()
+
+
+def test_certify_lambda_zero_is_named(tmp_path, capsys):
+    # --lambda 0 used to read as a missing --lambda
+    disk = tmp_path / "d.pgm"
+    run("synth", "disk", "--size", "16", "--output", str(disk))
+    v = tmp_path / "v.raw"
+    write_field_zeros(v, 16)
+    capsys.readouterr()
+    for lam in ("0", "-1"):
+        assert run("certify", "--u0", str(disk), "--f", str(disk), "--v", str(v),
+                   "--lambda", lam) == 1
+        assert "lambda must be positive and finite" in capsys.readouterr().err
+    assert run("certify", "--u0", str(disk), "--f", str(disk), "--v", str(v)) == 1
+    assert "need --u0, --f, --v and --lambda" in capsys.readouterr().err
+
+
+def write_field_zeros(path, size):
+    from wulff_tvl1.fileio import write_field
+    from wulff_tvl1.grid import DualField
+    write_field(path, DualField(np.zeros((size, size, 2)), 3.0 / size))
+
+
 def test_certify_mismatched_grids(tmp_path):
     from wulff_tvl1.fileio import write_field
     from wulff_tvl1.grid import DualField
@@ -360,6 +401,27 @@ def test_a_malformed_image_sidecar_is_a_configuration_error(tmp_path, capsys,
         assert run(*argv) == 1
         assert f"{image}.json must hold a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "o_report.json").exists()
+
+
+def test_an_overflowing_sidecar_spacing_is_a_configuration_error(tmp_path, capsys):
+    # a 400-digit spacing made float() raise OverflowError, a traceback out
+    # of main, from both the image and the field sidecar
+    image = tmp_path / "d.pgm"
+    v = tmp_path / "v.raw"
+    write_pgm(image, GridImage(np.zeros((16, 16)), 1.0))
+    write_field_zeros(v, 16)
+    huge = "1" + "0" * 400
+    Path(f"{image}.json").write_text(f'{{"spacing": {huge}}}')
+    assert run("denoise", "--input", str(image), "--lambda", "2",
+               "--output-prefix", str(tmp_path / "o")) == 1
+    assert f"{image}.json: spacing must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o_report.json").exists()
+    sidecar = json.loads(Path(f"{v}.json").read_text())
+    Path(f"{v}.json").write_text(json.dumps(sidecar).replace(
+        f'"spacing": {sidecar["spacing"]}', f'"spacing": {huge}'))
+    assert run("certify", "--u0", str(image), "--f", str(image), "--v", str(v),
+               "--lambda", "2", "--spacing", "1") == 1
+    assert f"{v}.json: spacing must be positive and finite" in capsys.readouterr().err
 
 
 def test_an_image_sidecar_that_is_no_json_names_the_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,40 @@ def test_readers_check_the_grid_on_opening(tmp_path, rng):
     image.write_bytes(b"P5 8 1 255\n" + bytes(8))
     with pytest.raises(ValueError, match="at least 2x2"):
         PgmReader(image)
+
+
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("spacing", [HUGE, "-" + HUGE, "1" * 5000, "NaN", "Infinity",
+                                     "0", "-0.5"],
+                         ids=["huge", "minus-huge", "too-long-to-read", "nan", "inf",
+                              "zero", "negative"])
+def test_both_sidecars_hold_a_positive_finite_spacing(tmp_path, spacing):
+    # one rule for both readers: a 400-digit spacing raised OverflowError
+    # from the field reader, and the image reader took it as an int; past
+    # 4300 digits json.loads raised a ValueError that named no file
+    image = tmp_path / "u.pgm"
+    write_pgm(image, GridImage(np.zeros((4, 3)), 1.0))
+    field = tmp_path / "v.raw"
+    write_field(field, DualField(np.zeros((4, 3, 2)), 1.0))
+    Path(f"{image}.json").write_text(f'{{"spacing": {spacing}}}')
+    Path(f"{field}.json").write_text(
+        f'{{"width": 3, "height": 4, "components": 2, "spacing": {spacing}}}')
+    for open_reader, path in ((lambda: PgmReader(image, None), image),
+                              (lambda: FieldReader(field), field)):
+        with pytest.raises(ValueError) as err:
+            open_reader()
+        assert f"{path}.json" in str(err.value)
+
+
+def test_an_integer_sidecar_spacing_reads_as_a_float(tmp_path):
+    image = tmp_path / "u.pgm"
+    write_pgm(image, GridImage(np.zeros((4, 3)), 1.0))
+    Path(f"{image}.json").write_text('{"spacing": 2}')
+    field = tmp_path / "v.raw"
+    write_field(field, DualField(np.zeros((4, 3, 2)), 1.0))
+    Path(f"{field}.json").write_text(
+        '{"width": 3, "height": 4, "components": 2, "spacing": 2}')
+    for reader in (PgmReader(image, None), FieldReader(field)):
+        assert type(reader.spacing) is float and reader.spacing == 2.0

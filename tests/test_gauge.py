@@ -10,9 +10,11 @@ from wulff_tvl1.gauge import (Gauge, _conjugate_exponent, _convex_hull_ccw,
                               _pnorm, _polygon_halfspaces, dual_extremal,
                               eval_dual, eval_gauge, project_minus_wulff,
                               wulff_shape)
-from wulff_tvl1.projection import _polygon_edges, _project_convex_polygon
+from wulff_tvl1.projection import (_polygon_edges, _project_convex_polygon,
+                                   _project_disk)
 
-from conftest import GAUGE_ZOO, brute_force_dual, random_convex_polygon
+from conftest import (GAUGE_ZOO, REFUSED_GAUGE_SPECS, brute_force_dual,
+                      random_convex_polygon)
 
 
 def test_l1_evaluation():
@@ -522,6 +524,34 @@ def test_asymmetric_projection_is_the_shifted_disk(name, layout, rng):
     assert project_minus_wulff(g, vector).tobytes() == ref[3, 4].tobytes()
 
 
+@pytest.mark.parametrize("layout", ["c", "fortran", "planar"])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("shifted", [False, True], ids=["centred", "shifted"])
+def test_the_disk_routine_keeps_the_bits_of_both_former_ones(layout, dim,
+                                                             shifted, rng):
+    # x / max(|x|, 1) over the whole array for p = 2, and per plane
+    # c + (x - c) / max(|x - c|, 1) for the asymmetric kinds; with no centre
+    # nothing is added back, so -0.0 keeps its sign
+    x = rng.normal(scale=1.5, size=(9, 7, dim))
+    x.reshape(-1)[:6] = (0.0, -0.0, -0.0, -0.0, 0.0, -0.0)
+    x = _in_layout(x, layout)
+    centre = np.array([0.3, -0.4, 0.2][:dim]) if shifted else None
+    y = x - centre if shifted else x
+    total = y[..., 0] * y[..., 0]
+    for i in range(1, dim):
+        total = total + y[..., i] * y[..., i]
+    ref = y / np.maximum(np.sqrt(total), 1.0)[..., None]
+    if shifted:
+        ref += centre
+    ref = np.ascontiguousarray(ref).tobytes()
+    new = _project_disk(x, np.empty(x.shape), centre)
+    own = _in_layout(np.ascontiguousarray(x), layout)
+    assert new.tobytes() == ref
+    assert np.ascontiguousarray(_project_disk(own, own, centre)).tobytes() == ref
+    if not shifted:
+        assert np.signbit(new.reshape(-1)[[1, 2, 3, 5]]).all()
+
+
 def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:
     if layout == "fortran":
         return np.asfortranarray(x)
@@ -665,3 +695,23 @@ def test_invalid_constructions():
         Gauge.polyhedral([[1, 1], [2, 1], [1.5, 2]])  # 0 outside
     with pytest.raises(ValueError):
         Gauge.from_json('{"kind":"nope"}')
+    # NaN weights made every evaluation NaN; an infinite vertex gave
+    # phi(0.3, -0.2) = 0.5 and left (3, 4) unprojected
+    for build in (lambda: Gauge.weighted(1, [math.nan, 1.0]),
+                  lambda: Gauge.weighted(math.inf, [1.0, math.inf]),
+                  lambda: Gauge.weighted(2, []),
+                  lambda: Gauge.asymmetric([math.nan, 0.0]),
+                  lambda: Gauge.asymmetric([]),
+                  lambda: Gauge.polyhedral([[math.inf, 0], [-1, 1], [-1, -1], [0, -1]]),
+                  lambda: Gauge.p_norm(2, dim=0),
+                  lambda: Gauge.p_norm(1, dim=2.0)):
+        with pytest.raises(ValueError):
+            build()
+
+
+@pytest.mark.parametrize("spec, field", REFUSED_GAUGE_SPECS.values(),
+                         ids=REFUSED_GAUGE_SPECS.keys())
+def test_non_finite_and_empty_parameters_are_refused(spec, field):
+    with pytest.raises(ValueError, match=field):
+        Gauge.from_json(spec)
+

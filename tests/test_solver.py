@@ -14,7 +14,7 @@ from wulff_tvl1.solver import (BURN_IN, CHANGE_TOLERANCE, SolverConfig,
                                energy, solve, threshold_binary)
 
 from conftest import (GAUGE_ZOO, brute_force_binary_optimum, gaussian_blur,
-                      symmetric_difference_area)
+                      max_flow_optimum, symmetric_difference_area)
 
 L1 = Gauge.p_norm(1)
 L2 = Gauge.p_norm(2)
@@ -487,6 +487,40 @@ def test_sharper_bound_is_sound(name, rng):
             assert opt <= res.energy_forward + 1e-9
             assert res.energy_forward == pytest.approx(
                 forward_energy(res.u, f, lam, g), rel=1e-12)
+
+
+def test_the_max_flow_oracle_is_the_brute_force_optimum(rng):
+    # unequal weights tell the axes apart: each weight's arcs join
+    # neighbours along its own axis
+    for name in ("l1", "weighted-l1"):
+        for _ in range(2):
+            f = GridImage(rng.integers(0, 2, size=(3, 3)).astype(float), 0.75)
+            for lam in (0.5, 8.0):
+                assert max_flow_optimum(f, lam, GAUGE_ZOO[name]) == pytest.approx(
+                    brute_force_binary_optimum(f, lam, GAUGE_ZOO[name]), rel=1e-12)
+
+
+SQUARE = [[1, -1], [1, 1], [-1, 1], [-1, -1]]
+
+
+@pytest.mark.parametrize("n, shape, name, cap", [
+    (256, "disk", "l1", 20000),          # criterion 1's input
+    (192, "square", "l1", 20000),        # criterion 3's shape, 128 cells a side
+    (128, "disk", "weighted-l1", 3000),  # capped: 10360 iterations to the gap
+], ids=["disk-256-l1", "square-192-l1", "disk-128-weighted-l1"])
+def test_the_reported_bounds_bracket_the_exact_optimum(n, shape, name, cap):
+    # lower_bound <= opt <= energy_forward on inputs far beyond brute force;
+    # the exact optimum is one min cut.  The 1e-12 allows the rounding of
+    # the sums behind lower_bound and nothing more
+    h = 3.0 / n
+    f = (raster_disk(n, n, h, radius=1.0, supersample=4, binary=True)
+         if shape == "disk" else
+         raster_convex_polygon(SQUARE, n, n, h, supersample=4, binary=True))
+    g = GAUGE_ZOO[name]
+    res = solve(f, 4.0, g, SolverConfig(max_iterations=cap))
+    opt = max_flow_optimum(f, 4.0, g)
+    assert res.lower_bound <= opt * (1.0 + 1e-12)
+    assert opt <= res.energy_forward
 
 
 def test_binary_iterate_reports_its_counted_energy():

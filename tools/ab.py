@@ -24,7 +24,10 @@ than the bound and not every change run beats every parent run, else
 "within".  --claim adds whether that metric meets the gain rule: ten
 pairs, the change better in at least nine of them, and the medians further
 apart than the parent's IQR.  Lines of src/**/*.py are counted in both trees,
-per module, a module that one tree lacks counting 0 there.  Each tree's
+per module, a module that one tree lacks counting 0 there: all lines
+(src_py_lines), and the lines that hold code (src_code_lines), which are
+not blank, not comment-only and not inside a module, class or function
+docstring.  Each tree's
 commit is recorded when it is a git checkout, and the sha256 of its
 src/**/*.py (src_sha256) always, so a record names the code each side ran
 even from checkouts without .git.
@@ -33,7 +36,9 @@ even from checkouts without .git.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import platform
@@ -41,6 +46,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 RUN_TIMEOUT = 900  # seconds for one perfbench/run.py process
@@ -68,6 +74,32 @@ def git_commit(tree: Path) -> str | None:
 
 def src_lines(tree: Path) -> dict:
     return {str(p.relative_to(tree / "src")): len(p.read_bytes().splitlines())
+            for p in sorted((tree / "src").rglob("*.py"))}
+
+
+def code_lines(source: str) -> int:
+    """Lines of a module that hold code: lines that a token other than a
+    comment touches, less the lines of module, class and function
+    docstrings."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)
+                and isinstance(node.body[0].value.value, str)):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in skip:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
+def src_code_lines(tree: Path) -> dict:
+    return {str(p.relative_to(tree / "src")): code_lines(p.read_text())
             for p in sorted((tree / "src").rglob("*.py"))}
 
 
@@ -220,6 +252,7 @@ def main(argv=None) -> int:
                       flush=True)
     summary = summarize(runs, metrics)
     lines = {side: src_lines(tree) for side, tree in trees.items()}
+    code = {side: src_code_lines(tree) for side, tree in trees.items()}
     record = {
         "about": args.about,
         "machine": machine(),
@@ -233,6 +266,11 @@ def main(argv=None) -> int:
             "parent": sum(lines["parent"].values()),
             "change": sum(lines["change"].values()),
             "by_module": by_module(lines["parent"], lines["change"]),
+        },
+        "src_code_lines": {
+            "parent": sum(code["parent"].values()),
+            "change": sum(code["change"].values()),
+            "by_module": by_module(code["parent"], code["change"]),
         },
         "runs": runs,
         "summary": summary,
