@@ -416,9 +416,8 @@ def test_an_overflowing_sidecar_spacing_is_a_configuration_error(tmp_path, capsy
                "--output-prefix", str(tmp_path / "o")) == 1
     assert f"{image}.json: spacing must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "o_report.json").exists()
-    sidecar = json.loads(Path(f"{v}.json").read_text())
-    Path(f"{v}.json").write_text(json.dumps(sidecar).replace(
-        f'"spacing": {sidecar["spacing"]}', f'"spacing": {huge}'))
+    Path(f"{v}.json").write_text(
+        f'{{"width": 16, "height": 16, "components": 2, "spacing": {huge}}}')
     assert run("certify", "--u0", str(image), "--f", str(image), "--v", str(v),
                "--lambda", "2", "--spacing", "1") == 1
     assert f"{v}.json: spacing must be positive and finite" in capsys.readouterr().err

@@ -27,10 +27,9 @@ apart than the parent's IQR.  Lines of src/**/*.py are counted in both trees,
 per module, a module that one tree lacks counting 0 there: all lines
 (src_py_lines), and the lines that hold code (src_code_lines), which are
 not blank, not comment-only and not inside a module, class or function
-docstring.  Each tree's
-commit is recorded when it is a git checkout, and the sha256 of its
-src/**/*.py (src_sha256) always, so a record names the code each side ran
-even from checkouts without .git.
+docstring.  Each tree's commit is recorded when it is a git checkout, and
+the sha256 of its src/**/*.py (src_sha256) always, so a record names the
+code each side ran even from checkouts without .git.
 """
 
 from __future__ import annotations
@@ -85,10 +84,9 @@ def code_lines(source: str) -> int:
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                               ast.AsyncFunctionDef))
-                and node.body and isinstance(node.body[0], ast.Expr)
-                and isinstance(node.body[0].value, ast.Constant)
-                and isinstance(node.body[0].value.value, str)):
-            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
     skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER}
     code = set()
