@@ -149,11 +149,6 @@ def _jump_cells(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return jump
 
 
-def _abs_max(values: np.ndarray, start: float) -> float:
-    """max(start, max |values|); start for an empty selection."""
-    return max(start, float(np.max(np.abs(values)))) if values.size else start
-
-
 def _slab_reader(source, shape: tuple):
     """source.rows for a grid, which hands out views; for a file reader,
     rows read into the leading rows of one buffer of `shape`, reused from
@@ -239,8 +234,8 @@ def check_certificate(u0, f, v, lam: float, g: Gauge,
             continue  # (b) and (c) read no cell of this block
         boundary = _dilate(_jump_cells(u_slab) | _jump_cells(f_slab), m)[rows]
         kept = ~boundary & stencil_ok
-        res_above = _abs_max(div_b[above & kept] - lam, res_above)
-        res_below = _abs_max(div_b[below & kept] + lam, res_below)
+        res_above = float(np.max(np.abs(div_b[above & kept] - lam), initial=res_above))
+        res_below = float(np.max(np.abs(div_b[below & kept] + lam), initial=res_below))
     wulff_violation = float(np.maximum(float(dual_max) - 1.0, 0.0))
     tv, pairing = _stencil_totals(sums, spacing)
     if not finite:  # (ii) fails: no residual is evaluated, no cell kept

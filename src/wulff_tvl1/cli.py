@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +38,12 @@ EXIT_CERTIFICATE_FAILED = 3
 @dataclass
 class RunManifest:
     command: str
-    gauge: dict | None
-    lam: float | None
-    grid: dict | None
-    seed: int | None
-    inputs: list
     outputs: list
+    gauge: dict | None = None
+    lam: float | None = None
+    grid: dict | None = None
+    seed: int | None = None
+    inputs: list = field(default_factory=list)
     version: str = __version__
 
     def write(self, path) -> None:
@@ -67,6 +67,15 @@ def _thread_cap() -> int | None:
 
 def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _emit(text: str, output, **manifest) -> None:
+    """Prints text and, given an output path, writes it there with the
+    run's manifest next to it."""
+    print(text)
+    if output:
+        Path(output).write_text(text + "\n")
+        RunManifest(outputs=[str(output)], **manifest).write(f"{output}.manifest.json")
 
 
 def _write_image(path, image: GridImage, maxval: int = 255) -> None:
@@ -123,25 +132,28 @@ def cmd_denoise(args) -> int:
     RunManifest(
         command="denoise", gauge=gauge.to_json(), lam=args.lam,
         grid={"width": f.width, "height": f.height, "spacing": f.spacing},
-        seed=None, inputs=[str(args.input)],
-        outputs=[u_path, dual_path, report_path],
+        inputs=[str(args.input)], outputs=[u_path, dual_path, report_path],
     ).write(f"{prefix}.manifest.json")
 
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def _check_size(size: int) -> None:
-    if size < 2:
-        raise ValueError(f"--size must be >= 2, got {size}")
+def _spacing(args) -> float:
+    """--extent / --size, the spacing of a synthetic grid."""
+    if args.size < 2:
+        raise ValueError(f"--size must be >= 2, got {args.size}")
+    return args.extent / args.size
 
 
 def cmd_synth(args) -> int:
-    _check_size(args.size)
+    spacing = _spacing(args)
     if args.blocks < 1:
         raise ValueError(f"--blocks must be >= 1, got {args.blocks}")
     if not 0 <= args.noise <= 1:
         raise ValueError(f"--noise must be in [0, 1], got {args.noise}")
-    spacing = args.extent / args.size
+    for flag, value in (("--radius", args.radius), ("--scale", args.scale)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
     rng = np.random.default_rng(args.seed)
     if args.shape == "disk":
         image = raster_disk(args.size, args.size, spacing,
@@ -164,10 +176,8 @@ def cmd_synth(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_image(out, image)
     RunManifest(
-        command="synth", gauge=None, lam=None,
+        command="synth", outputs=[str(out)], seed=args.seed,
         grid={"width": image.width, "height": image.height, "spacing": spacing},
-        seed=args.seed, inputs=[],
-        outputs=[str(out)],
     ).write(f"{out}.manifest.json")
     return EXIT_OK
 
@@ -186,10 +196,8 @@ def cmd_oracle(args) -> int:
         payload = {"gauge": gauge.to_json(), "tv": tv, "area": area}
     else:  # critical-lambda; argparse choices admit no other oracle
         payload = {"critical_lambda": circle_optimality_threshold()}
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
+    _emit(json.dumps(payload, sort_keys=True, indent=2), args.output,
+          command="oracle", gauge=payload.get("gauge"), lam=payload.get("lambda"))
     return EXIT_OK
 
 
@@ -198,8 +206,7 @@ def cmd_certify(args) -> int:
     if args.example_circle is not None:
         lam = args.example_circle
         ex = circle_example(lam)
-        _check_size(args.size)
-        spacing = args.extent / args.size
+        spacing = _spacing(args)
         f = raster_disk(args.size, args.size, spacing, radius=1.0,
                         supersample=4, binary=True)
         square = Gauge.p_norm(1).wulff().vertices * ex.h  # [-h, h]^2
@@ -218,16 +225,10 @@ def cmd_certify(args) -> int:
         v = FieldReader(args.v)
     report = check_certificate(u0, f, v, lam, gauge, tol=args.tol)
 
-    text = report.to_json_str()
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        RunManifest(
-            command="certify", gauge=gauge.to_json(), lam=lam,
-            grid={"width": u0.width, "height": u0.height, "spacing": u0.spacing},
-            seed=None, inputs=[p for p in (args.u0, args.f, args.v) if p],
-            outputs=[str(args.output)],
-        ).write(f"{args.output}.manifest.json")
+    _emit(report.to_json_str(), args.output, command="certify",
+          gauge=gauge.to_json(), lam=lam,
+          grid={"width": u0.width, "height": u0.height, "spacing": u0.spacing},
+          inputs=[p for p in (args.u0, args.f, args.v) if p])
     return EXIT_OK if report.passed else EXIT_CERTIFICATE_FAILED
 
 

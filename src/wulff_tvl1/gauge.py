@@ -35,8 +35,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .projection import (PolygonEdges, _planes, _pnorm, _polygon_edges,
-                         _polygon_halfspaces, _project_convex_polygon,
-                         _project_disk, _project_l1_ball, _project_q_ball)
+                         _project_convex_polygon, _project_disk,
+                         _project_l1_ball, _project_q_ball)
 
 __all__ = [
     "Gauge",
@@ -135,7 +135,7 @@ class Gauge:
         p = float(p)
         if not (p >= 1.0):
             raise ValueError(f"p-norm exponent must be in [1, inf], got {p}")
-        if not (isinstance(dim, int) and dim >= 1):
+        if not (isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1):
             raise ValueError(f"p-norm dim must be an integer >= 1, got {dim!r}")
         return cls(kind="p-norm", dim=dim, p=p)
 
@@ -156,8 +156,7 @@ class Gauge:
             raise ValueError("polyhedral gauges are 2-D only: wulff_vertices "
                              "are (x, y) pairs")
         hull = _convex_hull_ccw(vertices)
-        _, offsets = _polygon_halfspaces(hull)
-        if np.any(offsets <= 1e-12):
+        if _polygon_edges(hull).inradius <= 1e-12:
             raise ValueError("0 must lie strictly inside the Wulff polygon")
         return cls(kind="polyhedral", dim=2, wulff_vertices=hull)
 
@@ -172,11 +171,18 @@ class Gauge:
 
     @classmethod
     def from_json(cls, spec) -> "Gauge":
-        """Build from a JSON object or string, e.g. {"kind":"p-norm","p":1}."""
+        """Build from a JSON object or string, e.g. {"kind":"p-norm","p":1}.
+        Parameters are numbers or lists of them, not bools or strings, but
+        p may be "inf"."""
         if isinstance(spec, str):
             spec = json.loads(spec)
         if not isinstance(spec, dict):
             raise ValueError(f"a gauge spec is a JSON object, got {spec!r}")
+        for name in ("p", "dim", "weights", "wulff_vertices", "a"):
+            value = spec.get(name)  # "inf" elsewhere than p: the constructors refuse it
+            items = np.asarray(value, dtype=object).flat
+            if value != "inf" and any(isinstance(x, (bool, str)) for x in items):
+                raise ValueError(f'gauge "{name}" takes numbers, got {value!r}')
         kind = spec.get("kind")
         if kind == "p-norm":
             return cls.p_norm(spec["p"], dim=spec.get("dim", 2))
@@ -189,8 +195,9 @@ class Gauge:
         raise ValueError(f"unknown gauge kind: {kind!r}")
 
     def to_json(self) -> dict:
-        if self.kind == "p-norm":
-            return {"kind": "p-norm", "p": _encode_exponent(self.p)}
+        if self.kind == "p-norm":  # a 2-D spec names no "dim": 2 is its default
+            spec = {"kind": "p-norm", "p": _encode_exponent(self.p)}
+            return spec if self.dim == 2 else {**spec, "dim": self.dim}
         if self.kind == "weighted":
             return {"kind": "weighted", "p": _encode_exponent(self.p),
                     "weights": self.weights.tolist()}
@@ -202,12 +209,8 @@ class Gauge:
     # -- cached derived geometry (polyhedral / sampled) ------------------
 
     @cached_property
-    def _minus_wulff_polygon(self) -> np.ndarray:
-        return _convex_hull_ccw(-self.wulff_vertices)
-
-    @cached_property
     def _minus_wulff_edges(self) -> PolygonEdges:
-        return _polygon_edges(self._minus_wulff_polygon)
+        return _polygon_edges(_convex_hull_ccw(-self.wulff_vertices))
 
     @cached_property
     def _unit_ball_vertices(self) -> np.ndarray:

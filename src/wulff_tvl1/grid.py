@@ -349,7 +349,6 @@ def energy_decompose(u: GridImage, f: GridImage, lam: float, g: Gauge,
     """Total energy of u against f versus the level-wise integral of binary
     energies (symmetric differences of superlevel sets)."""
     _check_same_grid(u, f)
-    levels = np.asarray(levels, dtype=float)
     lo = float(min(u.values.min(), f.values.min()))
     hi = float(max(u.values.max(), f.values.max()))
     weights = _level_weights(levels, lo, hi)

@@ -17,8 +17,8 @@ Points of the set come back unchanged.  The q-ball and polygon routines
 look for the points outside only among those that a cheap test cannot
 place inside: for a polygon about 0, the points outside its inscribed
 disk.  The polygon routine takes the polygon's edge data, which a gauge
-builds once.  The plane-wise p-norm and the polygon half-spaces, which
-the gauge evaluators share, live here too.
+builds once.  The plane-wise p-norm and the polygon edge data, which
+the gauge evaluators and the shapes module share, live here too.
 """
 
 from __future__ import annotations
@@ -47,19 +47,6 @@ def _pnorm(y: np.ndarray, p: float) -> np.ndarray:
     return reduce(np.add, [c**p for c in planes]) ** (1.0 / p)
 
 
-def _polygon_halfspaces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit normals n_e and offsets b_e (n_e.x <= b_e) of a CCW
-    polygon; every b_e > 0 exactly when 0 lies strictly inside."""
-    edges = np.roll(vertices, -1, axis=0) - vertices
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=-1)
-    lengths = np.linalg.norm(normals, axis=-1)
-    if np.any(lengths < 1e-14):
-        raise ValueError("degenerate polygon edge")
-    normals = normals / lengths[:, None]
-    offsets = np.einsum("ij,ij->i", normals, vertices)
-    return normals, offsets
-
-
 class PolygonEdges(NamedTuple):
     """Edge data of a CCW convex polygon, built once per polygon: edge e
     runs from starts[e] to starts[e] + edges[e]."""
@@ -73,10 +60,17 @@ class PolygonEdges(NamedTuple):
 
 
 def _polygon_edges(vertices: np.ndarray) -> PolygonEdges:
-    normals, offsets = _polygon_halfspaces(vertices)
+    """The edge data of a CCW polygon; every b_e > 0, so a positive
+    inradius, exactly when 0 lies strictly inside."""
     edges = np.roll(vertices, -1, axis=0) - vertices
     d0, d1 = edges.T
-    return PolygonEdges(normals, offsets, vertices, edges, d0 * d0 + d1 * d1,
+    length2 = d0 * d0 + d1 * d1
+    lengths = np.sqrt(length2)
+    if np.any(lengths < 1e-14):
+        raise ValueError("degenerate polygon edge")
+    normals = np.stack([d1, -d0], axis=-1) / lengths[:, None]
+    offsets = np.einsum("ij,ij->i", normals, vertices)
+    return PolygonEdges(normals, offsets, vertices, edges, length2,
                         float(offsets.min()))
 
 

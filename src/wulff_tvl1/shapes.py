@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import Gauge
-from .projection import (PolygonEdges, _polygon_edges, _polygon_halfspaces,
-                         _project_convex_polygon)
+from .projection import PolygonEdges, _polygon_edges, _project_convex_polygon
 
 __all__ = [
     "ConvexPolygon",
@@ -75,10 +74,8 @@ def polygon_tv_phi(P: ConvexPolygon, g: Gauge) -> float:
     the outward unit normal."""
     if P.is_empty:
         return 0.0
-    v = P.vertices
-    normals, _ = _polygon_halfspaces(v)
-    lengths = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=-1)
-    return float(np.sum(lengths * g(-normals)))
+    edges = _polygon_edges(P.vertices)
+    return float(np.sum(np.sqrt(edges.length2) * g(-edges.normals)))
 
 
 def wulff_tv_and_area(g: Gauge) -> tuple[float, float]:
@@ -228,9 +225,9 @@ def opening_by_wulff(C: ConvexPolygon, s: float, g: Gauge) -> ConvexPolygon:
     if s == 0 or C.is_empty:
         return ConvexPolygon(C.vertices.copy())
     wulff = g.wulff().vertices
-    normals, offsets = _polygon_halfspaces(C.vertices)
+    edges = _polygon_edges(C.vertices)
     verts = C.vertices
-    for nvec, b in zip(normals, offsets):
+    for nvec, b in zip(edges.normals, edges.offsets):
         support = float(np.max(wulff @ nvec))
         verts = _clip_halfplane(verts, nvec, b - s * support)
         if len(verts) < 3:

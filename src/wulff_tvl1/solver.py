@@ -153,7 +153,7 @@ class SolveResult:
 
     @property
     def final_gap_normalized(self) -> float:
-        return self.final_gap / (1.0 + abs(self.energy_forward))
+        return _normalized_gap(self.energy_forward, self.lower_bound)
 
 
 def energy(u: GridImage, f: GridImage, lam: float, g: Gauge) -> float:
@@ -163,6 +163,11 @@ def energy(u: GridImage, f: GridImage, lam: float, g: Gauge) -> float:
         raise ValueError("lambda must be positive and finite")
     fidelity = float(np.abs(u.values - f.values).sum()) * u.spacing**2
     return tv_phi(u, g) + lam * fidelity
+
+
+def _normalized_gap(e: float, d: float) -> float:
+    """max(e - d, 0) / (1 + |e|): the gap of energy e over dual value d."""
+    return max(e - d, 0.0) / (1.0 + abs(e))
 
 
 def _abs_max(a: np.ndarray) -> float:
@@ -283,10 +288,8 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
         # the guard: the plain gap meets the tolerance too, or p meets
         # certificate condition (a); without a sharper value the two gaps
         # are one
-        gap_met = ((energy_value - dual_value) / (1.0 + abs(energy_value))
-                   <= gap_tolerance
-                   and ((e_fwd - scaled_dual) / (1.0 + abs(e_fwd))
-                        <= gap_tolerance
+        gap_met = (_normalized_gap(energy_value, dual_value) <= gap_tolerance
+                   and (_normalized_gap(e_fwd, scaled_dual) <= gap_tolerance
                         or _meets_div_bound(div_p, p, lam, spacing, scratch)))
         yield iterations, checked_u, p, energy_value, dual_value, gap_met, stalled
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from wulff_tvl1.gauge import Gauge, _convex_hull_ccw
-from wulff_tvl1.grid import GridImage, raster_convex_polygon, raster_disk
+from wulff_tvl1.grid import DualField, GridImage, raster_convex_polygon, raster_disk
 from wulff_tvl1.solver import energy
 
 
@@ -37,18 +37,26 @@ def brute_force_binary_optimum(f: GridImage, lam: float, g: Gauge) -> float:
     return best
 
 
-def max_flow_optimum(f: GridImage, lam: float, g: Gauge) -> float:
-    """Exact minimum of the forward-stencil energy for binary f and a
-    separable gauge phi(y) = c_0 |y_0| + c_1 |y_1|, as one s-t minimum cut
-    (Chambolle & Darbon, IJCV 2009).  Each pair of horizontal neighbours
-    gets two arcs of capacity h c_0, each vertical pair two of h c_1; a cell
-    with f = 1 gets an arc from the source and a cell with f = 0 one to the
-    sink, of capacity lam h^2.  The source side of a minimum cut is
-    {u = 1}, and by the coarea formula a binary u is optimal among all u.
-    The capacities are scaled to integers exactly, so the value is exact
-    up to its final rounding to float."""
+def max_flow_pair(f: GridImage, lam: float, g: Gauge):
+    """Exact minimiser, certificate field and minimum of the forward-stencil
+    energy for binary f and a separable gauge phi(y) = c_0 |y_0| + c_1 |y_1|,
+    from one s-t maximum flow (Chambolle & Darbon, IJCV 2009).  Each pair of
+    horizontal neighbours gets two arcs of capacity h c_0, each vertical
+    pair two of h c_1; a cell with f = 1 gets an arc from the source and a
+    cell with f = 0 one to the sink, of capacity lam h^2.  The capacities
+    are scaled to integers exactly, so the value is exact up to its final
+    rounding to float.
+
+    * u* is the source side of the residual graph, a minimum cut: {u* = 1}.
+      By the coarea formula a binary u is optimal among all u.
+    * p* is the net flow F along each neighbour arc over its capacity,
+      negated: p*_x = -c_0 F(cell -> right neighbour) / cap_x, p*_y likewise
+      with the neighbour below (Strang, Math. Prog. 1983).  It lies in -W,
+      and by flow conservation h^2 div p* at a cell is its sink outflow less
+      its source inflow, so |div p*| <= lam.
+    * The optimum is the flow value, the dual value of p*."""
     from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import maximum_flow
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
     c0, c1 = (float(c) for c in g(np.eye(2)))
     h = Fraction(f.spacing)
@@ -61,9 +69,9 @@ def max_flow_optimum(f: GridImage, lam: float, g: Gauge) -> float:
     zeros = np.flatnonzero(f.values == 0.0)
     if ones.size + zeros.size != f.values.size:
         raise ValueError("the max-flow oracle needs a binary f")
+    right, down = (ids[:, :-1], ids[:, 1:]), (ids[:-1], ids[1:])
     arcs = [  # (tails, heads, capacity)
-        (ids[:, :-1], ids[:, 1:], cx), (ids[:, 1:], ids[:, :-1], cx),
-        (ids[:-1], ids[1:], cy), (ids[1:], ids[:-1], cy),
+        (*right, cx), (right[1], right[0], cx), (*down, cy), (down[1], down[0], cy),
         (np.full(ones.size, source), ones, cell), (zeros, np.full(zeros.size, sink), cell),
     ]
     tails = np.concatenate([t.ravel() for t, _, _ in arcs])
@@ -72,8 +80,25 @@ def max_flow_optimum(f: GridImage, lam: float, g: Gauge) -> float:
         raise ValueError("capacities beyond the int32 range of maximum_flow")
     capacity = np.concatenate([np.full(t.size, c, dtype=np.int32) for t, _, c in arcs])
     graph = coo_matrix((capacity, (tails, heads)), shape=(sink + 1,) * 2).tocsr()
-    flow = maximum_flow(graph, source, sink, method="dinic").flow_value
-    return float(Fraction(int(flow), scale))
+    result = maximum_flow(graph, source, sink, method="dinic")
+    residual = graph - result.flow
+    residual.data = (residual.data > 0).astype(np.int8)
+    residual.eliminate_zeros()
+    side = breadth_first_order(residual, source, return_predecessors=False)
+    u = np.zeros(f.values.size + 2)
+    u[side] = 1.0
+    p = np.zeros(f.values.shape + (2,))
+    for component, (tail, head), c, cap in ((0, right, c0, cx), (1, down, c1, cy)):
+        flow = np.asarray(result.flow[tail.ravel(), head.ravel()]).reshape(tail.shape)
+        p[:tail.shape[0], :tail.shape[1], component] = -c * flow / cap
+    return (GridImage(u[:-2].reshape(f.values.shape), f.spacing),
+            DualField(p, f.spacing), float(Fraction(int(result.flow_value), scale)))
+
+
+def max_flow_optimum(f: GridImage, lam: float, g: Gauge) -> float:
+    """The exact minimum of the forward-stencil energy: max_flow_pair's
+    flow value."""
+    return max_flow_pair(f, lam, g)[2]
 
 
 def boundary_integral_oracle(g: Gauge, radius: float = 1.0,
@@ -142,7 +167,7 @@ GAUGE_ZOO = {
 # Gauge specs that JSON admits (NaN and Infinity included) and the
 # constructors refuse, each with the field its error names.  They were all
 # accepted, but for flat vertices and dim Infinity, which raised IndexError
-# and OverflowError out of the CLI.
+# and OverflowError out of the CLI.  Only p may be a string, "inf".
 REFUSED_GAUGE_SPECS = {
     "weights-nan": ('{"kind": "weighted", "p": 2, "weights": [NaN, 1]}', "weights"),
     "weights-inf": ('{"kind": "weighted", "p": 2, "weights": [1, Infinity]}', "weights"),
@@ -156,6 +181,15 @@ REFUSED_GAUGE_SPECS = {
                       "wulff_vertices"),
     "dim-0": ('{"kind": "p-norm", "p": 2, "dim": 0}', "dim"),
     "dim-inf": ('{"kind": "p-norm", "p": 2, "dim": Infinity}', "dim"),
+    # bools and strings were read as numbers: true as 1, "2" as 2, and
+    # "dim": true built a 1-D gauge
+    "p-bool": ('{"kind": "p-norm", "p": true}', '"p"'),
+    "p-string": ('{"kind": "p-norm", "p": "2"}', '"p"'),
+    "weights-bool": ('{"kind": "weighted", "p": 2, "weights": [true, 2]}', '"weights"'),
+    "shift-bool": ('{"kind": "asymmetric", "a": [0.5, false]}', '"a"'),
+    "dim-bool": ('{"kind": "p-norm", "p": 2, "dim": true}', '"dim"'),
+    "vertex-string": ('{"kind": "polyhedral", "wulff_vertices": '
+                      '[["1", 1], [-1, 1], [-1, -1], [1, -1]]}', '"wulff_vertices"'),
 }
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,9 +15,10 @@ from wulff_tvl1.grid import (FEASIBILITY_TOL, DualField, GridImage,
                              dual_pairing, forward_divergence,
                              forward_gradient, raster_disk,
                              raster_convex_polygon, tv_phi, tv_phi_dual_gap)
+from wulff_tvl1.shapes import trivial_threshold
 from wulff_tvl1.solver import SolverConfig, energy
 
-from conftest import GAUGE_ZOO, clipped_disk_raster, gaussian_blur
+from conftest import GAUGE_ZOO, clipped_disk_raster, gaussian_blur, max_flow_pair
 
 L1 = Gauge.p_norm(1)
 
@@ -514,3 +516,79 @@ def test_report_serialises():
                 "conditions", "passed", "tolerance"):
         assert key in payload
     assert isinstance(rep.to_json_str(), str)
+
+
+# ----------------------------------------------------------------------
+# the exact discrete pair of one max flow
+# ----------------------------------------------------------------------
+
+@functools.cache
+def exact_case(shape: str, n: int, lam: float, name: str):
+    """(f, u*, p*, optimum) for the unit disk or the square [-1, 1]^2 on an
+    n^2 grid of the window [-1.5, 1.5]^2."""
+    h = 3.0 / n
+    f = (raster_disk(n, n, h, radius=1.0, supersample=4, binary=True)
+         if shape == "disk" else
+         raster_convex_polygon([[1, -1], [1, 1], [-1, 1], [-1, -1]], n, n, h,
+                               supersample=4, binary=True))
+    return (f, *max_flow_pair(f, lam, GAUGE_ZOO[name]))
+
+
+@pytest.mark.parametrize("case", [
+    ("disk", 256, 4.0, "l1"),            # criterion 1's input
+    ("square", 192, 1.5, "l1"),          # criterion 3's capped regime: u* = 0
+    ("square", 192, 4.0, "l1"),
+    ("disk", 128, 4.0, "weighted-l1"),
+], ids=["disk-256-l1", "square-192-lambda-1.5", "square-192-lambda-4",
+        "disk-128-weighted-l1"])
+def test_the_exact_max_flow_pair_is_certified(case):
+    # u* has the minimum energy and p* the same dual value, so the pair is
+    # an exact discrete certificate; the checker must pass it
+    f, u, p, opt = exact_case(*case)
+    lam, g = case[2], GAUGE_ZOO[case[3]]
+    assert energy(u, f, lam, g) == pytest.approx(opt, rel=1e-12)
+    dual_value = -float((f.values * divergence(p).values).sum()) * f.spacing**2
+    assert dual_value == pytest.approx(opt, rel=1e-12)
+    report = check_certificate(u, f, p, lam, g)
+    assert report.passed, report.conditions
+    assert report.div_inf_norm <= lam
+    if case[:3] == ("square", 192, 1.5):
+        assert not u.values.any()
+
+
+def test_the_square_leaves_exactly_at_its_trivial_threshold():
+    # the square is W of the 1-norm at R = 1: at lambda = n / R = 2 the
+    # empty set ties with f at energy 8, and the least minimiser is empty;
+    # one dyadic step above, f alone is optimal (2.001 would overflow the
+    # exact int32 capacities)
+    lam = trivial_threshold(1.0, 2)
+    f, u, _, opt = exact_case("square", 192, lam, "l1")
+    assert (opt, u.values.any()) == (8.0, False)
+    f, u, _, _ = exact_case("square", 192, lam + 2**-10, "l1")
+    assert u.values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("case, slope, failing, residual", [
+    (("disk", 256, 4.0, "l1"), lambda lam, h: lam + 10 * h, "a_div_bound",
+     "div_bound_residual"),
+    (("square", 192, 1.5, "l1"), lambda lam, h: 10 * h,
+     "c_div_equals_minus_lambda_below", "div_residual_below"),
+], ids=["disk-a", "square-c"])
+def test_a_ramp_in_the_exact_field_fails_one_condition(case, slope, failing, residual):
+    # a change of p* at one cell makes the two divergence stencils disagree
+    # by 2 delta / h there: the cell is a kink, excluded from (a)-(c), and
+    # the check still passes.  A ramp p*_x += eps (x - x0) over a 20 x 20
+    # patch at the centre raises both stencils' divergence by eps inside it:
+    # |div| reaches lam + 10 h on the disk, where div p* = 0, and div sits
+    # 10 h above -lam on the square, where u* = 0 < f
+    f, u, p, _ = exact_case(*case)
+    lam, g, h = case[2], GAUGE_ZOO[case[3]], f.spacing
+    c = f.width // 2
+    one_cell = p.values.copy()
+    one_cell[c, c, 0] += 0.05
+    assert check_certificate(u, f, DualField(one_cell, h), lam, g).passed
+    ramp = p.values.copy()
+    ramp[c - 10:c + 10, c - 10:c + 10, 0] += slope(lam, h) * h * (np.arange(20) - 9.5)
+    report = check_certificate(u, f, DualField(ramp, h), lam, g)
+    assert [name for name, ok in report.conditions.items() if not ok] == [failing]
+    assert getattr(report, residual) == pytest.approx(10 * h, rel=1e-9)

@@ -102,6 +102,36 @@ def test_oracle_wulff(tmp_path, capsys):
     assert json.loads(out.read_text()) == payload
 
 
+def test_oracle_output_has_its_manifest(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    assert run("oracle", "circle", "--lambda", "4", "--output", str(out)) == 0
+    assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert (manifest["command"], manifest["lam"], manifest["outputs"]) == (
+        "oracle", 4.0, [str(out)])
+
+
+@pytest.mark.parametrize("shape, flag, value", [
+    ("wulff", "--scale", "0"),     # all ones: zero normals pass every half-plane
+    ("wulff", "--scale", "-1"),    # -W instead of W
+    ("wulff", "--scale", "nan"),   # empty, with RuntimeWarnings
+    ("wulff", "--scale", "inf"),
+    ("disk", "--radius", "-1"),    # the radius-1 disk
+    ("disk", "--radius", "nan"),   # empty
+    ("disk", "--radius", "0"),
+], ids=["scale-0", "scale-negative", "scale-nan", "scale-inf", "radius-negative",
+        "radius-nan", "radius-0"])
+def test_synth_refuses_a_size_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                              shape, flag, value):
+    out = tmp_path / "s.pgm"
+    hexagon = ('{"kind": "polyhedral", "wulff_vertices": '
+               '[[2, 0], [1, 2], [-1, 1], [-2, -1], [0, -2], [1.5, -1]]}')
+    assert run("synth", shape, "--size", "32", "--gauge", hexagon, flag, value,
+               "--output", str(out)) == 1
+    assert f"{flag} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point():
     # python -m wulff_tvl1 runs cli.main and exits with its code
     env = dict(os.environ,

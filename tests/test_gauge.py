@@ -7,9 +7,8 @@ import pytest
 
 from wulff_tvl1 import gauge, projection
 from wulff_tvl1.gauge import (Gauge, _conjugate_exponent, _convex_hull_ccw,
-                              _pnorm, _polygon_halfspaces, dual_extremal,
-                              eval_dual, eval_gauge, project_minus_wulff,
-                              wulff_shape)
+                              _pnorm, dual_extremal, eval_dual, eval_gauge,
+                              project_minus_wulff, wulff_shape)
 from wulff_tvl1.projection import (_polygon_edges, _project_convex_polygon,
                                    _project_disk)
 
@@ -396,7 +395,7 @@ def all_edges_polygon_projection(x: np.ndarray, vertices: np.ndarray) -> np.ndar
     computed in floating point as the solver's routine computes it.  Edges
     whose rounded distances lie within 1e-12 (1 + |x|) of the least, and
     whose rounded projections differ, are compared exactly."""
-    normals, offsets = _polygon_halfspaces(vertices)
+    normals, offsets = _polygon_edges(vertices)[:2]
     out = x.copy()
     outside = (x @ normals.T - offsets).max(axis=-1) > 1e-12
     y = x[outside][:, None, :]
@@ -424,7 +423,7 @@ def polygon_edge_cases(vertices: np.ndarray) -> np.ndarray:
     vertex's normal cone, where a vertex and an edge point are the nearest
     candidates within rounding; the feet b_e n_e of every edge line, the
     vertices, the origin, far and non-finite points."""
-    normals, offsets = _polygon_halfspaces(vertices)
+    normals, offsets = _polygon_edges(vertices)[:2]
     r = offsets.min()
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     directions = np.concatenate([normals, np.stack([np.cos(theta), np.sin(theta)], -1)])
@@ -465,7 +464,7 @@ def test_polygon_projection_uses_the_most_violated_edge(rng):
     for name in ("square", "hexagon"):
         g = GAUGE_ZOO[name]
         x = rng.normal(size=(20000, 2)) * rng.choice([0.5, 2.0, 1e6], size=(20000, 1))
-        polygon = g._minus_wulff_polygon
+        polygon = g._minus_wulff_edges.starts
         check(g._minus_wulff_edges, np.concatenate([x, polygon_edge_cases(polygon)]),
               g.project_minus_wulff)
     grid_polygons = [np.array([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0], [1.0, 2.0]])]
@@ -487,21 +486,21 @@ def test_polygon_projection_uses_the_most_violated_edge(rng):
         vertices -= vertices.mean(axis=0)  # 0 strictly inside
         g = Gauge.polyhedral(vertices)
         x = rng.normal(size=(5000, 2)) * 3.0
-        ref = all_edges_polygon_projection(x, g._minus_wulff_polygon)
+        ref = all_edges_polygon_projection(x, g._minus_wulff_edges.starts)
         assert np.abs(project_minus_wulff(g, x) - ref).max() <= 4e-15
 
 
 def test_polygon_edges_are_built_once_per_gauge(monkeypatch):
     # the edge data of -W is cached on the gauge: after the first
-    # projection, neither a projection nor the dual recomputes half-spaces
+    # projection, neither a projection nor the dual rebuilds it
     g = Gauge.polyhedral([[2, 0], [1, 2], [-1, 1], [-2, -1], [0, -2], [1.5, -1]])
     calls = []
 
-    def counted(vertices, _fn=projection._polygon_halfspaces):
+    def counted(vertices, _fn=projection._polygon_edges):
         calls.append(len(vertices))
         return _fn(vertices)
-    monkeypatch.setattr(projection, "_polygon_halfspaces", counted)
-    monkeypatch.setattr(gauge, "_polygon_halfspaces", counted)
+    monkeypatch.setattr(projection, "_polygon_edges", counted)
+    monkeypatch.setattr(gauge, "_polygon_edges", counted)
     x = np.random.default_rng(3).normal(size=(32, 32, 2))
     first = g.project_minus_wulff(x)
     assert calls == [6]
@@ -670,6 +669,15 @@ def test_json_round_trip(any_gauge, rng):
                                                   rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_json_round_trip_keeps_the_dimension(dim):
+    g = Gauge.from_json(json.dumps(Gauge.p_norm(2, dim=dim).to_json()))
+    assert g.dim == dim
+    assert g(np.full(dim, 2.0)) == Gauge.p_norm(2, dim=dim)(np.full(dim, 2.0))
+    # 2-D specs name no dim, as every report written so far
+    assert Gauge.p_norm(2).to_json() == {"kind": "p-norm", "p": 2.0}
+
+
 def test_json_inf_exponent():
     g = Gauge.from_json('{"kind":"p-norm","p":"inf"}')
     assert math.isinf(g.p)
@@ -704,7 +712,8 @@ def test_invalid_constructions():
                   lambda: Gauge.asymmetric([]),
                   lambda: Gauge.polyhedral([[math.inf, 0], [-1, 1], [-1, -1], [0, -1]]),
                   lambda: Gauge.p_norm(2, dim=0),
-                  lambda: Gauge.p_norm(1, dim=2.0)):
+                  lambda: Gauge.p_norm(1, dim=2.0),
+                  lambda: Gauge.p_norm(1, dim=True)):
         with pytest.raises(ValueError):
             build()
 

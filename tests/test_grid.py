@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wulff_tvl1 import grid
-from wulff_tvl1.gauge import Gauge, _polygon_halfspaces
+from wulff_tvl1.gauge import Gauge
 from wulff_tvl1.grid import (DualField, GridImage, _div_adjoint_raw,
                              _div_forward_raw, _grad_backward_raw,
                              _grad_forward_raw, backward_gradient, cell_centers,
@@ -12,6 +12,7 @@ from wulff_tvl1.grid import (DualField, GridImage, _div_adjoint_raw,
                              energy_decompose, forward_divergence,
                              forward_gradient, level_set, raster_convex_polygon,
                              raster_disk, reflect, tv_phi, tv_phi_dual_gap)
+from wulff_tvl1.projection import _polygon_edges
 
 from conftest import GAUGE_ZOO, boundary_integral_oracle
 
@@ -516,8 +517,7 @@ def test_equivalence_of_norms(rng):
         g = GAUGE_ZOO[name]
         w = g.wulff()
         circum = w.bounding_radius
-        normals, offsets = _polygon_halfspaces(w.vertices)
-        inradius = float(np.min(offsets))
+        inradius = _polygon_edges(w.vertices).inradius
         for _ in range(100):
             u = GridImage(rng.normal(size=(8, 8)), 0.5)
             tva = tv_phi(u, g)
