@@ -134,14 +134,14 @@ def _dilate(mask: np.ndarray, margin: int) -> np.ndarray:
     return out
 
 
-def _jump_cells(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _jump_cells(values: np.ndarray) -> np.ndarray:
     """Cells adjacent to a jump of the image (either one-sided difference
-    nonzero)."""
+    above 1e-9 in size)."""
     jump = np.zeros(values.shape, dtype=bool)
     dx = np.diff(values, axis=1)
-    dx = np.abs(dx, out=dx) > tol
+    dx = np.abs(dx, out=dx) > 1e-9
     dy = np.diff(values, axis=0)
-    dy = np.abs(dy, out=dy) > tol
+    dy = np.abs(dy, out=dy) > 1e-9
     jump[:, :-1] |= dx
     jump[:, 1:] |= dx
     jump[:-1, :] |= dy

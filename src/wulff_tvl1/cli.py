@@ -78,13 +78,6 @@ def _emit(text: str, output, **manifest) -> None:
         RunManifest(outputs=[str(output)], **manifest).write(f"{output}.manifest.json")
 
 
-def _write_image(path, image: GridImage, maxval: int = 255) -> None:
-    write_pgm(path, image, maxval=maxval)
-    _write_json(str(path) + ".json", {
-        "width": image.width, "height": image.height, "spacing": image.spacing,
-    })
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -107,7 +100,7 @@ def cmd_denoise(args) -> int:
     u_path = f"{prefix}.pgm"
     dual_path = f"{prefix}_dual.raw"
     report_path = f"{prefix}_report.json"
-    _write_image(u_path, u_out, maxval=255 if thresholded else 65535)
+    write_pgm(u_path, u_out, maxval=255 if thresholded else 65535)
     write_field(dual_path, result.p)
 
     report = {
@@ -174,7 +167,7 @@ def cmd_synth(args) -> int:
 
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_image(out, image)
+    write_pgm(out, image, maxval=255)
     RunManifest(
         command="synth", outputs=[str(out)], seed=args.seed,
         grid={"width": image.width, "height": image.height, "spacing": spacing},

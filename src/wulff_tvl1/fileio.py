@@ -2,7 +2,8 @@
 
 PGM stores values mapped linearly onto [0, 1] with maxval 255 or 65535
 (16-bit samples are big-endian per the format).  Vector fields are raw
-row-major float64 with a JSON sidecar holding the grid metadata.
+row-major float64.  Each writer also writes the sidecar <path>.json, a
+JSON object of the width, height and spacing (and a field's components).
 
 Each format has one reader, PgmReader and FieldReader.  Opening one reads
 and checks everything but the samples: the header or the sidecar, the
@@ -32,6 +33,7 @@ _TOKEN_BYTES = 20  # longer than any PGM header token
 
 
 def write_pgm(path, image: GridImage, maxval: int = 65535) -> None:
+    """Writes <path> (binary PGM) and its <path>.json sidecar."""
     if maxval not in (255, 65535):
         raise ValueError("maxval must be 255 or 65535")
     v = np.clip(image.values, 0.0, 1.0)
@@ -42,6 +44,9 @@ def write_pgm(path, image: GridImage, maxval: int = 65535) -> None:
         data = q.astype(">u2").tobytes()
     header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
     Path(path).write_bytes(header + data)
+    Path(f"{path}.json").write_text(json.dumps(
+        {"width": image.width, "height": image.height, "spacing": image.spacing},
+        sort_keys=True, indent=2) + "\n")
 
 
 def _sidecar(path: Path):
@@ -140,16 +145,14 @@ def read_pgm(path, spacing: float | None = 1.0) -> GridImage:
 
 def write_field(path, field: DualField) -> None:
     """Writes <path> (raw little-endian float64) and <path>.json sidecar."""
-    path = Path(path)
-    path.write_bytes(field.values.astype("<f8").tobytes())
+    Path(path).write_bytes(field.values.astype("<f8").tobytes())
     sidecar = {
         "width": field.width,
         "height": field.height,
         "spacing": field.spacing,
         "components": 2,
     }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True) + "\n")
+    Path(f"{path}.json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 class FieldReader:

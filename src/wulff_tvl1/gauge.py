@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _SMOOTH_WULFF_VERTICES = 720
+# the keys each kind's spec reads; from_json refuses any other
+_SPEC_KEYS = {"p-norm": {"kind", "p", "dim"}, "weighted": {"kind", "p", "weights"},
+              "polyhedral": {"kind", "wulff_vertices"}, "asymmetric": {"kind", "a"}}
 
 
 def _conjugate_exponent(p: float) -> float:
@@ -109,11 +112,9 @@ class WulffShape:
     vertices: np.ndarray
     bounding_radius: float
     exact: bool
-    vertex_count: int = field(init=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
-        self.vertex_count = len(self.vertices)
 
 
 @dataclass
@@ -173,7 +174,7 @@ class Gauge:
     def from_json(cls, spec) -> "Gauge":
         """Build from a JSON object or string, e.g. {"kind":"p-norm","p":1}.
         Parameters are numbers or lists of them, not bools or strings, but
-        p may be "inf"."""
+        p may be "inf"; a key that the kind does not read is refused."""
         if isinstance(spec, str):
             spec = json.loads(spec)
         if not isinstance(spec, dict):
@@ -184,15 +185,18 @@ class Gauge:
             if value != "inf" and any(isinstance(x, (bool, str)) for x in items):
                 raise ValueError(f'gauge "{name}" takes numbers, got {value!r}')
         kind = spec.get("kind")
+        if not (isinstance(kind, str) and kind in _SPEC_KEYS):
+            raise ValueError(f"unknown gauge kind: {kind!r}")
+        extra = spec.keys() - _SPEC_KEYS[kind]
+        if extra:
+            raise ValueError(f'a {kind} gauge reads no "{min(extra)}"')
         if kind == "p-norm":
             return cls.p_norm(spec["p"], dim=spec.get("dim", 2))
         if kind == "weighted":
             return cls.weighted(spec["p"], spec["weights"])
         if kind == "polyhedral":
             return cls.polyhedral(spec["wulff_vertices"])
-        if kind == "asymmetric":
-            return cls.asymmetric(spec["a"])
-        raise ValueError(f"unknown gauge kind: {kind!r}")
+        return cls.asymmetric(spec["a"])
 
     def to_json(self) -> dict:
         if self.kind == "p-norm":  # a 2-D spec names no "dim": 2 is its default
@@ -223,9 +227,7 @@ class Gauge:
         if self.p not in (1.0, math.inf):  # p is None for asymmetric kinds
             raise ValueError("no vertex list for smooth gauges")
         verts = _norm_ball_vertices(self.p, self.dim)
-        if self.kind == "weighted":
-            verts = verts / self.weights
-        return verts
+        return verts if self.weights is None else verts / self.weights
 
     # -- evaluation -------------------------------------------------------
 
@@ -233,7 +235,7 @@ class Gauge:
     def separable(self) -> bool:
         """phi(y) = sum_i c_i |y_i|, so the forward- and backward-stencil
         sums of the discrete TV agree."""
-        return self.kind in ("p-norm", "weighted") and self.p == 1.0
+        return self.p == 1.0
 
     def _components(self, y) -> np.ndarray:
         """y as a float array with dim components on its last axis."""
@@ -245,10 +247,8 @@ class Gauge:
     def __call__(self, y) -> np.ndarray:
         """phi(y); y has shape (..., dim)."""
         y = self._components(y)
-        if self.kind == "p-norm":
-            return _pnorm(y, self.p)
-        if self.kind == "weighted":
-            return _pnorm(y * self.weights, self.p)
+        if self.p is not None:  # |diag(w) y|_p, w = 1 for the p-norm kind
+            return _pnorm(y if self.weights is None else y * self.weights, self.p)
         if self.kind == "asymmetric":
             ay = reduce(np.add, [y[..., i] * c for i, c in enumerate(self.shift)])
             return _pnorm(y, 2.0) + ay
@@ -259,10 +259,9 @@ class Gauge:
         """phi_dual(x) = max { x.y : phi(y) <= 1 }, the Minkowski
         functional of -W."""
         x = self._components(x)
-        if self.kind == "p-norm":
-            return _pnorm(x, _conjugate_exponent(self.p))
-        if self.kind == "weighted":
-            return _pnorm(x / self.weights, _conjugate_exponent(self.p))
+        if self.p is not None:  # |diag(w)^-1 x|_q with 1/p + 1/q = 1
+            z = x if self.weights is None else x / self.weights
+            return _pnorm(z, _conjugate_exponent(self.p))
         if self.kind == "asymmetric":
             aa = float(self.shift @ self.shift)
             ax = reduce(np.add, [x[..., i] * c for i, c in enumerate(self.shift)])
@@ -283,15 +282,13 @@ class Gauge:
             mu = float(self.dual(x))
             u = x / mu - self.shift
             return u / (1.0 + float(u @ self.shift))
-        if self.kind in ("p-norm", "weighted"):
-            p = self.p
-            if 1.0 < p < math.inf:
-                w = self.weights if self.kind == "weighted" else np.ones_like(x)
-                z = x / w
-                q = _conjugate_exponent(p)
-                zq = _pnorm(z, q)
-                eta = np.sign(z) * (np.abs(z) / zq) ** (q - 1.0)
-                return eta / w
+        if self.p is not None and 1.0 < self.p < math.inf:
+            w = 1.0 if self.weights is None else self.weights
+            z = x / w
+            q = _conjugate_exponent(self.p)
+            zq = _pnorm(z, q)
+            eta = np.sign(z) * (np.abs(z) / zq) ** (q - 1.0)
+            return eta / w
         verts = self._unit_ball_vertices
         return verts[int(np.argmax(verts @ x))].copy()
 
@@ -303,7 +300,7 @@ class Gauge:
         if self.dim != 2:
             raise ValueError("polygonal Wulff shapes are available in 2-D only")
         exact = self.kind == "polyhedral" or self.p in (1.0, math.inf)
-        w = self.weights if self.kind == "weighted" else 1.0
+        w = 1.0 if self.weights is None else self.weights
         if self.kind == "polyhedral":
             verts = self.wulff_vertices.copy()
         elif exact:  # the unit ball of the conjugate norm, scaled by w

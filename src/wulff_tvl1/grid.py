@@ -411,13 +411,12 @@ def rasterize(indicator, width: int, height: int, spacing: float,
 
 
 def raster_disk(width: int, height: int, spacing: float, radius: float = 1.0,
-                center=(0.0, 0.0), supersample: int = 4,
-                binary: bool = False) -> GridImage:
-    cx, cy = center
+                supersample: int = 4, binary: bool = False) -> GridImage:
+    """The disk of the given radius about the origin, rastered."""
     r2 = radius * radius
 
     def inside(X, Y):
-        return (X - cx) ** 2 + (Y - cy) ** 2 <= r2
+        return X ** 2 + Y ** 2 <= r2
 
     return rasterize(inside, width, height, spacing, supersample, binary)
 

@@ -134,12 +134,11 @@ def circle_example(lam: float) -> CircleExampleResult:
 
 
 def circle_optimality_threshold() -> float:
-    """Root of g(lam) = 4 lam asin(1/lam) + 4 sqrt(1 - 1/lam^2) - lam pi
-    on [2, 3] by bisection; the opening beats the empty shape above it."""
+    """Root on [2, 3], by bisection, of the clipped disk's energy less the
+    empty shape's, lam pi; the opening beats the empty shape above it."""
 
     def gfun(lam: float) -> float:
-        s = 1.0 / lam
-        return 4.0 * lam * math.asin(s) + 4.0 * math.sqrt(1.0 - s * s) - lam * math.pi
+        return circle_example(lam).energy - lam * math.pi
 
     lo, hi = 2.0, 3.0
     flo = gfun(lo)
@@ -176,14 +175,14 @@ def _clip_halfplane(vertices: np.ndarray, normal: np.ndarray,
     return _dedupe(np.array(out))
 
 
-def _dedupe(vertices: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _dedupe(vertices: np.ndarray) -> np.ndarray:
     if len(vertices) == 0:
         return vertices
     keep = [0]
     for i in range(1, len(vertices)):
-        if np.linalg.norm(vertices[i] - vertices[keep[-1]]) > tol:
+        if np.linalg.norm(vertices[i] - vertices[keep[-1]]) > 1e-12:
             keep.append(i)
-    if len(keep) > 1 and np.linalg.norm(vertices[keep[-1]] - vertices[keep[0]]) <= tol:
+    if len(keep) > 1 and np.linalg.norm(vertices[keep[-1]] - vertices[keep[0]]) <= 1e-12:
         keep.pop()
     return vertices[keep]
 

@@ -113,6 +113,9 @@ class SolverConfig:
     gap_tolerance: float = 1e-6       # on the normalized primal-dual gap
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:  # JSON true would read as 1
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f'solver config "{name}" takes a number, got a bool')
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.gap_tolerance >= 0:
@@ -358,9 +361,9 @@ def solve(f: GridImage, lam: float, g: Gauge,
     )
 
 
-def threshold_binary(result: SolveResult, t: float = 0.5) -> GridImage:
-    """Binary minimiser {u > t}; the canonical output when f was binary."""
-    return level_set(result.u, t)
+def threshold_binary(result: SolveResult) -> GridImage:
+    """Binary minimiser {u > 0.5}; the canonical output when f was binary."""
+    return level_set(result.u, 0.5)
 
 
 def canonical_minimiser(result: SolveResult, f: GridImage) -> GridImage:
@@ -381,10 +384,10 @@ class ContrastInvarianceReport:
 
 
 def check_contrast_invariance(f: GridImage, lam: float, g: Gauge, c: float,
-                              cfg: SolverConfig | None = None,
-                              quantile: float = 0.5) -> ContrastInvarianceReport:
-    """Solves for f and c*f and compares matched-quantile level sets and the
-    scaling identity E(c u; c f) = c E(u; f)."""
+                              cfg: SolverConfig | None = None) -> ContrastInvarianceReport:
+    """Solves for f and c*f and compares their level sets at the middle of
+    f's range, t = (min f + max f) / 2, and c t, and the scaling identity
+    E(c u; c f) = c E(u; f)."""
     if c <= 0:
         raise ValueError("c must be positive")
     base = solve(f, lam, g, cfg)
@@ -392,7 +395,7 @@ def check_contrast_invariance(f: GridImage, lam: float, g: Gauge, c: float,
     scaled = solve(fc, lam, g, cfg)
 
     span = float(f.values.max() - f.values.min())
-    t = float(f.values.min()) + quantile * span
+    t = float(f.values.min()) + 0.5 * span
     set_base = level_set(base.u, t).values
     set_scaled = level_set(scaled.u, c * t).values
     sym = float(np.abs(set_base - set_scaled).sum())

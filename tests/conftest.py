@@ -190,6 +190,13 @@ REFUSED_GAUGE_SPECS = {
     "dim-bool": ('{"kind": "p-norm", "p": 2, "dim": true}', '"dim"'),
     "vertex-string": ('{"kind": "polyhedral", "wulff_vertices": '
                       '[["1", 1], [-1, 1], [-1, -1], [1, -1]]}', '"wulff_vertices"'),
+    # keys that the kind does not read were dropped: the first built the
+    # plain 2-norm, and the last a weighted gauge of dimension 2
+    "p-norm-weights": ('{"kind": "p-norm", "p": 2, "weights": [1, 4]}', '"weights"'),
+    "misspelt-weight": ('{"kind": "weighted", "p": 2, "weights": [1, 4], '
+                        '"weight": [1, 4]}', '"weight"'),
+    "weighted-dim": ('{"kind": "weighted", "p": 2, "weights": [1, 4], "dim": 3}',
+                     '"dim"'),
 }
 
 

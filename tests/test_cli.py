@@ -647,6 +647,20 @@ def test_denoise_config_json(tmp_path):
     assert report["iterations"] == 5
 
 
+@pytest.mark.parametrize("key", ["max_iterations", "gap_tolerance", "tau", "sigma"])
+def test_a_bool_in_the_solver_config_is_refused(tmp_path, capsys, key):
+    # true read as 1: "max_iterations" ran one iteration and exited 2, and
+    # "gap_tolerance" stopped at once on a gap of 0.036 and exited 0
+    disk = tmp_path / "disk.pgm"
+    run("synth", "disk", "--size", "16", "--output", str(disk))
+    capsys.readouterr()
+    assert run("denoise", "--input", str(disk), "--lambda", "4",
+               "--output-prefix", str(tmp_path / "o"),
+               "--config", json.dumps({key: True})) == 1
+    assert f'"{key}"' in capsys.readouterr().err
+    assert not (tmp_path / "o_report.json").exists()
+
+
 def test_thread_cap_env(tmp_path, monkeypatch):
     for bad in ("not-a-number", "0"):
         monkeypatch.setenv("WULFF_TVL1_THREADS", bad)

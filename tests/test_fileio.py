@@ -166,3 +166,13 @@ def test_an_integer_sidecar_spacing_reads_as_a_float(tmp_path):
         '{"width": 3, "height": 4, "components": 2, "spacing": 2}')
     for reader in (PgmReader(image, None), FieldReader(field)):
         assert type(reader.spacing) is float and reader.spacing == 2.0
+
+
+def test_write_pgm_writes_the_image_sidecar(tmp_path):
+    # the bytes that synth and denoise wrote beside their images when the
+    # CLI, not write_pgm, wrote the sidecar
+    path = tmp_path / "u.pgm"
+    write_pgm(path, GridImage(np.zeros((4, 3)), 3.0 / 256), maxval=255)
+    assert Path(f"{path}.json").read_text() == (
+        '{\n  "height": 4,\n  "spacing": 0.01171875,\n  "width": 3\n}\n')
+    assert read_pgm(path, None).spacing == 3.0 / 256

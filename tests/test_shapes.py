@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wulff_tvl1.gauge import Gauge
+from wulff_tvl1.grid import raster_disk
 from wulff_tvl1.projection import _polygon_edges, _project_convex_polygon
 from wulff_tvl1.shapes import (ConvexPolygon, circle_example,
                                circle_optimality_threshold,
@@ -12,7 +13,9 @@ from wulff_tvl1.shapes import (ConvexPolygon, circle_example,
                                shape_energy_ratio, trivial_threshold,
                                wulff_tv_and_area)
 
-from conftest import boundary_integral_oracle, random_convex_polygon
+from conftest import (boundary_integral_oracle, clipped_disk_raster,
+                      max_flow_pair, random_convex_polygon,
+                      symmetric_difference_area)
 
 L1 = Gauge.p_norm(1)
 L2 = Gauge.p_norm(2)
@@ -150,6 +153,41 @@ def test_circle_optimality_threshold():
     for lam, wins in ((2.0, False), (2.6, True), (4.0, True)):
         r = circle_example(lam)
         assert (r.energy <= lam * math.pi) == wins
+
+
+# The exact discrete minimiser of the paper's circle example, from one max
+# flow on the 1-norm disk.  lam is dyadic with a denominator of at most
+# 1024, so the integer capacities of the flow stay exact and within int32.
+
+@pytest.mark.parametrize("n, empty, filled", [(128, 2535, 2536),
+                                              (256, 2534, 2535)])
+def test_the_discrete_jump_from_the_empty_set_approaches_the_critical_lambda(
+        n, empty, filled):
+    # the least minimiser is empty at empty/1024 and not at filled/1024; the
+    # jump lies 1.7e-4 to 1.2e-3 above lam* at 128^2 and brackets it at 256^2
+    f = raster_disk(n, n, 3.0 / n, binary=True)
+    assert not max_flow_pair(f, empty / 1024, L1)[0].values.any()
+    assert max_flow_pair(f, filled / 1024, L1)[0].values.any()
+    root = circle_optimality_threshold()
+    assert 0 <= filled / 1024 - root <= (1.2e-3 if n == 128 else 1 / 1024)
+    assert (empty / 1024 < root) == (n == 256)
+
+
+@pytest.mark.parametrize("lam", [2.5, 3.0, 4.0, 6.0])
+def test_the_exact_minimiser_approaches_the_clipped_disk(lam):
+    # the least minimiser is clipped_disk_raster itself at both sizes, but
+    # for lam = 4 at 256^2: there it holds one more row or column of cells
+    # along each side of [-h, h]^2 (4 x 44 cells), at an energy 2.9e-3 lower
+    ex = circle_example(lam)
+    gaps = []
+    for n in (128, 256):
+        spacing = 3.0 / n
+        u, _, opt = max_flow_pair(raster_disk(n, n, spacing, binary=True), lam, L1)
+        # one layer of cells along the four sides of [-h, h]^2
+        assert symmetric_difference_area(u, clipped_disk_raster(lam, n)) <= (
+            8.0 * ex.h * spacing)
+        gaps.append(abs(opt - ex.energy))
+    assert gaps[1] < gaps[0]
 
 
 def test_opening_identity_cases():
