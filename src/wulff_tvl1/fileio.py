@@ -145,7 +145,7 @@ def read_pgm(path, spacing: float | None = 1.0) -> GridImage:
 
 def write_field(path, field: DualField) -> None:
     """Writes <path> (raw little-endian float64) and <path>.json sidecar."""
-    Path(path).write_bytes(field.values.astype("<f8").tobytes())
+    field.values.astype("<f8", copy=False).tofile(path)  # C order, no copy
     sidecar = {
         "width": field.width,
         "height": field.height,

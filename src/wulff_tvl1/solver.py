@@ -17,29 +17,32 @@ the step: it takes differences at unit spacing with the 1/h carried by
 the steps (sigma/h, tau/h), bit for bit the iterates above, and no
 iteration allocates beyond the temporaries of a projection or a gauge
 evaluation (for the separable kinds, none).  Its workspace is one
-zero-filled allocation with eight buffers: f, u, u_bar, the step,
-scratch and divergence planes, and the dual iterate p with the buffer the
-next p forms in, both planar (2, H, W) arrays.  Buffer k starts k * 512
-bytes past a page boundary.  The placement is fixed because of 4K
-aliasing: a load waits for an earlier store whose address matches it
-modulo 4 KiB, so a numpy kernel that stores 16-64 bytes above one of its
-loads modulo 4 KiB runs 2-2.5 times slower (np.add(a, b, out=o) on
-65 536 doubles: 45-58 us, against 20-23 us otherwise, on a 2-core Xeon),
-and wherever malloc put the buffers decided the speed of a 256^2 solve
-(0.70-1.01 ms per iteration).
+zero-filled allocation with five buffers, seven planes: f, u and u_bar,
+and the dual iterate p with the buffer the next p forms in, both planar
+(2, H, W) arrays.  Buffer k starts k * 512 bytes (mod 4 KiB) past a page
+boundary, a multiple of 64 bytes for any buffer count.  The placement is
+fixed because of 4K aliasing: a load waits for an earlier store whose
+address matches it modulo 4 KiB, so a numpy kernel that stores 16-64
+bytes above one of its loads modulo 4 KiB runs 2-2.5 times slower
+(np.add(a, b, out=o) on 65 536 doubles: 45-58 us, against 20-23 us
+otherwise, on a 2-core Xeon), and wherever malloc put the buffers decided
+the speed of a 256^2 solve (0.70-1.01 ms per iteration).
 The dual arithmetic p + (sigma/h) grad u_bar runs on whole planes, the
-projection writes into its input, and that buffer and p then swap names,
-as u, u_bar and the step buffer rotate.
+projection writes into its input, and that buffer and p then swap names.
+The old p is then free: its planes hold div p and the shrink's clip while
+the new u forms in u_bar's buffer, and u and u_bar swap names.
 
 Every MONITOR_EVERY iterations and on the last one ``_run`` tests the
 relative-change fallback on max|u - u_prev| and forms the forward-stencil
 energy e_fwd = sum phi(grad+ u) h^2 + lam |u - f|_1 and a lower bound on
 its minimum, the dual value at a copy of p scaled to |div p| <= lam
-(divided by h as the public kernels divide).
+(divided by h as the public kernels divide).  The check borrows the free
+dual buffer: the fidelity term first, then the dual side from div p,
+then grad+ u in both planes.
 
 For a separable gauge (the 1-norm and weighted-1 kinds) the check is
-sharper, in buffers the step leaves free there; it forms phi(grad u) as
-c0|y0| + c1|y1| in the gradient buffer, bit for bit g(y):
+sharper, in the same planes; it forms phi(grad u) as c0|y0| + c1|y1| in
+the gradient's planes, bit for bit g(y):
 
 * the box dual: clipping u to [min f, max f] raises no term, so the
   saddle objective at p itself, minimised cellwise over u in that box (at
@@ -52,7 +55,8 @@ c0|y0| + c1|y1| in the gradient buffer, bit for bit g(y):
 * the guard: the sharper gap stops the run only if the plain one (scaled
   dual, unrounded e_fwd) meets the tolerance too, or p meets certificate
   condition (a) as check_certificate evaluates it (grid._div_bound_cells,
-  tolerance 3 h).  Below a tolerance of 1 the plain gap meeting it implies
+  tolerance 3 h; div p is formed again for it, only when it is
+  evaluated).  Below a tolerance of 1 the plain gap meeting it implies
   the sharper one does, so no run stops later than on the plain gap, and
   an earlier stop returns a p that meets (a).
 
@@ -100,6 +104,7 @@ CHANGE_TOLERANCE = 1e-9  # fallback stop: relative change of u
 BURN_IN = 50             # iterations before the fallback may stop the run
 MONITOR_EVERY = 10       # iterations between convergence checks
 PAGE = 4096              # bytes: the period of 4K aliasing (module docstring)
+STAGGER = 512            # bytes between successive workspace buffers' page offsets
 
 
 @dataclass
@@ -116,8 +121,9 @@ class SolverConfig:
         for name in self.__dataclass_fields__:  # JSON true would read as 1
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f'solver config "{name}" takes a number, got a bool')
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
+            raise ValueError('solver config "max_iterations" takes an integer '
+                             f">= 1, got {self.max_iterations!r}")
         if not self.gap_tolerance >= 0:
             raise ValueError("gap_tolerance must be >= 0")
 
@@ -184,15 +190,14 @@ def _is_binary(values: np.ndarray) -> bool:
 
 def _workspace(shapes) -> list[np.ndarray]:
     """Zero-filled float arrays of the given shapes, carved from one
-    allocation so that array k of m starts k * PAGE / m bytes past a page
-    boundary."""
+    allocation so that array k starts k * STAGGER bytes (mod PAGE) past a
+    page boundary."""
     sizes = [math.prod(shape) * 8 for shape in shapes]
-    stagger = PAGE // len(shapes)
     raw = np.zeros((sum(sizes) + len(shapes) * PAGE) // 8)
     base = raw.__array_interface__["data"][0]
     arrays, start = [], 0
     for k, (shape, size) in enumerate(zip(shapes, sizes)):
-        start += (k * stagger - base - start) % PAGE
+        start += (k * STAGGER - base - start) % PAGE
         arrays.append(raw[start // 8:(start + size) // 8].reshape(shape))
         start += size
     return arrays
@@ -206,8 +211,7 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
     spacing = f.spacing
     h2 = spacing**2
     plane = (f.height, f.width)
-    fv, u, u_bar, step, scratch, div_buf, *duals = _workspace(
-        [plane] * 6 + [(2,) + plane] * 2)
+    fv, u, u_bar, *duals = _workspace([plane] * 3 + [(2,) + plane] * 2)
     for buf in (fv, u, u_bar):
         buf[...] = f.values
     # (H, W, 2) views of the planar dual iterate and of the buffer the next
@@ -230,31 +234,50 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
         planes += p.transpose(2, 0, 1)
         p, free = g.project_minus_wulff(free, out=free), p
 
-        # u <- f + shrink(u + tau * div p - f, tau * lam) forms in the step
-        # buffer and u_bar = (u - u_prev) + u in the old u's; the three
-        # buffers then rotate by name
-        _div_adjoint_raw(p, 1.0, out=div_buf)
-        np.multiply(div_buf, tau / spacing, out=step)
-        step += u
-        step -= fv
-        step -= np.clip(step, -tau * lam, tau * lam, out=scratch)
-        step += fv
-        np.subtract(step, u, out=u)
+        # u <- f + shrink(u + tau * div p - f, tau * lam) forms in u_bar's
+        # buffer, which the dual step has read, and u_bar = (u - u_prev) + u
+        # in the old u's; the two then swap by name.  The old p is dead:
+        # div p goes to its plane 1 and the shrink's clip to its plane 0
+        scratch, div_p = planes = free.transpose(2, 0, 1)
+        _div_adjoint_raw(p, 1.0, out=div_p)
+        np.multiply(div_p, tau / spacing, out=u_bar)
+        u_bar += u
+        u_bar -= fv
+        u_bar -= np.clip(u_bar, -tau * lam, tau * lam, out=scratch)
+        u_bar += fv
+        np.subtract(u_bar, u, out=u)
         check = (iterations % MONITOR_EVERY == 0
                  or iterations == max_iterations)
-        # the fallback, with u - u_prev in u and the new u in step:
+        # the fallback, with u - u_prev in u and the new u in u_bar:
         # max|u - u_prev| <= CHANGE_TOLERANCE * max|u| after the burn-in
         stalled = (check and k > BURN_IN and _abs_max(u)
-                   <= CHANGE_TOLERANCE * (_abs_max(step) + 1e-30))
-        u += step
-        u, u_bar, step = step, u, u_bar
+                   <= CHANGE_TOLERANCE * (_abs_max(u_bar) + 1e-30))
+        u += u_bar
+        u, u_bar = u_bar, u
         if not check:
             continue
 
         np.subtract(u, fv, out=scratch)
         fid = lam * float(np.abs(scratch, out=scratch).sum()) * h2
+
+        # dual value of the forward-stencil saddle objective at a scaled
+        # (hence feasible: |div| <= lam) copy of p -- a true lower bound
+        np.divide(div_p, spacing, out=div_p)  # the kernel's bits
+        dmax = _abs_max(div_p)
+        scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
+        scaled_dual = -float(np.multiply(fv, div_p, out=scratch).sum()) * scale * h2
+        dual_value = scaled_dual
+        if box:
+            # the box dual: per cell -f c - (max f) max(x, 0) - (min f)
+            # min(x, 0) with c = clip(div p, -lam, lam) and x = div p - c
+            clipped = np.clip(div_p, -lam, lam, out=scratch)
+            x = np.subtract(div_p, clipped, out=div_p)
+            fc = float(np.multiply(fv, clipped, out=scratch).sum())
+            up = float(np.maximum(x, 0.0, out=scratch).sum())
+            down = float(np.minimum(x, 0.0, out=x).sum()) if f_lo else 0.0
+            dual_value = max(dual_value, -(fc + f_hi * up + f_lo * down) * h2)
+
         grad = _grad_forward_raw(u, spacing, out=free)
-        planes = free.transpose(2, 0, 1)
         if box:  # c0|y0| + c1|y1| in place, the bits of g(grad) for w > 0
             y0, y1 = np.abs(planes, out=planes)
             y0 *= c0
@@ -263,37 +286,22 @@ def _run(f: GridImage, lam: float, g: Gauge, tau: float, sigma: float,
         else:
             grad_fw = float(g(grad).sum())
         e_fwd = grad_fw * h2 + fid
-
-        # dual value of the forward-stencil saddle objective at a scaled
-        # (hence feasible: |div| <= lam) copy of p -- a true lower bound
-        div_p = np.divide(div_buf, spacing, out=div_buf)  # the kernel's bits
-        dmax = _abs_max(div_p)
-        scale = min(1.0, lam / dmax) if dmax > 0 else 1.0
-        scaled_dual = -float(np.multiply(fv, div_p, out=scratch).sum()) * scale * h2
-        energy_value, dual_value, checked_u = e_fwd, scaled_dual, u
-        if box:
-            # the box dual: per cell -f c - (max f) max(x, 0) - (min f)
-            # min(x, 0) with c = clip(div p, -lam, lam) and x = div p - c
-            clipped = np.clip(div_p, -lam, lam, out=planes[0])
-            fc = float(np.multiply(fv, clipped, out=scratch).sum())
-            x = np.subtract(div_p, clipped, out=clipped)
-            up = float(np.maximum(x, 0.0, out=scratch).sum())
-            down = float(np.minimum(x, 0.0, out=x).sum()) if f_lo else 0.0
-            dual_value = max(dual_value, -(fc + f_hi * up + f_lo * down) * h2)
-            if rounding:
-                # binary f: the 0.5 level set where its energy, counted, is
-                # lower, or where u is binary itself
-                np.greater(u, 0.5, out=level)
-                e_level = _binary_energy(level, fv, lam, c0, c1, spacing, flags)
-                if (e_level < e_fwd
-                        or not np.not_equal(level, u, out=flags).any()):
-                    energy_value, checked_u = e_level, level
+        energy_value, checked_u = e_fwd, u
+        if box and rounding:
+            # binary f: the 0.5 level set where its energy, counted, is
+            # lower, or where u is binary itself
+            np.greater(u, 0.5, out=level)
+            e_level = _binary_energy(level, fv, lam, c0, c1, spacing, flags)
+            if (e_level < e_fwd
+                    or not np.not_equal(level, u, out=flags).any()):
+                energy_value, checked_u = e_level, level
         # the guard: the plain gap meets the tolerance too, or p meets
-        # certificate condition (a); without a sharper value the two gaps
-        # are one
+        # certificate condition (a), its div p formed again in the planes
+        # the gradient took; without a sharper value the two gaps are one
         gap_met = (_normalized_gap(energy_value, dual_value) <= gap_tolerance
                    and (_normalized_gap(e_fwd, scaled_dual) <= gap_tolerance
-                        or _meets_div_bound(div_p, p, lam, spacing, scratch)))
+                        or _meets_div_bound(_div_adjoint_raw(p, spacing, out=div_p),
+                                            p, lam, spacing, scratch)))
         yield iterations, checked_u, p, energy_value, dual_value, gap_met, stalled
 
 

@@ -661,6 +661,18 @@ def test_a_bool_in_the_solver_config_is_refused(tmp_path, capsys, key):
     assert not (tmp_path / "o_report.json").exists()
 
 
+@pytest.mark.parametrize("value", [12.5, 12.0, "12"])
+def test_a_non_integer_max_iterations_is_refused(tmp_path, capsys, value):
+    disk = tmp_path / "disk.pgm"
+    run("synth", "disk", "--size", "16", "--output", str(disk))
+    capsys.readouterr()
+    assert run("denoise", "--input", str(disk), "--lambda", "4",
+               "--output-prefix", str(tmp_path / "o"),
+               "--config", json.dumps({"max_iterations": value})) == 1
+    assert '"max_iterations" takes an integer' in capsys.readouterr().err
+    assert not (tmp_path / "o_report.json").exists()
+
+
 def test_thread_cap_env(tmp_path, monkeypatch):
     for bad in ("not-a-number", "0"):
         monkeypatch.setenv("WULFF_TVL1_THREADS", bad)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,13 +464,38 @@ def test_workspace_loop_matches_the_allocating_loop(name, binary, monkeypatch):
 
 
 def test_workspace_places_every_buffer_at_its_page_offset():
-    buffers = solver._workspace([(37, 50)] * 6 + [(2, 37, 50)] * 2)
-    offsets = [b.__array_interface__["data"][0] % solver.PAGE for b in buffers]
-    assert offsets == [k * solver.PAGE // 8 for k in range(8)]
-    assert [b.shape for b in buffers] == [(37, 50)] * 6 + [(2, 37, 50)] * 2
-    assert all(b.flags.c_contiguous and not b.any() for b in buffers)
-    ends = sorted((b.__array_interface__["data"][0], b.nbytes) for b in buffers)
-    assert all(a + n <= b for (a, n), (b, _) in zip(ends, ends[1:]))
+    # the solver's layout, an eight-array one and a count that does not
+    # divide 64: every buffer STAGGER bytes on, 64-byte aligned
+    for layout in ([(37, 50)] * 3 + [(2, 37, 50)] * 2,
+                   [(37, 50)] * 6 + [(2, 37, 50)] * 2, [(37, 50)] * 6):
+        buffers = solver._workspace(layout)
+        offsets = [b.__array_interface__["data"][0] % solver.PAGE
+                   for b in buffers]
+        assert offsets == [k * solver.STAGGER % solver.PAGE
+                           for k in range(len(layout))]
+        assert all(offset % 64 == 0 for offset in offsets)
+        assert [b.shape for b in buffers] == layout
+        assert all(b.flags.c_contiguous and not b.any() for b in buffers)
+        ends = sorted((b.__array_interface__["data"][0], b.nbytes)
+                      for b in buffers)
+        assert all(a + n <= b for (a, n), (b, _) in zip(ends, ends[1:]))
+
+
+def test_solve_memory_is_the_workspace_and_the_result():
+    # traced peak of a warm 1-norm solve on a 128^2 disk, in planes of
+    # H * W doubles: the 7-plane workspace, the returned u and p (3 planes)
+    # and small temporaries (a ten-plane workspace reads 14.0)
+    n = 128
+    f = raster_disk(n, n, 3.0 / n, binary=True)
+    cfg = SolverConfig(max_iterations=2 * solver.MONITOR_EVERY)
+    solve(f, 4.0, L1, cfg)  # once first, for one-time allocations
+    tracemalloc.start()
+    try:
+        solve(f, 4.0, L1, cfg)
+        planes = tracemalloc.get_traced_memory()[1] / (8 * n * n)
+    finally:
+        tracemalloc.stop()
+    assert planes <= 11.5, planes
 
 
 @pytest.mark.parametrize("name", ["l1", "weighted-l1"])
