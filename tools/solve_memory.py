@@ -2,22 +2,22 @@
 and grid size, for one or more checkouts.
 
     python3 tools/solve_memory.py [--tree PARENT] --tree CHANGE \\
-        [--size 256 --size 384 --size 512] [--gauge l1 --gauge hexagon] \\
-        [--processes 5] [--iterations 200] [--cpu 1] [--output rows.json]
+        [--output rows.json]
 
 The input is the binary unit disk on [-1.5, 1.5]^2 (grid.raster_disk) at
-lambda 4.  Each case, per tree, runs in fresh interpreters with the src/
-of that tree on the path, pinned to one CPU (--cpu).  The first process
-of a tree reports the tracemalloc peak of a warm solve of 2 * MONITOR_EVERY
-iterations, in planes of H * W doubles.  Every process times one warm
-solve of --iterations iterations at gap tolerance 0 and reports its
-milliseconds per iteration, monitor checks included.  Processes alternate
-between the trees, the first tree going first in even rounds.  A row per
-tree and case gives the peak, the median, minimum and maximum over the
-processes, and the iteration count each solve ran (the stalled fallback
-could end one early).  Rows are printed and, with --output, written as
-JSON.  Default tree: this checkout.
-"""
+lambda 4, under the 1-norm and the hexagon, at 256^2, 384^2 and 512^2.
+Each case, per tree, runs in fresh interpreters with the src/ of that tree
+on the path, pinned to the lowest CPU this process may use.  The first
+process of a tree reports the tracemalloc peak of a warm solve of
+2 * MONITOR_EVERY iterations, in planes of H * W doubles.  Every process
+times one warm solve of ITERATIONS iterations at gap tolerance 0 and
+reports its milliseconds per iteration, monitor checks included.
+PROCESSES processes run per tree and case, alternating between the trees,
+the first tree going first in even rounds.  A row per tree and case gives
+the peak, the median, minimum and maximum over the processes, and the
+iteration count each solve ran (the stalled fallback could end one early).
+Rows are printed and, with --output, written as JSON.  Default tree: this
+checkout."""
 
 from __future__ import annotations
 
@@ -36,6 +36,9 @@ GAUGES = {
                 [[2, 0], [1, 2], [-1, 1], [-2, -1], [0, -2], [1.5, -1]]},
 }
 LAMBDA = 4.0
+SIZES = (256, 384, 512)
+PROCESSES = 5
+ITERATIONS = 200
 
 CASE = """\
 import json, os, sys, time, tracemalloc
@@ -64,10 +67,9 @@ print(json.dumps(row))
 """ % {"lam": LAMBDA}
 
 
-def run_case(tree: Path, cpu: int, n: int, iterations: int, traced: bool,
-             gauge: str) -> dict:
+def run_case(tree: Path, cpu: int, n: int, traced: bool, gauge: str) -> dict:
     out = subprocess.run(
-        [sys.executable, "-c", CASE, str(cpu), str(n), str(iterations),
+        [sys.executable, "-c", CASE, str(cpu), str(n), str(ITERATIONS),
          "1" if traced else "0", json.dumps(GAUGES[gauge])],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(tree.resolve() / "src")})
@@ -77,25 +79,18 @@ def run_case(tree: Path, cpu: int, n: int, iterations: int, traced: bool,
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--tree", type=Path, action="append", default=None)
-    p.add_argument("--size", type=int, action="append", default=None)
-    p.add_argument("--gauge", choices=sorted(GAUGES), action="append",
-                   default=None)
-    p.add_argument("--processes", type=int, default=5)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--cpu", type=int, default=1)
     p.add_argument("--output", type=Path, default=None)
     args = p.parse_args(argv)
     trees = args.tree or [ROOT]
-    cases = [(gauge, n) for gauge in args.gauge or ["l1", "hexagon"]
-             for n in args.size or [256, 384, 512]]
+    cpu = min(os.sched_getaffinity(0))
+    cases = [(gauge, n) for gauge in GAUGES for n in SIZES]
     samples = {(t, case): [] for t in range(len(trees)) for case in cases}
-    for rnd in range(args.processes):
+    for rnd in range(PROCESSES):
         order = list(range(len(trees)))[::1 if rnd % 2 == 0 else -1]
         for case in cases:
             for t in order:
                 samples[t, case].append(run_case(
-                    trees[t], args.cpu, case[1], args.iterations, rnd == 0,
-                    case[0]))
+                    trees[t], cpu, case[1], rnd == 0, case[0]))
     rows = []
     for (t, (gauge, n)), runs in samples.items():
         ms = [r["ms_per_iter"] for r in runs]
