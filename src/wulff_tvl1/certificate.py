@@ -75,7 +75,7 @@ from .grid import (BOUNDARY_MARGIN, DIV_TOL_SPACINGS, FEASIBILITY_TOL,
                    _div_adjoint_raw, _div_bound_cells, _div_forward_raw,
                    _row_blocks, _stencil_block, _stencil_totals, cell_centers,
                    divergence, dual_pairing, forward_divergence, tv_phi)
-from .solver import SolveResult, SolverConfig, canonical_minimiser, solve
+from .solver import SolveResult, SolverConfig, solve
 
 __all__ = [
     "CertificateReport",
@@ -306,8 +306,7 @@ def certify_minimizer(f: GridImage, lam: float, g: Gauge,
                       cfg: SolverConfig | None = None,
                       tol: float | None = None
                       ) -> tuple[SolveResult, CertificateReport]:
-    """Solves, then feeds the canonical minimiser (thresholded when f is
-    binary) and the dual iterate into check_certificate."""
+    """Solves, then feeds the returned minimiser u and the dual iterate p
+    into check_certificate."""
     result = solve(f, lam, g, cfg)
-    return result, check_certificate(canonical_minimiser(result, f), f,
-                                     result.p, lam, g, tol=tol)
+    return result, check_certificate(result.u, f, result.p, lam, g, tol=tol)

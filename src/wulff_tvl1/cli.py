@@ -27,7 +27,7 @@ from .gauge import Gauge
 from .grid import GridImage, raster_convex_polygon, raster_disk
 from .shapes import (circle_example, circle_optimality_threshold,
                      trivial_threshold, wulff_tv_and_area)
-from .solver import SolverConfig, canonical_minimiser, energy, solve
+from .solver import SolverConfig, _is_binary, energy, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -91,16 +91,15 @@ def cmd_denoise(args) -> int:
                           **json.loads(args.config or "{}")})
 
     result = solve(f, args.lam, gauge, cfg)
-    u0 = canonical_minimiser(result, f)
-    thresholded = bool(args.threshold and u0 is not result.u)
-    u_out = u0 if thresholded else result.u
+    # --threshold only picks the format: 8-bit where u is binary
+    thresholded = args.threshold and _is_binary(result.u.values)
 
     prefix = Path(args.output_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     u_path = f"{prefix}.pgm"
     dual_path = f"{prefix}_dual.raw"
     report_path = f"{prefix}_report.json"
-    write_pgm(u_path, u_out, maxval=255 if thresholded else 65535)
+    write_pgm(u_path, result.u, maxval=255 if thresholded else 65535)
     write_field(dual_path, result.p)
 
     report = {
@@ -119,7 +118,7 @@ def cmd_denoise(args) -> int:
     }
     if args.certify:
         report["certificate"] = check_certificate(
-            u0, f, result.p, args.lam, gauge).to_json()
+            result.u, f, result.p, args.lam, gauge).to_json()
     _write_json(report_path, report)
 
     RunManifest(
@@ -248,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--gap-tolerance", type=float, default=1e-6)
     d.add_argument("--certify", action="store_true")
     d.add_argument("--threshold", action="store_true",
-                   help="write the binary thresholded minimiser for binary input")
+                   help="write u at maxval 255 when it is binary")
     d.set_defaults(func=cmd_denoise)
 
     s = sub.add_parser("synth", help="deterministic synthetic test inputs")

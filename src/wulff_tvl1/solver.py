@@ -51,7 +51,7 @@ the gradient's planes, bit for bit g(y):
 * the 0.5 level set: for binary f some level set of u is as good as u
   (coarea); where the 0.5 one's energy, counted from its jumps and its
   cells off f, is below e_fwd, or u is binary itself, the check reports
-  that image and energy, the image canonical_minimiser returns;
+  that image and energy, and solve returns that image as u;
 * the guard: the sharper gap stops the run only if the plain one (scaled
   dual, unrounded e_fwd) meets the tolerance too, or p meets certificate
   condition (a) as check_certificate evaluates it (grid._div_bound_cells,
@@ -96,7 +96,6 @@ __all__ = [
     "energy",
     "solve",
     "threshold_binary",
-    "canonical_minimiser",
     "check_contrast_invariance",
 ]
 
@@ -118,12 +117,18 @@ class SolverConfig:
     gap_tolerance: float = 1e-6       # on the normalized primal-dual gap
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:  # JSON true would read as 1
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f'solver config "{name}" takes a number, got a bool')
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
+        # JSON true would read as 1, and a string or null would fail a
+        # comparison whose message names no key; null means the default step
+        m = self.max_iterations
+        if isinstance(m, bool) or not (isinstance(m, int) and m >= 1):
             raise ValueError('solver config "max_iterations" takes an integer '
-                             f">= 1, got {self.max_iterations!r}")
+                             f">= 1, got {m!r}")
+        for name in ("tau", "sigma", "gap_tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float))
+                    or value is None and name != "gap_tolerance"):
+                raise ValueError(f'solver config "{name}" takes a number, got {value!r}')
         if not self.gap_tolerance >= 0:
             raise ValueError("gap_tolerance must be >= 0")
 
@@ -370,14 +375,9 @@ def solve(f: GridImage, lam: float, g: Gauge,
 
 
 def threshold_binary(result: SolveResult) -> GridImage:
-    """Binary minimiser {u > 0.5}; the canonical output when f was binary."""
+    """{u > 0.5} of the returned u; for binary f sure to be a minimiser only
+    for phi(y) = c0|y0| + c1|y1| (coarea), where solve returns it as u."""
     return level_set(result.u, 0.5)
-
-
-def canonical_minimiser(result: SolveResult, f: GridImage) -> GridImage:
-    """The minimiser to write and certify: threshold_binary(result) when f
-    is binary, else result.u itself."""
-    return threshold_binary(result) if _is_binary(f.values) else result.u
 
 
 @dataclass

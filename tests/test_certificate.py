@@ -507,6 +507,18 @@ def test_certify_minimizer_trivial_regime():
     assert rep.strict_uniqueness_hint is not None
 
 
+@pytest.mark.parametrize("name", ["l2", "hexagon", "asymmetric", "linf"])
+def test_certify_minimizer_certifies_the_returned_u_on_binary_input(name):
+    # for these gauges the 0.5 level set of u need not be a minimiser: it
+    # was certified in u's place on binary f and failed (iii)
+    n = 64
+    f = raster_disk(n, n, 3.0 / n, radius=1.0, supersample=4, binary=True)
+    g = GAUGE_ZOO[name]
+    res, rep = certify_minimizer(f, 4.0, g, SolverConfig(max_iterations=1000))
+    assert rep == check_certificate(res.u, f, res.p, 4.0, g)
+    assert rep.passed, rep.conditions
+
+
 def test_report_serialises():
     u0 = GridImage(np.zeros((8, 8)), 0.5)
     v = DualField(np.zeros((8, 8, 2)), 0.5)

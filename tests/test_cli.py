@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wulff_tvl1
-from wulff_tvl1.certificate import certify_minimizer
+from wulff_tvl1.certificate import certify_minimizer, check_certificate
 from wulff_tvl1.cli import main
 from wulff_tvl1.fileio import read_pgm, write_pgm
 from wulff_tvl1.gauge import Gauge
@@ -17,7 +17,7 @@ from wulff_tvl1.grid import GridImage
 from wulff_tvl1.shapes import wulff_tv_and_area
 from wulff_tvl1.solver import SolverConfig, solve
 
-from conftest import REFUSED_GAUGE_SPECS
+from conftest import GAUGE_ZOO, REFUSED_GAUGE_SPECS
 
 
 def run(*argv):
@@ -211,6 +211,26 @@ def test_threshold_writes_a_non_binary_minimiser_unchanged(tmp_path):
     write_pgm(expected, solve(f, 3.0, Gauge.p_norm(1),
                               SolverConfig(max_iterations=300)).u, maxval=65535)
     assert (tmp_path / "o.pgm").read_bytes() == expected.read_bytes()
+
+
+def test_threshold_and_certify_take_the_solver_u_of_a_binary_input(tmp_path):
+    # the hexagon's u on the binary disk is grey: --threshold writes it as
+    # it is, and --certify checks that image, not its 0.5 level set
+    path = tmp_path / "disk.pgm"
+    run("synth", "disk", "--size", "32", "--output", str(path))
+    f = read_pgm(path, spacing=3.0 / 32)
+    g = GAUGE_ZOO["hexagon"]
+    run("denoise", "--input", str(path), "--lambda", "4", "--max-iterations",
+        "300", "--gauge", json.dumps(g.to_json()), "--output-prefix",
+        str(tmp_path / "o"), "--threshold", "--certify")
+    report = json.loads((tmp_path / "o_report.json").read_text())
+    res = solve(f, 4.0, g, SolverConfig(max_iterations=300))
+    assert report["thresholded_output"] is False
+    expected = tmp_path / "expected.pgm"
+    write_pgm(expected, res.u, maxval=65535)
+    assert (tmp_path / "o.pgm").read_bytes() == expected.read_bytes()
+    certificate = check_certificate(res.u, f, res.p, 4.0, g)
+    assert report["certificate"] == json.loads(json.dumps(certificate.to_json()))
 
 
 def test_denoise_rejects_bad_lambda(tmp_path):
@@ -647,16 +667,22 @@ def test_denoise_config_json(tmp_path):
     assert report["iterations"] == 5
 
 
-@pytest.mark.parametrize("key", ["max_iterations", "gap_tolerance", "tau", "sigma"])
-def test_a_bool_in_the_solver_config_is_refused(tmp_path, capsys, key):
+@pytest.mark.parametrize("key, value", [
+    *((key, True) for key in ("max_iterations", "gap_tolerance", "tau", "sigma")),
+    ("gap_tolerance", "1e-6"), ("tau", "0.01"), ("sigma", "0.01"),
+    ("gap_tolerance", None)], ids=[
+    "max_iterations", "gap_tolerance", "tau", "sigma", "gap_tolerance-string",
+    "tau-string", "sigma-string", "gap_tolerance-null"])
+def test_a_bool_in_the_solver_config_is_refused(tmp_path, capsys, key, value):
     # true read as 1: "max_iterations" ran one iteration and exited 2, and
-    # "gap_tolerance" stopped at once on a gap of 0.036 and exited 0
+    # "gap_tolerance" stopped at once on a gap of 0.036 and exited 0; a
+    # string, or null for the tolerance, failed a comparison naming no key
     disk = tmp_path / "disk.pgm"
     run("synth", "disk", "--size", "16", "--output", str(disk))
     capsys.readouterr()
     assert run("denoise", "--input", str(disk), "--lambda", "4",
                "--output-prefix", str(tmp_path / "o"),
-               "--config", json.dumps({key: True})) == 1
+               "--config", json.dumps({key: value})) == 1
     assert f'"{key}"' in capsys.readouterr().err
     assert not (tmp_path / "o_report.json").exists()
 
